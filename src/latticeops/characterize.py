@@ -59,12 +59,6 @@ class StructureReport:
         }
 
 
-def _poly_pass(field: Field, diff: Polynomial, scale: float) -> bool:
-    if field.name == "exact":
-        return diff.is_zero
-    return diff.max_abs_coeff() <= field.magnitude(field.eps) * max(1.0, scale)
-
-
 def _relation_rhs(lat: Lattice, relation: str, n: int, p: Polynomial) -> Polynomial:
     """Right-hand side of a slot relation at slot n, for P_n = p."""
     con = lat.constants
@@ -87,9 +81,8 @@ def check_structure(lat: Lattice, seq: Optional[OPSequence], relation: str,
     for n in range(n_max + 1):
         lhs = dx(lat, seq.p(n + 1))
         rhs = _relation_rhs(lat, relation, n, seq.p(n))
-        diff = lhs - rhs
-        residuals.append(diff.max_abs_coeff())
-        ok = _poly_pass(field, diff, max(lhs.max_abs_coeff(), rhs.max_abs_coeff()))
+        residual, ok = field.compare(lhs.coeffs, rhs.coeffs)
+        residuals.append(residual)
         if not ok and first_fail is None:
             first_fail = n
     return StructureReport(
@@ -236,9 +229,8 @@ def _check_counterexample(lat: Lattice, n_max: int) -> StructureReport:
         rhs = rhs + (
             c_small(n - 1) * c_big(n) - alpha * c_small(n) * c_big(n - 1)
         ) * seq.p(n - 2)
-        diff = lhs - rhs
-        residuals.append(diff.max_abs_coeff())
-        ok = _poly_pass(field, diff, max(lhs.max_abs_coeff(), rhs.max_abs_coeff()))
+        residual, ok = field.compare(lhs.coeffs, rhs.coeffs)
+        residuals.append(residual)
         if not ok and first_fail is None:
             first_fail = n
     return StructureReport(
@@ -357,12 +349,13 @@ def check_system(lat: Lattice, ttrr: TTRRCoeffs, n_max: int) -> SystemReport:
     def b_off(n: int):
         return ttrr.b(n) - c3
 
-    residuals: Dict[str, List[float]] = {}
-    scales: Dict[str, float] = {}
+    # per equation: the residual values and the scalars they are measured against
+    equations: Dict[str, Tuple[List, List]] = {}
 
     def record(tag: str, value, scale):
-        residuals.setdefault(tag, []).append(field.magnitude(value))
-        scales[tag] = max(scales.get(tag, 1.0), field.magnitude(scale))
+        values, scales = equations.setdefault(tag, ([], []))
+        values.append(value)
+        scales.append(scale)
 
     for n in range(0, n_max - 1):
         record("eq1", c_of(n + 2) - 2 * alpha * c_of(n + 1) + c_of(n), c_of(n + 2))
@@ -394,15 +387,12 @@ def check_system(lat: Lattice, ttrr: TTRRCoeffs, n_max: int) -> SystemReport:
             c_of(n + 1) * b_off(n + 1),
         )
 
-    max_residuals = {tag: max(vals) if vals else 0.0 for tag, vals in residuals.items()}
-    if field.name == "exact":
-        passed = all(v == 0.0 for v in max_residuals.values())
-    else:
-        eps = field.magnitude(field.eps)
-        passed = all(
-            max_residuals[tag] <= eps * max(1.0, scales.get(tag, 1.0))
-            for tag in max_residuals
-        )
+    residuals: Dict[str, List[float]] = {}
+    passed = True
+    for tag, (values, scales) in equations.items():
+        residuals[tag], ok = field.vanish(values, scales)
+        passed = passed and ok
+    max_residuals = {tag: max(vals) for tag, vals in residuals.items()}
     return SystemReport(
         k1=k1,
         k2=k2,
@@ -426,15 +416,10 @@ class FirstCharacterization:
     def c_closed(self, m: int):
         """Closed form of C_m for the family built from C_1 (the Pearson route)."""
         lat = self.pair.lattice
-        field = lat.field
-        q = lat.q
-        one = field.one
+        one = lat.field.one
         n = m - 1
         c1c2 = lat.c[0] * lat.c[1]
-
-        def qp(k: int):
-            return q**k if k >= 0 else (one / q) ** (-k)
-
+        qp = lat.q_pow
         return (
             c1c2
             * (one + qp(n - 2))
@@ -501,8 +486,7 @@ def solve_first_characterization(lat: Lattice, c1, branch: str = "+",
         raise InternalCheckError("C_1 round trip through r failed")
     excluded_index = None
     for n in range(excluded_scan + 1):
-        qn1 = q ** (n - 1) if n >= 1 else one / q
-        if field.approx_eq(r, qn1) or field.approx_eq(r, -(one / q) ** n):
+        if field.approx_eq(r, lat.q_pow(n - 1)) or field.approx_eq(r, -lat.q_pow(-n)):
             excluded_index = n
             break
     c3 = lat.c[2]

@@ -23,6 +23,7 @@ from .functionals import (
     MomentFunctional,
     OPSequence,
     TTRRCoeffs,
+    compare_moments,
     dual_dx,
     dual_dx_pow,
     dual_sx,
@@ -118,13 +119,7 @@ class PearsonPair:
                 ("phi", phi_next, phi_closed),
                 ("psi", psi_next, psi_closed),
             ):
-                diff = rec - closed
-                if field.name == "exact":
-                    bad = not diff.is_zero
-                else:
-                    scale = max(1.0, rec.max_abs_coeff(), closed.max_abs_coeff())
-                    bad = diff.max_abs_coeff() > field.magnitude(field.eps) * scale
-                if bad:
+                if not field.compare(rec.coeffs, closed.coeffs)[1]:
                     raise InternalCheckError(
                         f"{name}^[{j}] closed form disagrees with the recursion"
                     )
@@ -172,7 +167,7 @@ class PearsonPair:
         return phi_k, psi_k
 
     def moments(self, mu0=1) -> MomentFunctional:
-        return pearson_moments(self.lattice, (self.phi, self.psi))
+        return pearson_moments(self.lattice, (self.phi, self.psi), mu0)
 
     def to_json(self):
         return {
@@ -193,12 +188,6 @@ class PearsonPair:
 
     def __repr__(self):
         return f"PearsonPair(phi={self.phi!r}, psi={self.psi!r})"
-
-
-def _scalar_is_zero(field: Field, value, scale=1.0) -> bool:
-    if field.name == "exact":
-        return not value
-    return field.is_zero(value, scale=scale)
 
 
 @dataclass
@@ -232,7 +221,7 @@ def admissibility(pair: PearsonPair, n_max: int) -> AdmissibilityReport:
         if not field.approx_eq(dn, alt):
             raise InternalCheckError(f"two d_{n} formulas disagree")
         values.append(dn)
-        if first_zero is None and _scalar_is_zero(field, dn):
+        if first_zero is None and field.is_zero(dn):
             first_zero = n
     return AdmissibilityReport(values=values, first_zero=first_zero)
 
@@ -285,7 +274,7 @@ def witness_point(pair: PearsonPair, n: int):
     """The point where phi^[n] must not vanish for u to stay regular."""
     lat = pair.lattice
     dn2 = pair.d_value(2 * n)
-    if _scalar_is_zero(pair.field, dn2):
+    if pair.field.is_zero(dn2):
         raise AdmissibilityError(2 * n)
     ratio = pair.e_value(n) / dn2
     if lat.is_q_lattice:
@@ -306,7 +295,7 @@ def regularity(pair: PearsonPair, n_max: int) -> RegularityReport:
             break
         phi_n, _ = pair.iterated(n)
         w = phi_n(witness_point(pair, n))
-        wz = _scalar_is_zero(field, w, scale=max(1.0, phi_n.max_abs_coeff()))
+        wz = field.is_zero(w, scale=phi_n.coeffs)
         rows.append(RegularityRow(n=n, d_n=dn, e_n=en, witness=w, witness_zero=wz))
         if wz and witness_zero_at is None:
             witness_zero_at = n
@@ -319,7 +308,7 @@ def regularity(pair: PearsonPair, n_max: int) -> RegularityReport:
 
 def _checked_d(pair: PearsonPair, n: int):
     v = pair.d_value(n)
-    if _scalar_is_zero(pair.field, v):
+    if pair.field.is_zero(v):
         raise AdmissibilityError(n)
     return v
 
@@ -416,20 +405,7 @@ def rodrigues_verify(pair: PearsonPair, n: int, horizon: int = 10) -> RodriguesR
     seq = OPSequence(field, ttrr_from_pearson(pair))
     lhs = left_mul(u, seq.p(n))
     rhs = rodrigues_constant(pair, n) * dual_dx_pow(lat, uk_functional(pair, n, u), n)
-    residual = 0.0
-    scale = 1.0
-    exact_ok = True
-    for m in range(horizon + 1):
-        a = lhs.moment(m)
-        b = rhs.moment(m)
-        residual = max(residual, field.magnitude(a - b))
-        scale = max(scale, field.magnitude(a), field.magnitude(b))
-        if a != b:
-            exact_ok = False
-    if field.name == "exact":
-        passed = exact_ok
-    else:
-        passed = residual <= field.magnitude(field.eps) * scale
+    residual, passed = compare_moments(field, lhs, rhs, horizon)
     return RodriguesReport(n=n, residual=residual, passed=passed)
 
 
@@ -508,7 +484,7 @@ def asymptotics(pair: PearsonPair, n_eval: int, sum_horizon: int = 64) -> Asympt
             sum_residual = max(sum_residual, field.magnitude(running - closed))
         q_below_one = field.magnitude(q) < 1
         denom = d - 2 * a * uval if q_below_one else d + 2 * a * uval
-        if _scalar_is_zero(field, denom):
+        if field.is_zero(denom):
             return AsymptoticsReport(kind=lat.kind, sum_residual=sum_residual)
         numer = psi_c3 - 4 * alpha * uval * uval * phid_c3
         if q_below_one:
@@ -534,9 +510,9 @@ def asymptotics(pair: PearsonPair, n_eval: int, sum_horizon: int = 64) -> Asympt
             series_error=field.magnitude(series_estimate - series_value),
         )
     beta = con.beta
-    if _scalar_is_zero(field, beta):
+    if field.is_zero(beta):
         raise LatticeError("quadratic-growth limits need a quadratic lattice (beta != 0)")
-    a_zero = _scalar_is_zero(field, pair.a)
+    a_zero = field.is_zero(pair.a)
     b_limit = -8 * beta if a_zero else -2 * beta
     c_limit = 16 * beta * beta if a_zero else beta * beta
     n = n_eval

@@ -9,7 +9,10 @@ Subcommands map onto the library layers:
 * ``characterize``  structure-relation checks and the raising construction
 * ``all``           a small canned battery of everything above
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 invalid input.
+Exit codes: 0 all checks passed, 1 a check failed (an internal
+cross-check included), 2 invalid input (a pair whose functional is not
+admissible or not regular where the command needs one included).  Errors
+are one line on stderr.
 
 Lattice specs are JSON (inline or a file path):
 ``{"kind": "q-quadratic", "q": "1/4", "c": ["1/2", "1/2", "0"]}``;
@@ -38,6 +41,7 @@ from .characterize import (
     solve_first_characterization,
 )
 from .classical import (
+    InternalCheckError,
     PearsonPair,
     asymptotics,
     regularity,
@@ -46,6 +50,8 @@ from .classical import (
 )
 from .functionals import (
     FUNCTIONAL_IDENTITIES,
+    AdmissibilityError,
+    HorizonError,
     MomentFunctional,
     NotRegularError,
     OPSequence,
@@ -517,9 +523,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, LatticeError, ScalarDomainError, ValueError) as exc:
+    except (CliError, LatticeError, ScalarDomainError, ValueError,
+            AdmissibilityError, NotRegularError, HorizonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalCheckError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,9 +11,9 @@ the coordinates of the lattice it was requested on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
-from .functionals import OPSequence, TTRRCoeffs
+from .functionals import TTRRCoeffs
 from .lattice import Lattice
 from .scalars import ScalarDomainError
 
@@ -82,7 +82,7 @@ def _wrap_affine(lat: Lattice, ttrr: TTRRCoeffs) -> TTRRCoeffs:
 
 
 def _nonzero_or_raise(field, value, what: str):
-    if value == field.zero:
+    if field.is_zero(value):
         raise FamilyError(f"{what} vanishes; the displayed coefficients degenerate")
     return value
 
@@ -95,9 +95,7 @@ def _askey_wilson_ttrr(lat: Lattice, params) -> TTRRCoeffs:
         raise FamilyError("askey_wilson needs a1 != 0; use al_salam or q_hermite")
     prod = a1 * a2 * a3 * a4
     one = field.one
-
-    def qq(k: int):
-        return q**k if k >= 0 else (one / q) ** (-k)
+    qq = lat.q_pow
 
     def b_fn(n: int):
         d1 = _nonzero_or_raise(
@@ -173,14 +171,11 @@ def _al_salam_ttrr(lat: Lattice, params) -> TTRRCoeffs:
 
 def _cdq_hahn_ttrr(lat: Lattice, params) -> TTRRCoeffs:
     field = lat.field
-    q = lat.q
     a, b, c = (field(p) for p in params)
     if a == field.zero:
         raise FamilyError("cdq_hahn needs a != 0")
     one = field.one
-
-    def qq(k: int):
-        return q**k if k >= 0 else (one / q) ** (-k)
+    qq = lat.q_pow
 
     def b_fn(n: int):
         return (
@@ -284,11 +279,7 @@ def check_restrictions(spec: FamilySpec, n_max: int) -> RestrictionReport:
                 one - a3 * a4 * qn,
             )
             for f in factors:
-                if field.name == "exact":
-                    bad = not f
-                else:
-                    bad = field.is_zero(f)
-                if bad:
+                if field.is_zero(f):
                     return RestrictionReport(
                         ok=False,
                         first_violation=n,
@@ -299,16 +290,8 @@ def check_restrictions(spec: FamilySpec, n_max: int) -> RestrictionReport:
             cm = spec.ttrr.c(m)
         except FamilyError as exc:
             return RestrictionReport(ok=False, first_violation=m, detail=str(exc))
-        if field.name == "exact":
-            bad = not cm
-        else:
-            bad = field.is_zero(cm)
-        if bad:
+        if field.is_zero(cm):
             return RestrictionReport(
                 ok=False, first_violation=m, detail=f"C_{m} = 0"
             )
     return RestrictionReport(ok=True)
-
-
-def build_ops(spec: FamilySpec) -> OPSequence:
-    return OPSequence(spec.lattice.field, spec.ttrr)

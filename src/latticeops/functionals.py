@@ -14,7 +14,7 @@ moment-wise checks of the dual-side identities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .lattice import Lattice
 from .operators import (
@@ -182,10 +182,7 @@ def pearson_moments(lat: Lattice, pair, mu0=1) -> MomentFunctional:
             raise AssertionError(
                 f"leading Pearson coefficient disagrees with d_{n} closed form"
             )
-        if field.name == "exact":
-            if not dn:
-                raise AdmissibilityError(n)
-        elif field.is_zero(dn, scale=max(1.0, g.max_abs_coeff())):
+        if field.is_zero(dn, scale=g.coeffs):
             raise AdmissibilityError(n)
         acc = field.zero
         for j in range(n + 1):
@@ -292,12 +289,7 @@ def ttrr_oracle(u: MomentFunctional, n_max: int) -> TTRRCoeffs:
     h_prev = None
     h_cur = u.apply(p_cur * p_cur)
     for n in range(n_max + 1):
-        if field.name == "exact":
-            vanished = not h_cur
-        else:
-            scale = field.magnitude(h_prev) if h_prev is not None else 1.0
-            vanished = field.is_zero(h_cur, scale=max(1.0, scale))
-        if vanished:
+        if field.is_zero(h_cur, scale=() if h_prev is None else (h_prev,)):
             raise NotRegularError(n, f"<u, P_{n}^2> = 0: u is not regular at level {n}")
         b_n = u.apply(z * p_cur * p_cur) / h_cur
         bs.append(b_n)
@@ -427,24 +419,17 @@ def _functional_sides(lat: Lattice, identity: str, f: Optional[Polynomial],
     raise ValueError(f"unknown functional identity {identity!r}")
 
 
+def compare_moments(field: Field, lhs: MomentFunctional, rhs: MomentFunctional,
+                    horizon: int) -> Tuple[float, bool]:
+    """``field.compare`` over the moments 0..horizon of two functionals."""
+    ms = range(horizon + 1)
+    return field.compare((lhs.moment(m) for m in ms), (rhs.moment(m) for m in ms))
+
+
 def verify_functional_identity(lat: Lattice, identity: str, f: Optional[Polynomial],
                                u: MomentFunctional, n: Optional[int] = None,
                                horizon: int = 10) -> IdentityReport:
     """Moment-wise residual of one dual-side identity, up to `horizon`."""
     lhs, rhs = _functional_sides(lat, identity, f, u, n)
-    field = lat.field
-    residual = 0.0
-    scale = 1.0
-    exact_ok = True
-    for m in range(horizon + 1):
-        a = lhs.moment(m)
-        b = rhs.moment(m)
-        residual = max(residual, field.magnitude(a - b))
-        scale = max(scale, field.magnitude(a), field.magnitude(b))
-        if a != b:
-            exact_ok = False
-    if field.name == "exact":
-        passed = exact_ok
-    else:
-        passed = residual <= field.magnitude(field.eps) * scale
+    residual, passed = compare_moments(lat.field, lhs, rhs, horizon)
     return IdentityReport(identity=identity, residual=residual, passed=passed)

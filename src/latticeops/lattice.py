@@ -208,6 +208,16 @@ class Lattice:
         sv = field(f)
         return (self.c[0] * sv + self.c[1]) * sv + self.c[2]
 
+    def q_pow(self, k: int):
+        """q^k for any integer k.
+
+        A negative power is computed as (1/q)^(-k), so bigfloat values do
+        not depend on how mpmath rounds q**k for k < 0.
+        """
+        if k >= 0:
+            return self.q**k
+        return (self.field.one / self.q) ** (-k)
+
     def step_denominator(self, s):
         """x(s + 1/2) - x(s - 1/2); zero marks a singular node for D_x."""
         return self.x(Fraction(s) + Fraction(1, 2)) - self.x(Fraction(s) - Fraction(1, 2))

@@ -290,12 +290,5 @@ def verify_operator_identity(lat: Lattice, identity: str, f: Polynomial,
     if identity in ("product_dx", "product_sx", "swap_sx", "swap_dx") and g is None:
         raise ValueError(f"{identity} needs a second polynomial")
     lhs, rhs = _identity_lhs_rhs(lat, identity, f, g, n)
-    diff = lhs - rhs
-    residual = diff.max_abs_coeff()
-    field = lat.field
-    if field.name == "exact":
-        passed = diff.is_zero
-    else:
-        scale = max(1.0, lhs.max_abs_coeff(), rhs.max_abs_coeff())
-        passed = residual <= field.magnitude(field.eps) * scale
+    residual, passed = lat.field.compare(lhs.coeffs, rhs.coeffs)
     return IdentityReport(identity=identity, residual=residual, passed=passed)

@@ -12,14 +12,26 @@ Two interchangeable backends:
 Every algorithm in the package receives scalars produced by one of these
 fields and combines them only through arithmetic operators, so the two
 backends are drop-in replacements for each other.
+
+Every "zero or not" verdict is decided here, by one rule per backend:
+
+* exact: a value is zero when it equals zero, nothing else;
+* bigfloat: a value is zero when its magnitude is at most
+  ``eps * max(1, scale)``, where the scale is the largest magnitude among
+  the scalars it is measured against.
+
+``is_zero`` applies the rule to one scalar, ``vanish`` to a list of
+values (with their float magnitudes for reports), and ``compare`` to two
+paired lists, such as polynomial coefficients or moments up to a horizon.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
+from itertools import chain, zip_longest
 from math import isqrt
-from typing import Optional, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 from mpmath.ctx_mp import MPContext
 
@@ -186,7 +198,23 @@ def _fraction_str(v: Fraction) -> str:
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
-class ExactField:
+class _Comparator:
+    """The paired comparison, shared by both backends through ``vanish``."""
+
+    def compare(self, lhs: Iterable, rhs: Iterable) -> Tuple[float, bool]:
+        """Largest |a - b| over paired scalars, and whether all differences vanish.
+
+        The shorter side is padded with zeros; each difference is measured
+        against every scalar on both sides.
+        """
+        pairs = list(zip_longest(lhs, rhs, fillvalue=self.zero))
+        residuals, passed = self.vanish(
+            [a - b for a, b in pairs], chain.from_iterable(pairs)
+        )
+        return max(residuals, default=0.0), passed
+
+
+class ExactField(_Comparator):
     """Gaussian-rational backend; comparisons are exact equality."""
 
     name = "exact"
@@ -218,8 +246,16 @@ class ExactField:
     def im(self, a: QRational) -> Fraction:
         return a.im
 
-    def is_zero(self, a: QRational, eps=None, scale=None) -> bool:
+    def is_zero(self, a: QRational, eps=None, scale: Iterable = ()) -> bool:
         return not a
+
+    def vanish(self, values: Iterable, scale: Iterable = ()) -> Tuple[List[float], bool]:
+        """Magnitudes of `values`, and whether every one is exactly zero.
+
+        `scale` is ignored; only nonzero values are measured.
+        """
+        values = list(values)
+        return [self.magnitude(v) if v else 0.0 for v in values], not any(values)
 
     def approx_eq(self, a, b, eps=None) -> bool:
         a, b = self(a), self(b)
@@ -271,7 +307,7 @@ class ExactField:
         return "ExactField()"
 
 
-class BigFloatField:
+class BigFloatField(_Comparator):
     """Arbitrary-precision complex backend over a private mpmath context."""
 
     name = "bigfloat"
@@ -327,10 +363,22 @@ class BigFloatField:
     def im(self, a):
         return self(a).imag
 
-    def is_zero(self, a, eps=None, scale=None) -> bool:
+    def _scale(self, scale: Iterable) -> float:
+        return max([1.0, *(self.magnitude(s) for s in scale)])
+
+    def is_zero(self, a, eps=None, scale: Iterable = ()) -> bool:
+        """|a| <= eps * max(1, |s| for s in scale), in this context's precision."""
         eps = self.eps if eps is None else self.real(eps)
-        bound = eps if scale is None else eps * max(self.ctx.mpf(1), self.real(scale))
-        return abs(self(a)) <= bound
+        return abs(self(a)) <= eps * self.real(self._scale(scale))
+
+    def vanish(self, values: Iterable, scale: Iterable = ()) -> Tuple[List[float], bool]:
+        """Magnitudes of `values`, and whether the largest is within the bound.
+
+        The bound is eps * max(1, |s| for s in scale), taken in floats.
+        """
+        residuals = [self.magnitude(v) for v in values]
+        bound = self.magnitude(self.eps) * self._scale(scale)
+        return residuals, max(residuals, default=0.0) <= bound
 
     def approx_eq(self, a, b, eps=None) -> bool:
         a, b = self(a), self(b)

@@ -9,6 +9,7 @@ from latticeops import (
     NotRegularError,
     OPSequence,
     Polynomial,
+    TTRRCoeffs,
     check_meixner_linear,
     check_structure,
     check_system,
@@ -122,6 +123,20 @@ class TestSystem:
         )
         assert rep.k1 == k1
         assert rep.k2 == k2
+
+    @pytest.mark.parametrize("bump", [Fraction(1, 10), Fraction(1, 10**400)])
+    def test_exact_verdict_sees_a_raised_b3(self, sym_lattice, exact, bump):
+        """q-Hermite with B_3 raised by `bump` breaks the system.
+
+        A bump of 10^-400 is below the float range: every reported residual
+        underflows to 0.0, and the verdict must still come out False.
+        """
+        qh = make_family("q_hermite", sym_lattice, ()).ttrr
+        ttrr = TTRRCoeffs(exact, lambda n: qh.b(n) + (bump if n == 3 else 0), qh.c)
+        rep = check_system(sym_lattice, ttrr, 10)
+        assert not rep.passed
+        if bump < Fraction(1, 10**308):
+            assert all(v == 0.0 for v in rep.max_residuals.values())
 
     def test_rejected_off_q_lattices(self, quad_lattice, exact):
         ttrr = make_family("meixner2", quad_lattice, (Fraction(1, 2), 3)).ttrr

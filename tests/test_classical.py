@@ -78,6 +78,11 @@ class TestPearsonPair:
         again = PearsonPair.from_json(gen_lattice, pair.to_json())
         assert again.phi == pair.phi and again.psi == pair.psi
 
+    def test_moments_scale_with_mu0(self, gen_lattice):
+        pair = sample_pair(gen_lattice)
+        once, twice = pair.moments(1).moments(10), pair.moments(2).moments(10)
+        assert twice == [2 * m for m in once]
+
     def test_from_json_requires_both_parts(self, gen_lattice):
         with pytest.raises(ValueError):
             PearsonPair.from_json(gen_lattice, {"phi": ["1", "0", "1"]})

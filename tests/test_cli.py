@@ -227,6 +227,30 @@ def test_missing_family_for_relation(capsys):
     assert "family" in err
 
 
+def test_inadmissible_pair_is_a_one_line_input_error(capsys):
+    # phi = 1, psi = 0 has d_0 = 0, so its moments do not exist
+    code, out, err = run(
+        capsys, "classify", "--pair", '{"phi": ["1"], "psi": ["0"]}', "--rodrigues", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: d_0 = 0: the Pearson pair is not admissible\n"
+
+
+def test_internal_check_failure_exits_one(capsys, monkeypatch):
+    from latticeops import cli
+    from latticeops.classical import InternalCheckError
+
+    def disagree(*args, **kwargs):
+        raise InternalCheckError("two d_0 formulas disagree")
+
+    monkeypatch.setattr(cli, "regularity", disagree)
+    code, out, err = run(capsys, "classify", "--pair", SAMPLE_PAIR)
+    assert code == 1
+    assert out == ""
+    assert err == "internal check failed: two d_0 formulas disagree\n"
+
+
 def test_invalid_json_spec(capsys):
     code, _, err = run(capsys, "moments", "--pair", "{not json")
     assert code == 2

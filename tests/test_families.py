@@ -12,6 +12,7 @@ from latticeops import (
     Polynomial,
     check_restrictions,
     make_family,
+    make_field,
 )
 
 
@@ -111,6 +112,25 @@ class TestAskeyWilson:
         )
         assert not rep.ok
         assert rep.first_violation is not None
+
+    @pytest.mark.parametrize("q", [Fraction(1, 9), Fraction(1, 25), Fraction(1, 36),
+                                   Fraction(4, 9), Fraction(9, 25)])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_backends_agree_on_a_vanishing_denominator(self, q, n):
+        """a1 a2 a3 a4 = q^-(2n-1) zeroes a denominator of B_n and of C_n.
+
+        In bigfloat the factor 1 - a1 a2 a3 a4 q^(2n-1) rounds to a tiny
+        nonzero value; it must still count as zero, as it does in exact.
+        """
+        a4 = 1 / (Fraction(9, 5) * q ** (2 * n - 1))
+        params = (Fraction(3, 7), 7, Fraction(3, 5), a4)
+        for field in (make_field("exact"), make_field("bigfloat", precision=128)):
+            lat = Lattice(field, q, (Fraction(1, 2), Fraction(1, 2), 0))
+            spec = make_family("askey_wilson", lat, params)
+            rep = check_restrictions(spec, n)
+            assert (rep.ok, rep.first_violation) == (False, n), field
+            with pytest.raises(FamilyError):
+                spec.ttrr.b(n)
 
     def test_good_parameters_pass_scan(self, sym_lattice):
         rep = check_restrictions(

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import latticeops
 from latticeops import (
     BigFloatField,
     ExactField,
@@ -72,6 +75,18 @@ class TestExactField:
         with pytest.raises(ScalarDomainError):
             exact.sqrt(exact(Fraction(1, 2)))
 
+    def test_compare_is_exact_equality(self, exact):
+        tiny = Fraction(1, 10**400)
+        residual, passed = exact.compare([exact(1), exact(tiny)], [exact(1)])
+        # the float residual underflows; the verdict does not
+        assert (residual, passed) == (0.0, False)
+        assert exact.compare([exact(2), exact(0)], [exact(2)]) == (0.0, True)
+        assert exact.compare([exact(3)], [exact(1)]) == (2.0, False)
+
+    def test_vanish_ignores_scale(self, exact):
+        assert exact.vanish([exact(0), exact(0)], [exact(10) ** 90]) == ([0.0, 0.0], True)
+        assert exact.vanish([exact(0), exact(Fraction(1, 4))]) == ([0.0, 0.25], False)
+
     def test_json_roundtrip(self, exact):
         for value in (exact(Fraction(-7, 3)), exact.i * exact(2) + exact(1)):
             assert exact.from_json(exact.to_json(value)) == value
@@ -98,6 +113,23 @@ class TestBigFloatField:
         big_val = field(10) ** 30
         assert field.is_zero((big_val + field(1)) - big_val - field(1))
         assert not field.is_zero(field(1, 10**19))
+
+    def test_compare_is_scale_relative(self):
+        field = make_field("bigfloat", precision=128, eps=Fraction(1, 10**20))
+        big_val = field(10) ** 30
+        # a difference of 1 against operands of size 10^30 vanishes ...
+        residual, passed = field.compare([big_val + 1], [big_val])
+        assert passed and residual == 1.0
+        # ... but not against operands of size 1
+        assert field.compare([field(2)], [field(1)]) == (1.0, False)
+        # the scale never drops below 1
+        assert field.compare([field(Fraction(1, 10**21))], []) == (1e-21, True)
+
+    def test_vanish_measures_against_scale(self):
+        field = make_field("bigfloat", precision=128, eps=Fraction(1, 10**20))
+        assert not field.vanish([field(Fraction(1, 10**10))])[1]
+        assert field.vanish([field(Fraction(1, 10**10))], [field(10) ** 11])[1]
+        assert field.vanish([], []) == ([], True)
 
     def test_approx_eq(self, big):
         a = big(Fraction(1, 3))
@@ -132,3 +164,29 @@ class TestMakeField:
         monkeypatch.setenv("LATTICEOPS_PRECISION", "192")
         field = make_field("bigfloat")
         assert field.precision == 192
+
+
+def test_verdict_rules_live_in_scalars():
+    """Only scalars.py decides "zero or not".
+
+    Elsewhere in the package there is no branch on the backend name and no
+    tolerance floor.  The one name read allowed is solve_relation's guard,
+    which refuses the bigfloat backend instead of deciding a verdict.
+    """
+    name_reads, floors = [], []
+    for path in sorted(Path(latticeops.__file__).parent.glob("*.py")):
+        if path.name == "scalars.py":
+            continue
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for i, line in enumerate(lines):
+            if re.search(r"""\.name\s*[!=]=\s*["']exact["']""", line):
+                name_reads.append((path.name, line.strip(), lines[i + 1].strip()))
+            if re.search(r"max\(\s*1\.0|field\.eps\b", line):
+                floors.append((path.name, line.strip()))
+    assert name_reads == [(
+        "characterize.py",
+        'if field.name != "exact":',
+        'raise ValueError("solve_relation decides consistency exactly; '
+        'use the exact backend")',
+    )]
+    assert floors == []
