@@ -7,7 +7,8 @@ through their defining adjunctions
 
 so every transformed functional is again a moment sequence, computed
 lazily from its parent.  This gives an oracle for everything downstream:
-Pearson moments, the quotient-recursion TTRR, Hankel determinants, and
+Pearson moments, the TTRR by the Chebyshev algorithm on the moments alone,
+Hankel determinants (a second, determinant route to the same TTRR), and
 moment-wise checks of the dual-side identities.
 """
 
@@ -276,27 +277,44 @@ class OPSequence:
 def ttrr_oracle(u: MomentFunctional, n_max: int) -> TTRRCoeffs:
     """Recover B_n (n <= n_max) and C_n (n <= n_max+1) from moments alone.
 
-    Uses the quotient recursion on the monic orthogonal sequence:
-    h_n = <u, P_n^2>, B_n = <u, z P_n^2>/h_n, C_(n+1) = h_(n+1)/h_n.
-    Raises NotRegularError when some h_n vanishes.
+    Chebyshev algorithm (Gautschi 2004, section 2.1.7) on the mixed moments
+    sigma_(k,l) = <u, P_k z^l>, which vanish for l < k:
+
+        sigma_(0,l) = mu_l,
+        sigma_(k+1,l) = sigma_(k,l+1) - B_k sigma_(k,l) - C_k sigma_(k-1,l),
+        h_n = sigma_(n,n) = <u, P_n^2>,   C_(n+1) = h_(n+1)/h_n,
+        B_n = sigma_(n,n+1)/h_n - sigma_(n-1,n)/h_(n-1).
+
+    O(n_max^2) field operations.  The table is filled one anti-diagonal
+    k + l = m per moment mu_m, and each one needs only the two before it,
+    so level n is decided from mu_0..mu_(2n) alone and a full run reads up
+    to mu_(2 n_max + 2).  Raises NotRegularError when some h_n vanishes.
     """
     field = u.field
-    z = Polynomial.monomial(field, 1)
     bs: List = []
-    cs: List = []
-    p_prev = Polynomial.zero(field)
-    p_cur = Polynomial.one(field)
-    h_prev = None
-    h_cur = u.apply(p_cur * p_cur)
-    for n in range(n_max + 1):
-        if field.is_zero(h_cur, scale=() if h_prev is None else (h_prev,)):
-            raise NotRegularError(n, f"<u, P_{n}^2> = 0: u is not regular at level {n}")
-        b_n = u.apply(z * p_cur * p_cur) / h_cur
-        bs.append(b_n)
-        p_next = (z - b_n) * p_cur - (cs[-1] * p_prev if cs else Polynomial.zero(field))
-        p_prev, p_cur = p_cur, p_next
-        h_prev, h_cur = h_cur, u.apply(p_next * p_next)
-        cs.append(h_cur / h_prev)
+    cs: List = []  # cs[k-1] = C_k
+    ratio_prev = field.zero  # sigma_(n-1,n)/h_(n-1); zero for n = 0
+    older: List = []  # older[k] = sigma_(k, m-2-k)
+    old: List = []  # old[k] = sigma_(k, m-1-k)
+    for m in range(2 * n_max + 3):
+        diag = [u.moment(m)]  # diag[k] = sigma_(k, m-k), down to k = m // 2
+        for k in range(1, m // 2 + 1):
+            s = diag[k - 1] - bs[k - 1] * old[k - 1]
+            if k >= 2:
+                s = s - cs[k - 2] * older[k - 2]
+            diag.append(s)
+        n, odd = divmod(m, 2)
+        if odd:
+            ratio = diag[n] / old[n]
+            bs.append(ratio - ratio_prev)
+            ratio_prev = ratio
+        else:
+            h = diag[n]
+            if n >= 1:
+                cs.append(h / older[n - 1])
+            if n <= n_max and field.is_zero(h, scale=() if n == 0 else (older[n - 1],)):
+                raise NotRegularError(n, f"<u, P_{n}^2> = 0: u is not regular at level {n}")
+        older, old = old, diag
     return TTRRCoeffs.from_lists(field, bs, cs)
 
 

@@ -157,6 +157,32 @@ def test_closed_recurrence_matches_moment_oracle():
                 assert closed.c(n) == oracle.c(n)
 
 
+def test_closed_recurrence_matches_moment_oracle_through_n20():
+    """Closed-form (B_n, C_(n+1)) equal the moment oracle exactly for
+    n <= 20 on the six exact lattices of the Pearson benchmark, one regular
+    pair each."""
+    pearson_lattices = [
+        (Fraction(1, 4), (Fraction(1, 2), Fraction(1, 2), 0)),
+        (4, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))),
+        (Fraction(1, 9), (Fraction(1, 2), Fraction(1, 2), 0)),
+        (Fraction(25, 4), (Fraction(1, 3), Fraction(1, 2), Fraction(1, 7))),
+        (1, (2, Fraction(1, 3), Fraction(-1, 4))),
+        (1, (0, 1, 0)),
+    ]
+    for q, c in pearson_lattices:
+        lat = Lattice(EXACT, q, c)
+        pair = PearsonPair(
+            lat,
+            Polynomial(EXACT, (Fraction(7, 10), Fraction(-1, 3), Fraction(2, 7))),
+            Polynomial(EXACT, (Fraction(1, 2), Fraction(3, 4))),
+        )
+        closed = ttrr_from_pearson(pair)
+        oracle = ttrr_oracle(pair.moments(), 20)
+        for n in range(21):
+            assert closed.b(n) == oracle.b(n)
+            assert closed.c(n + 1) == oracle.c(n + 1)
+
+
 def test_regularity_biconditional():
     """A pair whose second-level witness vanishes produces a zero norm in
     the moment oracle at level <= 3; 20 random regular pairs produce none

@@ -213,6 +213,25 @@ class TestTTRR:
             assert lhs == rhs
 
 
+def readme_pair(lat):
+    """The README example's Pearson pair, on any lattice and backend."""
+    field = lat.field
+    phi = Polynomial(field, (Fraction(7, 10), Fraction(-1, 3), Fraction(2, 7)))
+    psi = Polynomial(field, (Fraction(1, 2), Fraction(3, 4)))
+    return PearsonPair(lat, phi, psi)
+
+
+def recording(moment):
+    """A functional with moments ``moment(k)`` that records the highest k read."""
+    seen = [-1]
+
+    def ext(k):
+        seen[0] = max(seen[0], k)
+        return moment(k)
+
+    return MomentFunctional(make_field("exact"), extender=ext), seen
+
+
 class TestOracle:
     def sample_functional(self, exact):
         phi = Polynomial(exact, (Fraction(7, 10), Fraction(-1, 3), Fraction(2, 7)))
@@ -255,3 +274,82 @@ class TestOracle:
         seq = OPSequence(exact, ttrr)
         assert u.apply(seq.p(1) * seq.p(2)) == exact.zero
         assert u.apply(seq.p(0) * seq.p(2)) == exact.zero
+
+    @pytest.mark.parametrize("n_max", [0, 1, 4, 9])
+    def test_regular_run_reads_through_mu_2n_plus_2(self, exact, n_max):
+        base = self.sample_functional(exact)
+        u, seen = recording(base.moment)
+        ttrr_oracle(u, n_max)
+        assert seen[0] == 2 * n_max + 2
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 5])
+    def test_singular_level_reads_nothing_past_mu_2n(self, exact, level):
+        """Shift mu_(2n) by h_n = Delta_(n+1)/Delta_n: u stays regular below
+        level n and <u, P_n^2> becomes exactly zero."""
+        base = self.sample_functional(exact)
+        dets = hankel_dets(base, level + 1)
+        h = dets[level + 1] / dets[level]
+
+        def moment(k):
+            return base.moment(k) - h if k == 2 * level else base.moment(k)
+
+        u, seen = recording(moment)
+        with pytest.raises(NotRegularError) as err:
+            ttrr_oracle(u, level + 3)
+        assert err.value.level == level
+        assert seen[0] == 2 * level
+
+    @pytest.mark.parametrize("n0", [1, 2, 3, 6])
+    def test_inadmissible_pair_stops_the_oracle(self, gen_lattice, exact, n0):
+        """d_(n0) = 0 leaves mu_(n0+1) undefined; the oracle passes the
+        AdmissibilityError on and has read nothing past it."""
+        con = gen_lattice.constants
+        phi = Polynomial(exact, (1, 0, -con.alpha_n(n0)))
+        psi = Polynomial(exact, (0, con.gamma_n(n0)))
+        base = pearson_moments(gen_lattice, PearsonPair(gen_lattice, phi, psi))
+        u, seen = recording(base.moment)
+        with pytest.raises(AdmissibilityError) as err:
+            ttrr_oracle(u, 8)
+        assert err.value.n == n0
+        assert seen[0] == n0 + 1
+
+    @pytest.mark.parametrize(
+        "lattice", ["gen_lattice", "sym_lattice", "quad_lattice", "lin_lattice"]
+    )
+    def test_determinant_route_at_every_level(self, request, lattice):
+        """C_(n+1) = Delta_(n+2) Delta_n / Delta_(n+1)^2 for n <= 8."""
+        lat = request.getfixturevalue(lattice)
+        u = pearson_moments(lat, readme_pair(lat))
+        ttrr = ttrr_oracle(u, 8)
+        dets = hankel_dets(u, 10)
+        for n in range(9):
+            expected = dets[n + 2] * dets[n] / (dets[n + 1] * dets[n + 1])
+            assert ttrr.c(n + 1) == expected
+
+    def test_oracle_reads_moments_only(self, exact, monkeypatch):
+        """The oracle forms no polynomial and applies u to none: it works
+        from the moment table alone."""
+        moments = self.sample_functional(exact).moments(26)
+        u = MomentFunctional.from_moments(exact, moments)
+
+        def forbidden(*args):
+            raise AssertionError("the moment oracle must not build polynomials")
+
+        monkeypatch.setattr(Polynomial, "__mul__", forbidden)
+        monkeypatch.setattr(MomentFunctional, "apply", forbidden)
+        ttrr = ttrr_oracle(u, 12)
+        assert ttrr.horizon == 12
+        assert ttrr.c(13) != exact.zero
+
+    @pytest.mark.parametrize("n_max", [12, 16])
+    @pytest.mark.parametrize(
+        "lattice", ["gen_lattice", "sym_lattice", "quad_lattice"]
+    )
+    def test_bigfloat_oracle_matches_exact(self, request, big, lattice, n_max):
+        exact_lat = request.getfixturevalue(lattice)
+        big_lat = Lattice(big, exact_lat.q, exact_lat.c)
+        want = ttrr_oracle(pearson_moments(exact_lat, readme_pair(exact_lat)), n_max)
+        got = ttrr_oracle(pearson_moments(big_lat, readme_pair(big_lat)), n_max)
+        for n in range(n_max + 1):
+            assert big.approx_eq(got.b(n), want.b(n))
+            assert big.approx_eq(got.c(n + 1), want.c(n + 1))
