@@ -34,29 +34,11 @@ from .functionals import OPSequence, TTRRCoeffs
 from .lattice import Lattice, LatticeError
 from .operators import dx, sx
 from .polynomials import Polynomial
-from .scalars import Field
+from .scalars import Field, Report, encode_fields
 
 RELATIONS = ("sx_raise", "lower", "counterexample4term", "system")
 # the relations of the form D_x P_(n+1) = (right-hand side at P_n)
 _SLOT_RELATIONS = ("sx_raise", "lower")
-
-
-@dataclass
-class StructureReport:
-    relation: str
-    residuals: List[float]
-    first_fail: Optional[int]
-    passed: bool
-    detail: str = ""
-
-    def to_json(self):
-        return {
-            "relation": self.relation,
-            "residuals": self.residuals,
-            "first_fail": self.first_fail,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
 
 
 def _relation_rhs(lat: Lattice, relation: str, n: int, p: Polynomial) -> Polynomial:
@@ -67,30 +49,21 @@ def _relation_rhs(lat: Lattice, relation: str, n: int, p: Polynomial) -> Polynom
     return con.gamma_n(n + 1) * p
 
 
+def _relation_slots(lat: Lattice, seq: OPSequence, relation: str, n_max: int):
+    """Slot n <= n_max of a slot relation: the coefficients of both sides."""
+    for n in range(n_max + 1):
+        yield dx(lat, seq.p(n + 1)).coeffs, _relation_rhs(lat, relation, n, seq.p(n)).coeffs
+
+
 def check_structure(lat: Lattice, seq: Optional[OPSequence], relation: str,
-                    n_max: int) -> StructureReport:
+                    n_max: int) -> Report:
     if relation == "counterexample4term":
         return _check_counterexample(lat, n_max)
     if seq is None:
         raise ValueError(f"relation {relation!r} needs an orthogonal sequence")
     if relation not in _SLOT_RELATIONS:
         raise ValueError(f"unknown structure relation {relation!r}")
-    field = lat.field
-    residuals: List[float] = []
-    first_fail: Optional[int] = None
-    for n in range(n_max + 1):
-        lhs = dx(lat, seq.p(n + 1))
-        rhs = _relation_rhs(lat, relation, n, seq.p(n))
-        residual, ok = field.compare(lhs.coeffs, rhs.coeffs)
-        residuals.append(residual)
-        if not ok and first_fail is None:
-            first_fail = n
-    return StructureReport(
-        relation=relation,
-        residuals=residuals,
-        first_fail=first_fail,
-        passed=first_fail is None,
-    )
+    return lat.field.report(relation, _relation_slots(lat, seq, relation, n_max))
 
 
 @dataclass
@@ -194,7 +167,7 @@ def _require_symmetric(lat: Lattice) -> None:
         )
 
 
-def _check_counterexample(lat: Lattice, n_max: int) -> StructureReport:
+def _check_counterexample(lat: Lattice, n_max: int) -> Report:
     field = lat.field
     _require_symmetric(lat)
     con = lat.constants
@@ -203,11 +176,7 @@ def _check_counterexample(lat: Lattice, n_max: int) -> StructureReport:
     ttrr = counterexample_ttrr(lat)
     seq = OPSequence(field, ttrr)
 
-    def b_of(n: int):
-        return ttrr.b_fn(n)
-
-    def c_big(n: int):
-        return ttrr.c_fn(n)
+    b_of, c_big = ttrr.b_fn, ttrr.c_fn
 
     def c_small(n: int):
         return c_big(n) * r4 ** (-(2 * n - 1))
@@ -215,9 +184,8 @@ def _check_counterexample(lat: Lattice, n_max: int) -> StructureReport:
     one = field.one
     a2m1 = alpha * alpha - one
     pi_poly = Polynomial(field, (-one, 0, one))  # z^2 - 1
-    residuals: List[float] = []
-    first_fail: Optional[int] = None
-    for n in range(n_max + 1):
+
+    def slot(n: int):
         lhs = a2m1 * (pi_poly * dx(lat, seq.p(n)))
         rhs = a2m1 * con.gamma_n(n) * seq.p(n + 1)
         rhs = rhs + (
@@ -229,15 +197,11 @@ def _check_counterexample(lat: Lattice, n_max: int) -> StructureReport:
         rhs = rhs + (
             c_small(n - 1) * c_big(n) - alpha * c_small(n) * c_big(n - 1)
         ) * seq.p(n - 2)
-        residual, ok = field.compare(lhs.coeffs, rhs.coeffs)
-        residuals.append(residual)
-        if not ok and first_fail is None:
-            first_fail = n
-    return StructureReport(
-        relation="counterexample4term",
-        residuals=residuals,
-        first_fail=first_fail,
-        passed=first_fail is None,
+        return lhs.coeffs, rhs.coeffs
+
+    return field.report(
+        "counterexample4term",
+        (slot(n) for n in range(n_max + 1)),
         detail=f"relation base {field.to_str(lat.q)}, family base sqrt of that",
     )
 
@@ -283,22 +247,21 @@ def pearson_from_ttrr(lat: Lattice, case: str, b0, c1, b1=None, c2=None) -> Pear
 
 @dataclass
 class SystemReport:
+    """The five difference equations; ``failing`` names the first failing one."""
+
     k1: object
     k2: object
     residuals: Dict[str, List[float]] = dc_field(default_factory=dict)
     max_residuals: Dict[str, float] = dc_field(default_factory=dict)
     t_closed_residual: float = 0.0
     passed: bool = True
+    failing: Optional[dict] = None
 
     def to_json(self, field: Field):
-        return {
-            "k1": field.to_json(self.k1),
-            "k2": field.to_json(self.k2),
-            "max_residuals": self.max_residuals,
-            "t_closed_residual": self.t_closed_residual,
-            "passed": self.passed,
-            "residuals": self.residuals,
-        }
+        out = encode_fields(field, self)
+        if self.failing is None:
+            del out["failing"]
+        return out
 
 
 def check_system(lat: Lattice, ttrr: TTRRCoeffs, n_max: int) -> SystemReport:
@@ -388,10 +351,11 @@ def check_system(lat: Lattice, ttrr: TTRRCoeffs, n_max: int) -> SystemReport:
         )
 
     residuals: Dict[str, List[float]] = {}
-    passed = True
+    failing = None
     for tag, (values, scales) in equations.items():
         residuals[tag], ok = field.vanish(values, scales)
-        passed = passed and ok
+        if not ok and failing is None:
+            failing = {"equation": tag, **field.failing(values)}
     max_residuals = {tag: max(vals) for tag, vals in residuals.items()}
     return SystemReport(
         k1=k1,
@@ -399,7 +363,8 @@ def check_system(lat: Lattice, ttrr: TTRRCoeffs, n_max: int) -> SystemReport:
         residuals=residuals,
         max_residuals=max_residuals,
         t_closed_residual=t_closed_residual,
-        passed=passed,
+        passed=failing is None,
+        failing=failing,
     )
 
 
@@ -526,7 +491,7 @@ def meixner_image_ttrr(lat: Lattice, b0, c1) -> TTRRCoeffs:
     return TTRRCoeffs(field, lambda n: b0, c_fn)
 
 
-def check_meixner_linear(lat: Lattice, b0, c1, n_max: int) -> StructureReport:
+def check_meixner_linear(lat: Lattice, b0, c1, n_max: int) -> Report:
     """The raising relation for the Meixner-kind image.
 
     On a linear lattice the image family satisfies
@@ -541,12 +506,9 @@ def check_meixner_linear(lat: Lattice, b0, c1, n_max: int) -> StructureReport:
         raise LatticeError("a constant lattice has no raising relation to check")
     if lat.c[0] == field.zero:
         ttrr = meixner_image_ttrr(lat, b0, c1)
-        seq = OPSequence(field, ttrr)
-        report = check_structure(lat, seq, "sx_raise", n_max)
-        report.detail = "meixner-kind image on a linear lattice"
-        return report
-    pair = pearson_from_ttrr(lat, "sx_raise", b0, c1)
-    seq = OPSequence(field, ttrr_from_pearson(pair))
-    report = check_structure(lat, seq, "sx_raise", n_max)
-    report.detail = "pair-generated sequence on a quadratic lattice (beta != 0)"
-    return report
+        detail = "meixner-kind image on a linear lattice"
+    else:
+        ttrr = ttrr_from_pearson(pearson_from_ttrr(lat, "sx_raise", b0, c1))
+        detail = "pair-generated sequence on a quadratic lattice (beta != 0)"
+    slots = _relation_slots(lat, OPSequence(field, ttrr), "sx_raise", n_max)
+    return field.report("sx_raise", slots, detail)

@@ -23,17 +23,17 @@ from .functionals import (
     MomentFunctional,
     OPSequence,
     TTRRCoeffs,
-    compare_moments,
     dual_dx,
     dual_dx_pow,
     dual_sx,
     left_mul,
+    moment_slot,
     pearson_moments,
 )
 from .lattice import Lattice, LatticeError
 from .operators import dx, sx
 from .polynomials import Polynomial
-from .scalars import Field
+from .scalars import Field, Report, encode_fields
 
 
 class InternalCheckError(RuntimeError):
@@ -198,13 +198,6 @@ class AdmissibilityReport:
     @property
     def admissible(self) -> bool:
         return self.first_zero is None
-
-    def to_json(self, field: Field):
-        return {
-            "admissible": self.admissible,
-            "first_zero": self.first_zero,
-            "d_n": [field.to_json(v) for v in self.values],
-        }
 
 
 def admissibility(pair: PearsonPair, n_max: int) -> AdmissibilityReport:
@@ -387,26 +380,15 @@ def uk_functional(pair: PearsonPair, k: int,
     return u
 
 
-@dataclass
-class RodriguesReport:
-    n: int
-    residual: float
-    passed: bool
-
-    def to_json(self):
-        return {"n": self.n, "residual": self.residual, "passed": self.passed}
-
-
-def rodrigues_verify(pair: PearsonPair, n: int, horizon: int = 10) -> RodriguesReport:
-    """Compare the moments of P_n u with k_n D^n u^[n] up to `horizon`."""
+def rodrigues_verify(pair: PearsonPair, n: int, horizon: int = 10) -> Report:
+    """Compare the moments of P_n u with k_n D^n u^[n] up to `horizon`, as one slot."""
     field = pair.field
     lat = pair.lattice
     u = pair.moments()
     seq = OPSequence(field, ttrr_from_pearson(pair))
     lhs = left_mul(u, seq.p(n))
     rhs = rodrigues_constant(pair, n) * dual_dx_pow(lat, uk_functional(pair, n, u), n)
-    residual, passed = compare_moments(field, lhs, rhs, horizon)
-    return RodriguesReport(n=n, residual=residual, passed=passed)
+    return field.report("rodrigues", [moment_slot(lhs, rhs, horizon)], detail=f"n = {n}")
 
 
 @dataclass
@@ -427,25 +409,7 @@ class AsymptoticsReport:
     c_scaled_error: Optional[float] = None
 
     def to_json(self, field: Field):
-        def enc(v):
-            return None if v is None else (field.to_json(v) if not isinstance(v, float) else v)
-
-        return {
-            "kind": self.kind,
-            "sum_residual": self.sum_residual,
-            "ratio_limit": enc(self.ratio_limit),
-            "ratio_estimate": enc(self.ratio_estimate),
-            "ratio_error": self.ratio_error,
-            "series_value": enc(self.series_value),
-            "series_estimate": enc(self.series_estimate),
-            "series_error": self.series_error,
-            "b_scaled_limit": enc(self.b_scaled_limit),
-            "b_scaled_estimate": enc(self.b_scaled_estimate),
-            "b_scaled_error": self.b_scaled_error,
-            "c_scaled_limit": enc(self.c_scaled_limit),
-            "c_scaled_estimate": enc(self.c_scaled_estimate),
-            "c_scaled_error": self.c_scaled_error,
-        }
+        return encode_fields(field, self)
 
 
 def partial_sum_closed(pair: PearsonPair, n: int):

@@ -18,14 +18,9 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .lattice import Lattice
-from .operators import (
-    IdentityReport,
-    dx_monomial,
-    sx_monomial,
-    tnk,
-)
+from .operators import dx_monomial, sx_monomial, tnk
 from .polynomials import Polynomial
-from .scalars import Field
+from .scalars import Field, Report
 
 
 class HorizonError(RuntimeError):
@@ -437,17 +432,16 @@ def _functional_sides(lat: Lattice, identity: str, f: Optional[Polynomial],
     raise ValueError(f"unknown functional identity {identity!r}")
 
 
-def compare_moments(field: Field, lhs: MomentFunctional, rhs: MomentFunctional,
-                    horizon: int) -> Tuple[float, bool]:
-    """``field.compare`` over the moments 0..horizon of two functionals."""
+def moment_slot(lhs: MomentFunctional, rhs: MomentFunctional,
+                horizon: int) -> Tuple[List, List]:
+    """The moments 0..horizon of two functionals, as one report slot."""
     ms = range(horizon + 1)
-    return field.compare((lhs.moment(m) for m in ms), (rhs.moment(m) for m in ms))
+    return [lhs.moment(m) for m in ms], [rhs.moment(m) for m in ms]
 
 
 def verify_functional_identity(lat: Lattice, identity: str, f: Optional[Polynomial],
                                u: MomentFunctional, n: Optional[int] = None,
-                               horizon: int = 10) -> IdentityReport:
-    """Moment-wise residual of one dual-side identity, up to `horizon`."""
+                               horizon: int = 10) -> Report:
+    """One dual-side identity, as one slot: the moments up to `horizon`."""
     lhs, rhs = _functional_sides(lat, identity, f, u, n)
-    residual, passed = compare_moments(lat.field, lhs, rhs, horizon)
-    return IdentityReport(identity=identity, residual=residual, passed=passed)
+    return lat.field.report(identity, [moment_slot(lhs, rhs, horizon)])

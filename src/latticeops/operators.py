@@ -26,6 +26,7 @@ from typing import List, Optional
 
 from .lattice import Lattice, LatticeError
 from .polynomials import Polynomial, interpolate
+from .scalars import Report
 
 HALF = Fraction(1, 2)
 
@@ -236,20 +237,6 @@ def tnk(lat: Lattice, f: Polynomial, n: int, k: int) -> Polynomial:
 OPERATOR_IDENTITIES = ("product_dx", "product_sx", "swap_sx", "swap_dx", "dxn_sx")
 
 
-@dataclass
-class IdentityReport:
-    identity: str
-    residual: float
-    passed: bool
-    detail: Optional[str] = None
-
-    def to_json(self):
-        out = {"identity": self.identity, "residual": self.residual, "passed": self.passed}
-        if self.detail:
-            out["detail"] = self.detail
-        return out
-
-
 def _identity_lhs_rhs(lat: Lattice, identity: str, f: Polynomial,
                       g: Optional[Polynomial], n: Optional[int]):
     field = lat.field
@@ -285,10 +272,9 @@ def _identity_lhs_rhs(lat: Lattice, identity: str, f: Polynomial,
 
 def verify_operator_identity(lat: Lattice, identity: str, f: Polynomial,
                              g: Optional[Polynomial] = None,
-                             n: Optional[int] = None) -> IdentityReport:
-    """Max |coefficient| of LHS - RHS for one printed operator identity."""
+                             n: Optional[int] = None) -> Report:
+    """One printed operator identity, as one slot: the coefficients of LHS and RHS."""
     if identity in ("product_dx", "product_sx", "swap_sx", "swap_dx") and g is None:
         raise ValueError(f"{identity} needs a second polynomial")
     lhs, rhs = _identity_lhs_rhs(lat, identity, f, g, n)
-    residual, passed = lat.field.compare(lhs.coeffs, rhs.coeffs)
-    return IdentityReport(identity=identity, residual=residual, passed=passed)
+    return lat.field.report(identity, [(lhs.coeffs, rhs.coeffs)])

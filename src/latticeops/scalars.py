@@ -23,11 +23,15 @@ Every "zero or not" verdict is decided here, by one rule per backend:
 ``is_zero`` applies the rule to one scalar, ``vanish`` to a list of
 values (with their float magnitudes for reports), and ``compare`` to two
 paired lists, such as polynomial coefficients or moments up to a horizon.
+``report`` runs ``compare`` over a list of such slots and returns the one
+``Report`` shape every pass/fail check uses; ``failing`` names the value
+a failed check hinges on.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from itertools import chain, zip_longest
 from math import isqrt
@@ -198,8 +202,40 @@ def _fraction_str(v: Fraction) -> str:
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
+@dataclass
+class Report:
+    """Outcome of a pass/fail check made of slots, each a pair of scalar lists.
+
+    ``residuals`` holds the largest |lhs - rhs| of each slot, ``first_fail``
+    the first slot that does not vanish and ``failing`` its deciding value.
+    """
+
+    name: str
+    residuals: List[float]
+    first_fail: Optional[int] = None
+    failing: Optional[dict] = None
+    detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.first_fail is None
+
+    @property
+    def residual(self) -> float:
+        return max(self.residuals, default=0.0)
+
+    def to_json(self):
+        return {**asdict(self), "passed": self.passed}
+
+
 class _Comparator:
-    """The paired comparison, shared by both backends through ``vanish``."""
+    """The paired comparison and its report, shared by both backends through ``vanish``."""
+
+    def _differences(self, lhs: Iterable, rhs: Iterable) -> Tuple[List, List[float], bool]:
+        pairs = list(zip_longest(lhs, rhs, fillvalue=self.zero))
+        diffs = [a - b for a, b in pairs]
+        residuals, passed = self.vanish(diffs, chain.from_iterable(pairs))
+        return diffs, residuals, passed
 
     def compare(self, lhs: Iterable, rhs: Iterable) -> Tuple[float, bool]:
         """Largest |a - b| over paired scalars, and whether all differences vanish.
@@ -207,11 +243,30 @@ class _Comparator:
         The shorter side is padded with zeros; each difference is measured
         against every scalar on both sides.
         """
-        pairs = list(zip_longest(lhs, rhs, fillvalue=self.zero))
-        residuals, passed = self.vanish(
-            [a - b for a, b in pairs], chain.from_iterable(pairs)
-        )
+        _, residuals, passed = self._differences(lhs, rhs)
         return max(residuals, default=0.0), passed
+
+    def failing(self, values: Iterable) -> dict:
+        """``{"index", "value"}`` of the value a failed verdict hinges on.
+
+        Values are ranked by (nonzero, magnitude), so an exact nonzero value
+        wins over exact zeros even when its float magnitude underflows.
+        """
+        index, value = max(
+            enumerate(values), key=lambda kv: (bool(kv[1]), self.magnitude(kv[1]))
+        )
+        return {"index": index, "value": self.to_json(value)}
+
+    def report(self, name: str, slots: Iterable[Tuple[Iterable, Iterable]],
+               detail: str = "") -> Report:
+        """``compare`` on every (lhs, rhs) slot, gathered into one ``Report``."""
+        rep = Report(name=name, residuals=[], detail=detail)
+        for k, (lhs, rhs) in enumerate(slots):
+            diffs, residuals, ok = self._differences(lhs, rhs)
+            rep.residuals.append(max(residuals, default=0.0))
+            if not ok and rep.first_fail is None:
+                rep.first_fail, rep.failing = k, self.failing(diffs)
+        return rep
 
 
 class ExactField(_Comparator):
@@ -439,3 +494,13 @@ def make_field(backend: str, precision: Optional[int] = None, eps=None) -> Field
 def same_field(a: Field, b: Field) -> None:
     if a is not b:
         raise BackendMismatch(f"scalars come from different fields: {a!r} vs {b!r}")
+
+
+def encode_fields(field: Field, record) -> dict:
+    """Every field of a dataclass record as JSON; scalars go through ``field.to_json``."""
+    out = {}
+    for f in fields(record):
+        v = getattr(record, f.name)
+        plain = v is None or isinstance(v, (bool, int, float, str, list, dict))
+        out[f.name] = v if plain else field.to_json(v)
+    return out

@@ -62,7 +62,7 @@ class TestCounterexample:
     def test_report_identifies_relation(self, exact):
         lat = sym_lattice_at(exact, Fraction(1, 16))
         rep = check_structure(lat, None, "counterexample4term", 4)
-        assert rep.to_json()["relation"] == "counterexample4term"
+        assert rep.to_json()["name"] == "counterexample4term"
 
 
 class TestLowerRelation:
@@ -137,6 +137,21 @@ class TestSystem:
         assert not rep.passed
         if bump < Fraction(1, 10**308):
             assert all(v == 0.0 for v in rep.max_residuals.values())
+
+    def test_failed_exact_report_names_the_underflowing_value(self, sym_lattice, exact):
+        """q-Hermite with B_3 + 10^-400: every float residual reads 0.0, yet
+        the failed reports name an exactly nonzero value."""
+        qh = make_family("q_hermite", sym_lattice, ()).ttrr
+        bump = Fraction(1, 10**400)
+        ttrr = TTRRCoeffs(exact, lambda n: qh.b(n) + (bump if n == 3 else 0), qh.c)
+        lower = check_structure(sym_lattice, OPSequence(exact, ttrr), "lower", 6)
+        system = check_system(sym_lattice, ttrr, 10)
+        assert lower.residuals == [0.0] * 7
+        assert all(v == 0.0 for vals in system.residuals.values() for v in vals)
+        assert lower.first_fail == 3 and system.failing["equation"] == "eq3"
+        for rep in (lower, system):
+            assert not rep.passed
+            assert exact.from_json(rep.failing["value"]) != exact.zero
 
     def test_rejected_off_q_lattices(self, quad_lattice, exact):
         ttrr = make_family("meixner2", quad_lattice, (Fraction(1, 2), 3)).ttrr
@@ -339,7 +354,7 @@ class TestStructureDispatch:
         seq = OPSequence(exact, make_family("q_hermite", sym_lattice, ()).ttrr)
         blob = check_structure(sym_lattice, seq, "lower", 4).to_json()
         assert blob["passed"] is True
-        assert blob["relation"] == "lower"
+        assert blob["name"] == "lower"
         assert len(blob["residuals"]) == 5  # slots 0..n_max inclusive
 
 

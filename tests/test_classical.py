@@ -205,7 +205,14 @@ class TestRodrigues:
 
     def test_report_shape(self, gen_lattice):
         blob = rodrigues_verify(sample_pair(gen_lattice), 2, horizon=6).to_json()
-        assert blob == {"n": 2, "residual": 0.0, "passed": True}
+        assert blob == {
+            "name": "rodrigues",
+            "residuals": [0.0],
+            "first_fail": None,
+            "failing": None,
+            "passed": True,
+            "detail": "n = 2",
+        }
 
 
 class TestAsymptotics:

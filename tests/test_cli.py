@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from latticeops import FirstCharacterization
 from latticeops.cli import main
 
 GEN_LATTICE = '{"kind": "q-quadratic", "q": "4", "c": ["1/2", "1/3", "1/5"]}'
@@ -174,12 +176,23 @@ def test_characterize_counterexample_bigfloat(capsys):
 def test_characterize_solve_c1(capsys):
     code, out, _ = run(capsys, "characterize", "--solve-c1=-9/32", "-N", "6")
     # construction succeeds and is reported; the raising relation itself
-    # fails at slot 3, so the check exit code is 1
-    assert code == 1
+    # fails at slot 3, which is data, and the exit code is the construction's
+    assert code == 0
     payload = json.loads(out)
     assert payload["construction"]["r"] == "2"
     assert payload["closed_form_residual"] == 0.0
     assert payload["relation"]["first_fail"] == 3
+
+
+def test_characterize_solve_c1_fails_on_a_wrong_closed_form(capsys, monkeypatch):
+    closed = FirstCharacterization.c_closed
+    monkeypatch.setattr(
+        FirstCharacterization, "c_closed",
+        lambda self, m: closed(self, m) + (Fraction(1, 7) if m == 4 else 0),
+    )
+    code, out, _ = run(capsys, "characterize", "--solve-c1=-9/32", "-N", "6")
+    assert code == 1
+    assert json.loads(out)["closed_form_residual"] > 0
 
 
 def test_characterize_meixner_linear_passes(capsys):

@@ -122,7 +122,7 @@ class TestDualOperators:
         u = random_functional(exact, 2)
         f = Polynomial(exact, (0, 1))
         rep = verify_functional_identity(gen_lattice, "dual_product_dx", f, u, horizon=6)
-        assert rep.to_json()["identity"] == "dual_product_dx"
+        assert rep.to_json()["name"] == "dual_product_dx"
 
 
 class TestPearsonMoments:

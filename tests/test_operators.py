@@ -175,7 +175,7 @@ def test_report_serialization(gen_lattice, exact):
     f = Polynomial.monomial(exact, 3)
     rep = verify_operator_identity(gen_lattice, "product_dx", f, f)
     blob = rep.to_json()
-    assert blob["identity"] == "product_dx"
+    assert blob["name"] == "product_dx"
     assert blob["passed"] is True
 
 
