@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .lattice import Lattice
 from .operators import dx_monomial, sx_monomial, tnk
-from .polynomials import Polynomial
+from .polynomials import Polynomial, add_coeffs, mul_coeffs
 from .scalars import Field, Report
 
 
@@ -171,18 +171,20 @@ def pearson_moments(lat: Lattice, pair, mu0=1) -> MomentFunctional:
 
     def ext(k: int):
         n = k - 1
-        g = phi * dx_monomial(lat, n) + psi * sx_monomial(lat, n)
-        dn = g.coeff(n + 1)
+        # coefficients of g = phi*D_x z^n + psi*S_x z^n, of degree <= n+1
+        g = add_coeffs(mul_coeffs(phi.coeffs, dx_monomial(lat, n).coeffs),
+                       mul_coeffs(psi.coeffs, sx_monomial(lat, n).coeffs))
+        dn = g[n + 1] if len(g) > n + 1 else field.zero
         dn_closed = a * con.gamma_n(n) + d * con.alpha_n(n)
         if not field.approx_eq(dn, dn_closed):
             raise AssertionError(
                 f"leading Pearson coefficient disagrees with d_{n} closed form"
             )
-        if field.is_zero(dn, scale=g.coeffs):
+        if field.is_zero(dn, scale=g):
             raise AdmissibilityError(n)
         acc = field.zero
         for j in range(n + 1):
-            acc = acc + g.coeff(j) * u.moment(j)
+            acc = acc + g[j] * u.moment(j)
         return -acc / dn
 
     u._extender = ext

@@ -19,7 +19,7 @@ operators evaluate x at half-integer s.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 from .polynomials import Polynomial
 from .scalars import Field, ScalarDomainError
@@ -217,10 +217,6 @@ class Lattice:
         if k >= 0:
             return self.q**k
         return (self.field.one / self.q) ** (-k)
-
-    def step_denominator(self, s):
-        """x(s + 1/2) - x(s - 1/2); zero marks a singular node for D_x."""
-        return self.x(Fraction(s) + Fraction(1, 2)) - self.x(Fraction(s) - Fraction(1, 2))
 
     def node_stream(self) -> Iterator[Tuple[int, object]]:
         """(s, x(s)) over integer s >= 0, skipping repeated x values."""

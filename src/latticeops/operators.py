@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .lattice import Lattice, LatticeError
-from .polynomials import Polynomial, interpolate
+from .polynomials import Polynomial, add_coeffs, interpolate, mul_coeffs
 from .scalars import Report
 
 HALF = Fraction(1, 2)
@@ -84,21 +84,27 @@ def _monomial_cache(lat: Lattice) -> dict:
         cache = {
             "dx": [Polynomial.zero(field), Polynomial.one(field)],
             "sx": [Polynomial.one(field), sz],
-            "sz": sz,
-            "u2": lat.u2(),
+            "sz": sz.coeffs,
+            "u2": lat.u2().coeffs,
         }
         lat._monomial_images = cache
     return cache
 
 
 def _grow_monomial_images(lat: Lattice, n: int) -> dict:
+    """Extend both image tables through degree n, one row per step.
+
+    Each row is built from the previous rows' coefficient lists; only the
+    finished row becomes a Polynomial.
+    """
     cache = _monomial_cache(lat)
     dximg, sximg = cache["dx"], cache["sx"]
     sz, u2 = cache["sz"], cache["u2"]
+    field = lat.field
     while len(dximg) <= n:
-        m = len(dximg)
-        dximg.append(sximg[m - 1] + sz * dximg[m - 1])
-        sximg.append(u2 * dximg[m - 1] + sz * sximg[m - 1])
+        d, s = dximg[-1].coeffs, sximg[-1].coeffs
+        dximg.append(Polynomial(field, add_coeffs(s, mul_coeffs(sz, d))))
+        sximg.append(Polynomial(field, add_coeffs(mul_coeffs(u2, d), mul_coeffs(sz, s))))
     return cache
 
 

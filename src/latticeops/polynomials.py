@@ -190,6 +190,25 @@ def _nonzero(c) -> bool:
     return c != 0
 
 
+def mul_coeffs(a: Sequence, b: Sequence) -> list:
+    """Coefficients of a*b, lowest degree first, untrimmed.
+
+    Each coefficient sums its products in increasing index into `a`, as
+    ``Polynomial.__mul__`` does, so both give the same bigfloat roundings.
+    """
+    out = [None] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            t = x * y
+            out[i + j] = t if out[i + j] is None else out[i + j] + t
+    return out
+
+
+def add_coeffs(a: Sequence, b: Sequence) -> list:
+    """Coefficients of a + b, lowest degree first, untrimmed."""
+    return [x + y for x, y in zip(a, b)] + list(a[len(b):] or b[len(a):])
+
+
 def interpolate(field: Field, points: Sequence[tuple]) -> Polynomial:
     """Interpolating polynomial through (z, w) pairs via Newton form.
 

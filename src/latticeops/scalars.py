@@ -2,12 +2,16 @@
 
 Two interchangeable backends:
 
-* ``ExactField`` works over Gaussian rationals (complex numbers with
-  ``fractions.Fraction`` real and imaginary parts).  No rounding ever
-  happens, so every residual is exactly zero or exactly nonzero.
+* ``ExactField`` works over Gaussian rationals.  A real value is a plain
+  ``fractions.Fraction``; a value with a nonzero imaginary part is a
+  ``QRational`` (``Fraction`` real and imaginary parts).  The two mix
+  freely in arithmetic and compare and hash alike when they are equal.
+  No rounding ever happens, so every residual is exactly zero or exactly
+  nonzero.
 * ``BigFloatField`` works over arbitrary-precision complex floats backed
   by a private ``mpmath`` context, so several fields with different
-  precisions can coexist in one process.
+  precisions can coexist in one process.  ``mpmath`` is imported when the
+  first such field is made, so a process that stays exact never loads it.
 
 Every algorithm in the package receives scalars produced by one of these
 fields and combines them only through arithmetic operators, so the two
@@ -36,8 +40,6 @@ from fractions import Fraction
 from itertools import chain, zip_longest
 from math import isqrt
 from typing import Iterable, List, Optional, Tuple, Union
-
-from mpmath.ctx_mp import MPContext
 
 DEFAULT_PRECISION = 128
 MIN_PRECISION = 64
@@ -184,7 +186,8 @@ class QRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal to the hash of the Fraction it equals when real
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
@@ -195,7 +198,12 @@ class QRational:
         return f"QRational({self.re}, {self.im})"
 
 
-Scalar = Union[QRational, object]
+Scalar = Union[Fraction, QRational, object]
+
+
+def _gaussian(re: Fraction, im: Fraction):
+    """The exact scalar re + im*i: a plain Fraction when im is zero."""
+    return QRational(re, im) if im else re
 
 
 def _fraction_str(v: Fraction) -> str:
@@ -270,38 +278,46 @@ class _Comparator:
 
 
 class ExactField(_Comparator):
-    """Gaussian-rational backend; comparisons are exact equality."""
+    """Gaussian-rational backend; comparisons are exact equality.
+
+    Real values are plain ``Fraction``s; a ``QRational`` carries a nonzero
+    imaginary part.
+    """
 
     name = "exact"
 
-    def __call__(self, v, im=None) -> QRational:
-        if im is not None:
-            return QRational(_as_fraction(v), _as_fraction(im))
-        if isinstance(v, QRational):
+    def __call__(self, v, im=None):
+        if type(v) is Fraction and im is None:
             return v
+        if im is not None:
+            return _gaussian(_as_fraction(v), _as_fraction(im))
+        if isinstance(v, QRational):
+            return v if v.im else v.re
         if isinstance(v, complex):
             raise TypeError("binary complex floats are not exact; pass rational parts")
-        return QRational(_as_fraction(v))
+        return _as_fraction(v)
 
     @property
-    def zero(self) -> QRational:
-        return QRational(0)
+    def zero(self) -> Fraction:
+        return Fraction(0)
 
     @property
-    def one(self) -> QRational:
-        return QRational(1)
+    def one(self) -> Fraction:
+        return Fraction(1)
 
     @property
     def i(self) -> QRational:
         return QRational(0, 1)
 
-    def re(self, a: QRational) -> Fraction:
-        return a.re
+    def re(self, a) -> Fraction:
+        a = self(a)
+        return a.re if isinstance(a, QRational) else a
 
-    def im(self, a: QRational) -> Fraction:
-        return a.im
+    def im(self, a) -> Fraction:
+        a = self(a)
+        return a.im if isinstance(a, QRational) else Fraction(0)
 
-    def is_zero(self, a: QRational, eps=None, scale: Iterable = ()) -> bool:
+    def is_zero(self, a, eps=None, scale: Iterable = ()) -> bool:
         return not a
 
     def vanish(self, values: Iterable, scale: Iterable = ()) -> Tuple[List[float], bool]:
@@ -313,49 +329,50 @@ class ExactField(_Comparator):
         return [self.magnitude(v) if v else 0.0 for v in values], not any(values)
 
     def approx_eq(self, a, b, eps=None) -> bool:
-        a, b = self(a), self(b)
-        return a == b
+        return self(a) == self(b)
 
-    def sqrt(self, a) -> QRational:
+    def sqrt(self, a):
         a = self(a)
-        if a.im != 0:
+        if isinstance(a, QRational):
             raise ScalarDomainError("exact sqrt of a non-real value is not supported")
-        r = rational_sqrt(a.re)
+        r = rational_sqrt(a)
         if r is not None:
-            return QRational(r)
-        r = rational_sqrt(-a.re)
+            return r
+        r = rational_sqrt(-a)
         if r is not None:
             return QRational(0, r)
         raise ScalarDomainError(
-            f"sqrt({_fraction_str(a.re)}) is irrational; use the bigfloat backend"
+            f"sqrt({_fraction_str(a)}) is irrational; use the bigfloat backend"
         )
 
     def magnitude(self, a) -> float:
         a = self(a)
         try:
-            return float(abs(complex(a.re, a.im)))
+            if isinstance(a, QRational):
+                return float(abs(complex(a.re, a.im)))
+            return abs(float(a))
         except OverflowError:
             return float("inf")
 
     def to_json(self, a):
         a = self(a)
-        if a.im == 0:
-            return _fraction_str(a.re)
-        return [_fraction_str(a.re), _fraction_str(a.im)]
+        if isinstance(a, QRational):
+            return [_fraction_str(a.re), _fraction_str(a.im)]
+        return _fraction_str(a)
 
-    def from_json(self, obj) -> QRational:
+    def from_json(self, obj):
         if isinstance(obj, list):
             if len(obj) != 2:
                 raise ValueError("complex scalar must be a two-element array")
-            return QRational(Fraction(str(obj[0])), Fraction(str(obj[1])))
+            return _gaussian(Fraction(str(obj[0])), Fraction(str(obj[1])))
         if isinstance(obj, (str, int)):
-            return QRational(Fraction(str(obj)))
+            return Fraction(str(obj))
         raise ValueError(f"cannot decode exact scalar from {obj!r}")
 
     def to_str(self, a) -> str:
         a = self(a)
-        if a.im == 0:
-            return _fraction_str(a.re)
+        if not isinstance(a, QRational):
+            return _fraction_str(a)
         return f"{_fraction_str(a.re)}{'+' if a.im >= 0 else ''}{_fraction_str(a.im)}i"
 
     def __repr__(self):
@@ -373,6 +390,8 @@ class BigFloatField(_Comparator):
         if precision < MIN_PRECISION:
             raise ValueError(f"precision must be >= {MIN_PRECISION} bits, got {precision}")
         self.precision = precision
+        from mpmath.ctx_mp import MPContext  # loaded only by the bigfloat backend
+
         ctx = MPContext()
         ctx.prec = precision
         self.ctx = ctx

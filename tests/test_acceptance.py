@@ -90,8 +90,8 @@ def test_operator_identities_randomized():
         f = _random_poly(EXACT, rng)
         g = _random_poly(EXACT, rng)
         n = rng.randint(1, 4)
-        fb = Polynomial(BIG128, [c.re for c in f.coeffs])
-        gb = Polynomial(BIG128, [c.re for c in g.coeffs])
+        fb = Polynomial(BIG128, [EXACT.re(c) for c in f.coeffs])
+        gb = Polynomial(BIG128, [EXACT.re(c) for c in g.coeffs])
         for identity in OPERATOR_IDENTITIES:
             rep = verify_operator_identity(exact_lattices[which], identity, f, g, n=n)
             assert rep.residual == 0.0, (identity, which, trial)

@@ -132,6 +132,29 @@ class TestAskeyWilson:
             with pytest.raises(FamilyError):
                 spec.ttrr.b(n)
 
+    def test_conjugate_parameters_give_real_coefficients(self):
+        """(a, -a, i b, -i b) runs the exact family through complex values.
+
+        Every B_n and C_n is real: as displayed (a QRational with a zero
+        imaginary part) it hashes as the Fraction it equals, and as read
+        it is that Fraction.  Both match the bigfloat family.
+        """
+        a, b = Fraction(1, 2), Fraction(1, 3)
+        specs = []
+        for field in (make_field("exact"), make_field("bigfloat", precision=128)):
+            lat = Lattice(field, Fraction(1, 4), (Fraction(1, 2), Fraction(1, 2), 0))
+            spec = make_family("askey_wilson", lat, (a, -a, field(0, b), field(0, -b)))
+            assert check_restrictions(spec, 10).ok
+            specs.append(spec.ttrr)
+        exact, big = specs[0].field, specs[1].field
+        for n in range(11):
+            for v, vb in ((specs[0].b(n), specs[1].b(n)), (specs[0].c(n), specs[1].c(n))):
+                assert type(v) is Fraction
+                assert big.magnitude(big(v) - vb) < 1e-25
+            for raw in (specs[0].b_fn(n), specs[0].c_fn(n + 1)):
+                assert exact.im(raw) == 0
+                assert hash(raw) == hash(exact.re(raw))
+
     def test_good_parameters_pass_scan(self, sym_lattice):
         rep = check_restrictions(
             make_family(

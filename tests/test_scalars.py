@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,8 +66,31 @@ class TestQRational:
 
         assert mod2(a * b) == mod2(a) * mod2(b)
 
+    def test_real_value_hashes_as_its_fraction(self):
+        half = Fraction(1, 2)
+        assert QRational(half) == half
+        assert hash(QRational(half)) == hash(half)
+        assert len({QRational(half), half}) == 1
+
 
 class TestExactField:
+    def test_real_values_are_plain_fractions(self, exact):
+        reals = [exact(3), exact("1/2"), exact(1, 0), exact(qr(Fraction(2, 3))),
+                 exact(exact.i * exact.i), exact.zero, exact.one,
+                 exact.sqrt(Fraction(9, 4)), exact.from_json(["1/3", "0"])]
+        assert all(type(v) is Fraction for v in reals)
+        assert isinstance(exact(1, 2), QRational)
+        assert isinstance(exact.sqrt(-4), QRational)
+
+    def test_parts_and_text_accept_both_types(self, exact):
+        for v in (Fraction(-7, 3), qr(Fraction(-7, 3))):
+            assert (exact.re(v), exact.im(v)) == (Fraction(-7, 3), 0)
+            assert exact.magnitude(v) == 7 / 3
+            assert exact.to_json(v) == exact.to_str(v) == "-7/3"
+        z = qr(1, -2)
+        assert (exact.re(z), exact.im(z)) == (1, -2)
+        assert (exact.to_json(z), exact.to_str(z)) == (["1", "-2"], "1-2i")
+
     def test_sqrt_of_square(self, exact):
         assert exact.sqrt(exact(Fraction(9, 4))) == exact(Fraction(3, 2))
 
@@ -164,6 +191,30 @@ class TestMakeField:
         monkeypatch.setenv("LATTICEOPS_PRECISION", "192")
         field = make_field("bigfloat")
         assert field.precision == 192
+
+
+def test_exact_process_never_loads_mpmath():
+    """Only the bigfloat backend imports mpmath; an exact Pearson job does not."""
+    code = textwrap.dedent("""
+        import sys
+        from fractions import Fraction as F
+        import latticeops as L
+
+        field = L.make_field("exact")
+        lat = L.Lattice(field, 4, (F(1, 2), F(1, 3), F(1, 5)))
+        pair = L.PearsonPair(lat, L.Polynomial(field, (F(7, 10), F(-1, 3), F(2, 7))),
+                             L.Polynomial(field, (F(1, 2), F(3, 4))))
+        closed, oracle = L.ttrr_from_pearson(pair), L.ttrr_oracle(pair.moments(), 8)
+        print(L.regularity(pair, 8).regular,
+              all(closed.c(n) == oracle.c(n) for n in range(9)),
+              "mpmath" in sys.modules)
+    """)
+    src = str(Path(latticeops.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["True", "True", "False"]
 
 
 def test_verdict_rules_live_in_scalars():
