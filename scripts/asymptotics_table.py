@@ -16,17 +16,9 @@ from __future__ import annotations
 import argparse
 from fractions import Fraction
 
-from latticeops import Lattice, PearsonPair, Polynomial, make_field
+from latticeops import Lattice, make_field
+from latticeops.checks import sample_pair
 from latticeops.classical import asymptotics
-
-
-def sample_pair(lat, linear_phi=False):
-    field = lat.field
-    if linear_phi:
-        phi = Polynomial(field, (3, 1))
-    else:
-        phi = Polynomial(field, (Fraction(7, 10), Fraction(-1, 3), Fraction(2, 7)))
-    return PearsonPair(lat, phi, Polynomial(field, (Fraction(1, 2), Fraction(3, 4))))
 
 
 def q_lattice_table(args) -> None:

@@ -7,7 +7,7 @@ Subcommands map onto the library layers:
 * ``classify``      regularity decision (plus Rodrigues / asymptotics add-ons)
 * ``family``        displayed recurrence data for the named family
 * ``characterize``  structure-relation checks and the raising construction
-* ``all``           a small canned battery of everything above
+* ``all``           the named checks of ``checks.CHECKS``, each at its acceptance size
 
 Exit codes: 0 all checks passed, 1 a check failed (an internal
 cross-check included), 2 invalid input (a pair whose functional is not
@@ -32,7 +32,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from . import families
+from . import checks, families
 from .characterize import (
     check_meixner_linear,
     check_structure,
@@ -45,13 +45,12 @@ from .classical import (
     asymptotics,
     regularity,
     rodrigues_verify,
-    ttrr_from_pearson,
 )
+# ttrr_oracle is not called here; it stays bound because perfbench traces
+# every lookup site of it and its tests read it from this module
 from .functionals import (
-    FUNCTIONAL_IDENTITIES,
     AdmissibilityError,
     HorizonError,
-    MomentFunctional,
     NotRegularError,
     OPSequence,
     ttrr_oracle,
@@ -59,7 +58,6 @@ from .functionals import (
 )
 from .lattice import Lattice, LatticeError
 from .operators import OPERATOR_IDENTITIES, verify_operator_identity
-from .polynomials import Polynomial
 from .scalars import ScalarDomainError, make_field
 
 DEFAULT_LATTICE = {"kind": "q-quadratic", "q": "1/4", "c": ["1/2", "1/2", "0"]}
@@ -128,37 +126,13 @@ def _emit(args, payload, passed: bool, csv_rows=None, csv_header=None) -> int:
     return 0 if passed else 1
 
 
-def _random_poly(field, rng: random.Random, max_degree: int) -> Polynomial:
-    deg = rng.randint(1, max_degree)
-    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(deg)]
-    coeffs.append(Fraction(rng.choice([k for k in range(-9, 10) if k]), rng.randint(1, 9)))
-    return Polynomial(field, coeffs)
-
-
-def _random_functional(field, seed: int) -> MomentFunctional:
-    def ext(k: int):
-        rr = random.Random(f"{seed}:{k}")
-        return field(Fraction(rr.randint(-9, 9), rr.randint(1, 9)))
-
-    return MomentFunctional(field, extender=ext)
-
-
-def _battery_lattices(field) -> List[Lattice]:
-    return [
-        Lattice(field, Fraction(1, 4), (Fraction(1, 2), Fraction(1, 2), 0)),
-        Lattice(field, 4, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))),
-        Lattice(field, 1, (1, 0, 0)),
-        Lattice(field, 1, (0, 1, 0)),
-    ]
-
-
 def cmd_verify(args) -> int:
     field = _field_from_args(args)
     rng = random.Random(args.seed)
     if args.lattice is not None:
         lattices = [_lattice_from_args(args, field)]
     else:
-        lattices = _battery_lattices(field)
+        lattices = checks.reference_lattices(field)
     identities = VERIFY_GROUPS[args.group]
     results = []
     worst = 0.0
@@ -168,26 +142,18 @@ def cmd_verify(args) -> int:
             if identity == "leibniz_deg2" and not lat.is_q_lattice:
                 continue
             for _ in range(args.trials):
-                f = _random_poly(field, rng, args.max_degree)
+                f = checks.random_poly(field, rng, args.max_degree,
+                                       degree=2 if identity == "leibniz_deg2" else None)
                 n = rng.randint(1, 4)
                 if args.group == "ops":
-                    g = _random_poly(field, rng, args.max_degree)
+                    g = checks.random_poly(field, rng, args.max_degree)
                     rep = verify_operator_identity(lat, identity, f, g, n=n)
                 else:
-                    if identity == "leibniz_deg2":
-                        f2 = Polynomial(field, (
-                            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                            Fraction(rng.choice([k for k in range(-9, 10) if k]),
-                                     rng.randint(1, 9)),
-                        ))
-                        f = f2
-                    u = _random_functional(field, rng.randint(0, 10**9))
+                    u = checks.random_functional(field, rng.randint(0, 10**9))
                     rep = verify_functional_identity(
                         lat, identity, f, u, n=min(n, 3), horizon=args.horizon)
                 worst = max(worst, rep.residual)
-                if not rep.passed:
-                    ok = False
+                ok = ok and rep.passed
                 results.append({
                     "lattice": lat.to_json(),
                     "identity": identity,
@@ -321,109 +287,10 @@ def cmd_characterize(args) -> int:
     return _emit(args, payload, rep.passed)
 
 
-def _battery(seed: int) -> List[dict]:
-    checks = []
-
-    def record(name: str, passed: bool, **extra):
-        row = {"check": name, "passed": bool(passed)}
-        row.update(extra)
-        checks.append(row)
-
-    exact = make_field("exact")
-    rng = random.Random(seed)
-    ok = True
-    for lat in _battery_lattices(exact):
-        for identity in OPERATOR_IDENTITIES:
-            f = _random_poly(exact, rng, 6)
-            g = _random_poly(exact, rng, 6)
-            rep = verify_operator_identity(lat, identity, f, g, n=rng.randint(1, 3))
-            ok = ok and rep.passed
-    record("operator-identities", ok)
-
-    ok = True
-    for lat in _battery_lattices(exact)[:2]:
-        for identity in FUNCTIONAL_IDENTITIES:
-            f = _random_poly(exact, rng, 4)
-            u = _random_functional(exact, rng.randint(0, 10**9))
-            if identity == "leibniz_deg2":
-                f = Polynomial(exact, (Fraction(1, 3), Fraction(-1, 2), Fraction(2, 5)))
-            rep = verify_functional_identity(lat, identity, f, u, n=2, horizon=8)
-            ok = ok and rep.passed
-    record("functional-identities", ok)
-
-    qlat = Lattice(exact, 4, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))
-    pair = PearsonPair(
-        qlat,
-        Polynomial(exact, (Fraction(7, 10), Fraction(-1, 3), Fraction(2, 7))),
-        Polynomial(exact, (Fraction(1, 2), Fraction(3, 4))),
-    )
-    ttrr = ttrr_from_pearson(pair)
-    oracle = ttrr_oracle(pair.moments(), 6)
-    record(
-        "oracle-equivalence",
-        all(oracle.b(n) == ttrr.b(n) and oracle.c(n + 1) == ttrr.c(n + 1)
-            for n in range(7)),
-    )
-    record("rodrigues", rodrigues_verify(pair, 3, horizon=8).passed)
-
-    sym = Lattice(exact, Fraction(1, 4), (Fraction(1, 2), Fraction(1, 2), 0))
-    degenerate = solve_first_characterization(sym, Fraction(-225, 128))
-    reg = regularity(degenerate.pair, 5)
-    caught = None
-    try:
-        ttrr_oracle(degenerate.pair.moments(), 5)
-    except NotRegularError as exc:
-        caught = exc.level
-    record(
-        "regularity-biconditional",
-        (not reg.regular) and caught is not None and caught <= 3,
-        oracle_zero_level=caught,
-    )
-
-    big = make_field("bigfloat", precision=192)
-    cx = check_structure(
-        Lattice(big, Fraction(1, 4), (Fraction(1, 2), Fraction(1, 2), 0)),
-        None, "counterexample4term", 8)
-    record("counterexample-4term", cx.passed,
-           max_residual=cx.residual)
-
-    qh = families.make_family("q_hermite", sym, ())
-    lower = check_structure(sym, OPSequence(exact, qh.ttrr), "lower", 10)
-    sysrep = check_system(sym, qh.ttrr, 10)
-    record("q-hermite-lower-and-system", lower.passed and sysrep.passed)
-    cheb = families.make_family("chebyshev_u", sym, ())
-    cheb_lower = check_structure(sym, OPSequence(exact, cheb.ttrr), "lower", 6)
-    cheb_sys = check_system(sym, cheb.ttrr, 10)
-    record("chebyshev-lower-fails-system-passes",
-           cheb_lower.first_fail == 2 and cheb_sys.passed)
-
-    linlat = Lattice(exact, 1, (0, 1, 0))
-    quadlat = Lattice(exact, 1, (2, Fraction(1, 3), Fraction(-1, 4)))
-    lin = check_meixner_linear(linlat, Fraction(1, 3), Fraction(2, 5), 8)
-    quad = check_meixner_linear(quadlat, Fraction(1, 3), Fraction(2, 5), 5)
-    record("raising-linear-vs-quadratic",
-           lin.passed and quad.first_fail is not None and quad.first_fail <= 3)
-
-    construct = solve_first_characterization(sym, Fraction(-9, 32))
-    closed_ok = all(construct.ttrr.c(m) == construct.c_closed(m)
-                    for m in range(1, 9))
-    b_ok = all(construct.ttrr.b(n) == exact.zero for n in range(9))
-    record("raising-construction-consistency", closed_ok and b_ok)
-
-    bpair = PearsonPair(
-        Lattice(big, Fraction(1, 2), (Fraction(1, 2), Fraction(1, 2), 0)),
-        Polynomial(big, (Fraction(7, 10), Fraction(-1, 3), Fraction(2, 7))),
-        Polynomial(big, (Fraction(1, 2), Fraction(3, 4))),
-    )
-    arep = asymptotics(bpair, 80, sum_horizon=32)
-    record("asymptotics", arep.sum_residual <= 1e-20 and arep.ratio_error < 1e-6)
-    return checks
-
-
 def cmd_all(args) -> int:
-    checks = _battery(args.seed)
-    passed = all(c["passed"] for c in checks)
-    return _emit(args, {"checks": checks, "passed": passed, "seed": args.seed}, passed)
+    records = [checks.run(name, args.seed) for name, _ in checks.CHECKS]
+    passed = all(r["passed"] for r in records)
+    return _emit(args, {"checks": records, "passed": passed, "seed": args.seed}, passed)
 
 
 def build_parser() -> argparse.ArgumentParser:

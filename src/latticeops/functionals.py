@@ -52,10 +52,6 @@ class MomentFunctional:
         self._moments: List = [field(m) for m in moments]
         self._extender = extender
 
-    @classmethod
-    def from_moments(cls, field: Field, moments: Sequence) -> "MomentFunctional":
-        return cls(field, moments)
-
     @property
     def horizon(self) -> Optional[int]:
         """Largest guaranteed moment index, or None if extendable."""

@@ -100,13 +100,7 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             same_field(self.field, other.field)
-            if self.is_zero or other.is_zero:
-                return Polynomial.zero(self.field)
-            out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return Polynomial(self.field, out)
+            return Polynomial(self.field, mul_coeffs(self.coeffs, other.coeffs))
         s = self.field(other)
         return Polynomial(self.field, [c * s for c in self.coeffs])
 
@@ -155,14 +149,6 @@ class Polynomial:
             [k * c for k, c in enumerate(self.coeffs)][1:],
         )
 
-    def compose_affine(self, lam, tau) -> "Polynomial":
-        """Return p(lam*z + tau)."""
-        inner = Polynomial(self.field, (tau, lam))
-        acc = Polynomial.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + c
-        return acc
-
     def max_abs_coeff(self) -> float:
         if not self.coeffs:
             return 0.0
@@ -193,8 +179,7 @@ def _nonzero(c) -> bool:
 def mul_coeffs(a: Sequence, b: Sequence) -> list:
     """Coefficients of a*b, lowest degree first, untrimmed.
 
-    Each coefficient sums its products in increasing index into `a`, as
-    ``Polynomial.__mul__`` does, so both give the same bigfloat roundings.
+    Each coefficient sums its products in increasing index into `a`.
     """
     out = [None] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):

@@ -7,9 +7,7 @@ import pytest
 
 from latticeops import (
     Lattice,
-    MomentFunctional,
     NotRegularError,
-    OPSequence,
     PearsonPair,
     Polynomial,
     admissibility,
@@ -22,40 +20,9 @@ from latticeops import (
     witness_point,
 )
 from latticeops.characterize import solve_first_characterization
+from latticeops.checks import random_regular_pair, sample_pair
 from latticeops.classical import b_offset, partial_sum_closed
 from latticeops.lattice import LatticeError
-
-
-def sample_pair(lat):
-    field = lat.field
-    phi = Polynomial(field, (Fraction(7, 10), Fraction(-1, 3), Fraction(2, 7)))
-    psi = Polynomial(field, (Fraction(1, 2), Fraction(3, 4)))
-    return PearsonPair(lat, phi, psi)
-
-
-def random_admissible_pair(lat, rng):
-    field = lat.field
-    while True:
-        phi = Polynomial(
-            field,
-            (
-                Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-            ),
-        )
-        psi = Polynomial(
-            field,
-            (
-                Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                Fraction(rng.choice([k for k in range(-9, 10) if k]), rng.randint(1, 9)),
-            ),
-        )
-        if phi.is_zero and psi.is_zero:
-            continue
-        pair = PearsonPair(lat, phi, psi)
-        if regularity(pair, 11).regular:
-            return pair
 
 
 class TestPearsonPair:
@@ -136,7 +103,7 @@ class TestClosedFormTTRR:
         rng = random.Random(2024)
         for lat in (gen_lattice, quad_lattice):
             for _ in range(4):
-                pair = random_admissible_pair(lat, rng)
+                pair = random_regular_pair(lat, rng)
                 closed = ttrr_from_pearson(pair)
                 oracle = ttrr_oracle(pair.moments(), 6)
                 for n in range(7):

@@ -3,9 +3,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-import pytest
-
-from latticeops import FirstCharacterization
+from conftest import run_check
+from latticeops import FirstCharacterization, checks
 from latticeops.cli import main
 
 GEN_LATTICE = '{"kind": "q-quadratic", "q": "4", "c": ["1/2", "1/3", "1/5"]}'
@@ -292,11 +291,25 @@ def test_out_writes_file(capsys, tmp_path):
     assert json.loads(target.read_text())["family"] == "q_hermite"
 
 
-def test_all_battery(capsys):
-    code, out, _ = run(capsys, "all", "--seed", "0")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["passed"] is True
-    names = [c["check"] for c in payload["checks"]]
-    assert "counterexample-4term" in names
-    assert "regularity-biconditional" in names
+ALL_CHECKS = [
+    "operator-identities", "functional-identities", "oracle-equivalence", "rodrigues",
+    "regularity-biconditional", "counterexample-4term", "q-hermite-lower-and-system",
+    "chebyshev-lower-fails-system-passes", "raising-linear-vs-quadratic",
+    "raising-construction-consistency", "asymptotics",
+]
+
+
+def test_all_battery(capsys, monkeypatch):
+    # the seed-0 records are the acceptance tests' own runs
+    monkeypatch.setattr(checks, "run", lambda name, seed: run_check(name, seed)[0])
+    outputs = []
+    for seed in ("0", "0", "1"):
+        code, out, _ = run(capsys, "all", "--seed", seed)
+        assert code == 0
+        payload = json.loads(out)
+        assert [c["check"] for c in payload["checks"]] == ALL_CHECKS
+        assert payload["passed"] is True
+        assert all(c["passed"] is True for c in payload["checks"])
+        assert payload["seed"] == int(seed)
+        outputs.append(out)
+    assert outputs[0] == outputs[1]

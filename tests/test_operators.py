@@ -18,23 +18,17 @@ from latticeops import (
     tnk,
     verify_operator_identity,
 )
+from latticeops.checks import random_poly, reference_lattices
 from latticeops.lattice import LatticeError
 from latticeops.operators import dx_interp, sx_interp
 
-from conftest import lattice_battery
+from conftest import identity_lattices
 
 coeff_lists = st.lists(
     st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=9),
     min_size=2,
     max_size=7,
 )
-
-
-def random_poly(field, rng, max_degree=8):
-    deg = rng.randint(1, max_degree)
-    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(deg)]
-    coeffs.append(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
-    return Polynomial(field, coeffs)
 
 
 class TestFrozenValuesQ4:
@@ -77,7 +71,7 @@ def test_sx_square_general_offset(exact):
 @pytest.mark.parametrize("idx", range(4))
 def test_two_routes_agree(exact, idx):
     """Recurrence-built images match divided-difference interpolation."""
-    lat = lattice_battery(exact)[idx]
+    lat = reference_lattices(exact)[idx]
     rng = random.Random(100 + idx)
     for _ in range(6):
         f = random_poly(exact, rng)
@@ -132,10 +126,10 @@ def test_monomial_action_not_defined_off_q_lattices(quad_lattice):
 
 
 @pytest.mark.parametrize("identity", OPERATOR_IDENTITIES)
-@pytest.mark.parametrize("idx", range(4))
+@pytest.mark.parametrize("idx", range(8))
 def test_identities_exact(exact, identity, idx):
-    lat = lattice_battery(exact)[idx]
-    rng = random.Random(hash((identity, idx)) % (2**31))
+    lat = identity_lattices(exact)[idx]
+    rng = random.Random(f"{identity}:{idx}")
     for _ in range(5):
         f, g = random_poly(exact, rng), random_poly(exact, rng)
         rep = verify_operator_identity(lat, identity, f, g, n=rng.randint(1, 4))
@@ -145,7 +139,7 @@ def test_identities_exact(exact, identity, idx):
 @pytest.mark.parametrize("identity", OPERATOR_IDENTITIES)
 def test_identities_bigfloat(big, identity):
     lat = Lattice(big, Fraction(1, 4), (Fraction(1, 2), Fraction(1, 2), 0))
-    rng = random.Random(hash(identity) % (2**31))
+    rng = random.Random(identity)
     f, g = random_poly(big, rng), random_poly(big, rng)
     rep = verify_operator_identity(lat, identity, f, g, n=2)
     assert rep.passed

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from latticeops import BackendMismatch, Polynomial, interpolate, make_field
+from latticeops.polynomials import add_coeffs, mul_coeffs
 
 coeff = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=9
@@ -62,12 +63,15 @@ def test_divide_by_zero_poly(exact):
         divmod(f, Polynomial.zero(exact))
 
 
-def test_compose_affine(exact):
+def test_coefficient_kernels_match_evaluation(exact):
     f = Polynomial(exact, (2, -1, Fraction(1, 4)))
-    lam, tau = exact(3), exact(Fraction(-1, 2))
-    g = f.compose_affine(lam, tau)
-    z = exact(Fraction(2, 7))
-    assert g(z) == f(lam * z + tau)
+    g = Polynomial(exact, (Fraction(-1, 2), 0, 0, 3))
+    for a, b in ((f, g), (g, f), (f, Polynomial.zero(exact))):
+        prod = Polynomial(exact, mul_coeffs(a.coeffs, b.coeffs))
+        total = Polynomial(exact, add_coeffs(a.coeffs, b.coeffs))
+        for z in (0, 1, Fraction(2, 7), Fraction(-9, 4), exact(1, -2)):
+            assert prod(z) == (a * b)(z) == a(z) * b(z)
+            assert total(z) == (a + b)(z) == a(z) + b(z)
 
 
 def test_derivative(exact):

@@ -16,7 +16,6 @@ ROOT = Path(__file__).resolve().parents[1]
     ["asymptotics_table.py"],
     ["asymptotics_table.py", "--quadratic"],
     ["raising_construction_scan.py", "--count", "2"],
-    ["identity_sweep.py", "--trials", "2"],
 ])
 def test_script_runs(args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
