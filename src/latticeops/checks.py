@@ -161,9 +161,11 @@ def oracle_equivalence(seed: int) -> dict:
     reports = [_closed_vs_oracle(random_regular_pair(lat, rng), 10)
                for lat in (Lattice(EXACT, Fraction(1, 4), GEN[1]), Lattice(EXACT, *QUAD))
                for _ in range(20)]
-    reports += [_closed_vs_oracle(sample_pair(Lattice(EXACT, q, c)), 20)
-                for q, c in PEARSON_LATTICES]
-    return _verdict(reports, pairs=len(reports))
+    pearson = [_closed_vs_oracle(sample_pair(Lattice(EXACT, q, c)), 20)
+               for q, c in PEARSON_LATTICES]
+    return _verdict(reports + pearson, pairs=len(reports) + len(pearson),
+                    pearson_pairs=len(pearson), pearson_n_max=20,
+                    pearson_residual=max(r.residual for r in pearson))
 
 
 def _oracle_zero_level(pair: PearsonPair, n_max: int) -> Optional[int]:

@@ -42,6 +42,12 @@ def test_closed_recurrence_matches_moment_oracle():
     assert record["pairs"] == 46 and record["residual"] == 0.0
 
 
+def test_closed_recurrence_matches_moment_oracle_through_n20():
+    record = record_of("oracle-equivalence")
+    assert record["pearson_pairs"] == 6 and record["pearson_n_max"] == 20
+    assert record["pearson_residual"] == 0.0
+
+
 def test_regularity_biconditional():
     record = record_of("regularity-biconditional")
     assert record["verdict"] == "zero-witness-at-2"
