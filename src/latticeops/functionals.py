@@ -10,6 +10,13 @@ lazily from its parent.  This gives an oracle for everything downstream:
 Pearson moments, the TTRR by the Chebyshev algorithm on the moments alone,
 Hankel determinants (a second, determinant route to the same TTRR), and
 moment-wise checks of the dual-side identities.
+
+The Pearson moment recursion reads the monomial images as packed rows
+(`operators.monomial_rows`, format in `scalars`) and keeps mu_0..mu_n as
+one packed row too.  On the exact backend a step is an integer
+convolution, one integer dot product and one `Fraction` for the new
+moment (plus one for the cross-check of d_n), instead of a `Fraction`
+operation per coefficient.
 """
 
 from __future__ import annotations
@@ -18,9 +25,9 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .lattice import Lattice
-from .operators import dx_monomial, sx_monomial, tnk
-from .polynomials import Polynomial, add_coeffs, mul_coeffs
-from .scalars import Field, Report
+from .operators import dx_monomial, monomial_rows, mul_rows, sx_monomial, tnk
+from .polynomials import Polynomial
+from .scalars import Field, Report, add_rows, join_rows
 
 
 class HorizonError(RuntimeError):
@@ -157,6 +164,11 @@ def pearson_moments(lat: Lattice, pair, mu0=1) -> MomentFunctional:
     a linear recursion for mu_(n+1) whose leading coefficient is the
     admissibility value d_n = a*gamma_n + d*alpha_n; it is cross-checked
     against that closed form on every step.
+
+    The recursion runs on packed rows (`scalars.pack`): g is the product of
+    the packed pair with the packed monomial images, and mu_0..mu_n are
+    kept as one packed row too, so mu_(n+1) is one dot product of the two
+    rows' values divided once; g's denominator cancels from that quotient.
     """
     phi, psi = _pair_polys(pair)
     field = lat.field
@@ -164,24 +176,32 @@ def pearson_moments(lat: Lattice, pair, mu0=1) -> MomentFunctional:
     a = phi.coeff(2)
     d = psi.coeff(1)
     u = MomentFunctional(field, [field(mu0)])
+    phi_row, psi_row = field.pack(phi.coeffs), field.pack(psi.coeffs)
+    moments = field.pack((u.moment(0),))
 
     def ext(k: int):
+        nonlocal moments
         n = k - 1
-        # coefficients of g = phi*D_x z^n + psi*S_x z^n, of degree <= n+1
-        g = add_coeffs(mul_coeffs(phi.coeffs, dx_monomial(lat, n).coeffs),
-                       mul_coeffs(psi.coeffs, sx_monomial(lat, n).coeffs))
-        dn = g[n + 1] if len(g) > n + 1 else field.zero
+        # g = phi*D_x z^n + psi*S_x z^n, of degree <= n+1, as gs / gden
+        dxrow, sxrow = monomial_rows(lat, n)
+        gs, gden = add_rows(mul_rows(phi_row, dxrow), mul_rows(psi_row, sxrow))
+        lead = gs[n + 1] if len(gs) > n + 1 else field.zero
+        dn = field.unpack(([lead], gden))[0]
         dn_closed = a * con.gamma_n(n) + d * con.alpha_n(n)
         if not field.approx_eq(dn, dn_closed):
             raise AssertionError(
                 f"leading Pearson coefficient disagrees with d_{n} closed form"
             )
-        if field.is_zero(dn, scale=g):
+        # the scale is read by the bigfloat rule only, whose rows are over 1
+        if field.is_zero(dn, scale=gs):
             raise AdmissibilityError(n)
-        acc = field.zero
-        for j in range(n + 1):
-            acc = acc + g[j] * u.moment(j)
-        return -acc / dn
+        ms, mden = moments
+        acc = gs[0] * ms[0]
+        for j in range(1, n + 1):
+            acc = acc + gs[j] * ms[j]
+        mu = field.unpack(([-acc], mden * lead))[0]
+        moments = join_rows(moments, field.pack((mu,)))
+        return mu
 
     u._extender = ext
     return u

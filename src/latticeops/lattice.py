@@ -10,8 +10,8 @@ linear.  Each lattice owns the constants alpha and beta, the memoized
 sequences alpha_n, beta_n, gamma_n, and the fundamental polynomials U1,
 U2 driving the operator calculus.
 
-The sequence tables are filled from the closed forms; the defining
-recurrences are kept as a self-check (`LatticeConstants.self_check`).
+The sequence tables are filled from the closed forms; the test suite
+checks them against the defining recurrences.
 Exact-backend lattices require sqrt(q) to be rational, because the
 operators evaluate x at half-integer s.
 """
@@ -72,7 +72,6 @@ class LatticeConstants:
         else:
             self.alpha = field.one
             self.beta = lattice.c[0] / 4
-        self._gamma_fact: List = [field.one]
 
     def _grow(self, n: int) -> None:
         if n > self.table_horizon:
@@ -116,40 +115,6 @@ class LatticeConstants:
         # ((q^(n/4)-q^(-n/4))/(q^(1/4)-q^(-1/4)))^2 written with integer
         # powers of sqrt(q) so the exact backend never needs quarter powers
         return self.beta * (self._tp[n] - 2 + self._tn[n]) / self._beta_den
-
-    def gamma_factorial(self, n: int):
-        if n < 0:
-            raise LatticeError("gamma factorial is defined for n >= 0 only")
-        while len(self._gamma_fact) <= n:
-            k = len(self._gamma_fact)
-            self._gamma_fact.append(self._gamma_fact[-1] * self.gamma_n(k))
-        return self._gamma_fact[n]
-
-    def self_check(self, n_max: int = 64) -> None:
-        """Assert the defining recurrences against the closed forms."""
-        lat = self.lattice
-        field = lat.field
-        ok = field.approx_eq
-        assert ok(self.alpha_n(0), field.one)
-        assert ok(self.gamma_n(0), field.zero)
-        assert ok(self.beta_n(0), field.zero)
-        assert ok(self.alpha_n(1), self.alpha)
-        assert ok(self.gamma_n(1), field.one)
-        assert ok(self.beta_n(1), self.beta)
-        assert ok(self.alpha_n(-1), self.alpha)
-        assert ok(self.gamma_n(-1), -field.one)
-        two_alpha = 2 * self.alpha
-        for n in range(1, n_max):
-            assert ok(
-                self.alpha_n(n + 1), two_alpha * self.alpha_n(n) - self.alpha_n(n - 1)
-            )
-            assert ok(
-                self.gamma_n(n + 1), self.gamma_n(n - 1) + 2 * self.alpha_n(n)
-            )
-            assert ok(
-                self.beta_n(n + 1),
-                2 * self.beta_n(n) - self.beta_n(n - 1) + 2 * self.beta * self.alpha_n(n),
-            )
 
 
 class Lattice:

@@ -11,6 +11,14 @@ seeded with D_x z = 1 and the degree-one average S_x z.  These involve
 no divided differences of evaluations, so they stay numerically stable
 on lattices whose nodes spread exponentially.
 
+Each lattice keeps both tables as packed rows (`scalars.pack`): on the
+exact backend a row of real coefficients is a list of Python ints over
+one denominator, so a recurrence step is an integer convolution and one
+gcd.  `monomial_rows` hands the packed rows to the Pearson moment
+recursion; `dx_monomial` and `sx_monomial` unpack a row into a
+`Polynomial` the first time it is asked for and keep it, and `dx` and
+`sx` expand their argument over those Polynomials.
+
 A second, fully independent route (`dx_interp`, `sx_interp`) evaluates
 the argument at x(s +- 1/2) over interpolation nodes and interpolates
 the result back into the monomial basis; the test suite cross-checks
@@ -25,8 +33,8 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .lattice import Lattice, LatticeError
-from .polynomials import Polynomial, add_coeffs, interpolate, mul_coeffs
-from .scalars import Report
+from .polynomials import Polynomial, interpolate, mul_coeffs
+from .scalars import Report, add_rows
 
 HALF = Fraction(1, 2)
 
@@ -72,6 +80,11 @@ def sx_interp(lat: Lattice, f: Polynomial) -> Polynomial:
     return interpolate(lat.field, pts)
 
 
+def mul_rows(a, b) -> tuple:
+    """The packed row of the product of the polynomials with packed rows a and b."""
+    return mul_coeffs(a[0], b[0]), a[1] * b[1]
+
+
 def _monomial_cache(lat: Lattice) -> dict:
     cache = getattr(lat, "_monomial_images", None)
     if cache is None:
@@ -81,40 +94,48 @@ def _monomial_cache(lat: Lattice) -> dict:
             sz = Polynomial(field, ((field.one - alpha) * lat.c[2], alpha))
         else:
             sz = Polynomial(field, (lat.constants.beta, field.one))
+        one, szrow = field.pack((field.one,)), field.pack(sz.coeffs)
         cache = {
-            "dx": [Polynomial.zero(field), Polynomial.one(field)],
-            "sx": [Polynomial.one(field), sz],
-            "sz": sz.coeffs,
-            "u2": lat.u2().coeffs,
+            "dx": [field.pack(()), one],
+            "sx": [one, szrow],
+            # the recurrences' multipliers S_x z and U2
+            "mul": (szrow, field.pack(lat.u2().coeffs)),
+            # (kind, n) -> the unpacked Polynomial, made on first request
+            "polys": {},
         }
         lat._monomial_images = cache
     return cache
 
 
-def _grow_monomial_images(lat: Lattice, n: int) -> dict:
-    """Extend both image tables through degree n, one row per step.
-
-    Each row is built from the previous rows' coefficient lists; only the
-    finished row becomes a Polynomial.
-    """
+def monomial_rows(lat: Lattice, n: int) -> tuple:
+    """The packed rows of D_x z^n and S_x z^n, extending both tables through degree n."""
     cache = _monomial_cache(lat)
-    dximg, sximg = cache["dx"], cache["sx"]
-    sz, u2 = cache["sz"], cache["u2"]
-    field = lat.field
-    while len(dximg) <= n:
-        d, s = dximg[-1].coeffs, sximg[-1].coeffs
-        dximg.append(Polynomial(field, add_coeffs(s, mul_coeffs(sz, d))))
-        sximg.append(Polynomial(field, add_coeffs(mul_coeffs(u2, d), mul_coeffs(sz, s))))
-    return cache
+    dxrows, sxrows = cache["dx"], cache["sx"]
+    sz, u2 = cache["mul"]
+    while len(dxrows) <= n:
+        d, s = dxrows[-1], sxrows[-1]
+        dxrows.append(add_rows(s, mul_rows(sz, d)))
+        sxrows.append(add_rows(mul_rows(u2, d), mul_rows(sz, s)))
+    return dxrows[n], sxrows[n]
+
+
+def _monomial(lat: Lattice, kind: str, n: int) -> Polynomial:
+    polys = _monomial_cache(lat)["polys"]
+    poly = polys.get((kind, n))
+    if poly is None:
+        dxrow, sxrow = monomial_rows(lat, n)
+        row = dxrow if kind == "dx" else sxrow
+        poly = polys[kind, n] = Polynomial(lat.field, lat.field.unpack(row))
+    return poly
 
 
 def dx_monomial(lat: Lattice, n: int) -> Polynomial:
     """D_x z^n, cached per lattice (the moment transforms hit these hard)."""
-    return _grow_monomial_images(lat, n)["dx"][n]
+    return _monomial(lat, "dx", n)
 
 
 def sx_monomial(lat: Lattice, n: int) -> Polynomial:
-    return _grow_monomial_images(lat, n)["sx"][n]
+    return _monomial(lat, "sx", n)
 
 
 def dx(lat: Lattice, f: Polynomial) -> Polynomial:
@@ -124,7 +145,7 @@ def dx(lat: Lattice, f: Polynomial) -> Polynomial:
         return f.derivative()
     out = Polynomial.zero(lat.field)
     for k in range(1, f.degree + 1):
-        out = out + f.coeff(k) * dx_monomial(lat, k)
+        out = out + dx_monomial(lat, k) * f.coeff(k)
     return out
 
 
@@ -133,7 +154,7 @@ def sx(lat: Lattice, f: Polynomial) -> Polynomial:
         return f
     out = Polynomial(lat.field, (f.coeff(0),))
     for k in range(1, f.degree + 1):
-        out = out + f.coeff(k) * sx_monomial(lat, k)
+        out = out + sx_monomial(lat, k) * f.coeff(k)
     return out
 
 

@@ -189,11 +189,6 @@ def mul_coeffs(a: Sequence, b: Sequence) -> list:
     return out
 
 
-def add_coeffs(a: Sequence, b: Sequence) -> list:
-    """Coefficients of a + b, lowest degree first, untrimmed."""
-    return [x + y for x, y in zip(a, b)] + list(a[len(b):] or b[len(a):])
-
-
 def interpolate(field: Field, points: Sequence[tuple]) -> Polynomial:
     """Interpolating polynomial through (z, w) pairs via Newton form.
 

@@ -30,6 +30,18 @@ paired lists, such as polynomial coefficients or moments up to a horizon.
 ``report`` runs ``compare`` over a list of such slots and returns the one
 ``Report`` shape every pass/fail check uses; ``failing`` names the value
 a failed check hinges on.
+
+Coefficient rows that are built by long recurrences (the monomial images
+and the Pearson moments) travel *packed*: a pair ``(values, den)`` that
+stands for ``[v / den for v in values]``.  ``pack`` makes one and
+``unpack`` turns it back into scalars.  The exact backend packs a list of
+real ``Fraction``s as Python-int numerators over their least common
+denominator, so a recurrence step is integer arithmetic with one gcd per
+row instead of one per coefficient; a list holding a ``QRational``, and
+every bigfloat list, packs as its values over 1.  ``add_rows`` and
+``join_rows`` combine packed rows of either kind, so the code that runs
+the recurrences is the same on both backends, and on bigfloat it makes
+the same operations in the same order as on plain scalars.
 """
 
 from __future__ import annotations
@@ -38,7 +50,7 @@ import os
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from itertools import chain, zip_longest
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, List, Optional, Tuple, Union
 
 DEFAULT_PRECISION = 128
@@ -375,6 +387,22 @@ class ExactField(_Comparator):
             return _fraction_str(a)
         return f"{_fraction_str(a.re)}{'+' if a.im >= 0 else ''}{_fraction_str(a.im)}i"
 
+    def pack(self, values) -> Tuple[list, int]:
+        """Real values as int numerators over their least common denominator.
+
+        The row is reduced: no integer > 1 divides the denominator and every
+        numerator.  A list holding a ``QRational`` packs as its values over 1.
+        """
+        values = [self(v) for v in values]
+        if any(type(v) is not Fraction for v in values):
+            return values, 1
+        den = lcm(*(v.denominator for v in values))
+        return [v.numerator * (den // v.denominator) for v in values], den
+
+    def unpack(self, row) -> list:
+        values, den = row
+        return [self(_quotient(v, den)) for v in values]
+
     def __repr__(self):
         return "ExactField()"
 
@@ -495,6 +523,13 @@ class BigFloatField(_Comparator):
             return self.ctx.nstr(a.real, digits)
         return self.ctx.nstr(a, digits)
 
+    def pack(self, values) -> Tuple[list, int]:
+        return [self(v) for v in values], 1
+
+    def unpack(self, row) -> list:
+        values, den = row
+        return [v / den for v in values]
+
     def __repr__(self):
         return f"BigFloatField(precision={self.precision})"
 
@@ -508,6 +543,51 @@ def make_field(backend: str, precision: Optional[int] = None, eps=None) -> Field
     if backend == "bigfloat":
         return BigFloatField(precision=precision, eps=eps)
     raise ValueError(f"unknown backend {backend!r}; expected 'exact' or 'bigfloat'")
+
+
+def _quotient(v, den):
+    """v / den, as an exact Fraction when both are ints."""
+    if type(v) is int and type(den) is int:
+        return Fraction(v, den)
+    return v / den
+
+
+def _over(a, b) -> Tuple[list, list, int]:
+    """The values of packed rows a and b, rescaled to their least common denominator."""
+    (x, xden), (y, yden) = a, b
+    if xden == yden:
+        return x, y, xden
+    g = gcd(xden, yden)
+    xs, ys = yden // g, xden // g
+    return [v * xs for v in x], [v * ys for v in y], xden * xs
+
+
+def add_rows(a, b) -> Tuple[list, int]:
+    """The packed row of a + b, entry by entry, with trailing zeros trimmed.
+
+    An int row is reduced by one gcd; any other row over a denominator
+    other than 1 is divided out to a row over 1.
+    """
+    x, y, den = _over(a, b)
+    out = [u + v for u, v in zip(x, y)] + list(x[len(y):] or y[len(x):])
+    while out and out[-1] == 0:
+        out.pop()
+    if den == 1:
+        return out, 1
+    if all(type(v) is int for v in out):
+        g = gcd(den, *out)
+        return ([v // g for v in out], den // g) if g > 1 else (out, den)
+    return [_quotient(v, den) for v in out], 1
+
+
+def join_rows(a, b) -> Tuple[list, int]:
+    """The packed row of a's entries followed by b's.
+
+    Over the least common denominator of two reduced rows the result is
+    reduced too, so no gcd is taken.
+    """
+    x, y, den = _over(a, b)
+    return x + y, den
 
 
 def same_field(a: Field, b: Field) -> None:

@@ -30,6 +30,17 @@ EXTRA_LATTICES = [
 ]
 
 
+# the six lattices of the pearson-exact benchmark workload, every sqrt(q) rational
+PEARSON_LATTICES = (
+    {"q": "1/4", "c": ["1/2", "1/2", "0"]},
+    {"q": "4", "c": ["1/2", "1/3", "1/5"]},
+    {"q": "1/9", "c": ["1/2", "1/2", "0"]},
+    {"q": "25/4", "c": ["1/3", "1/2", "1/7"]},
+    {"q": "1", "c": ["2", "1/3", "-1/4"]},
+    {"q": "1", "c": ["0", "1", "0"]},
+)
+
+
 def identity_lattices(field):
     return reference_lattices(field) + [Lattice(field, q, c) for q, c in EXTRA_LATTICES]
 

@@ -19,16 +19,18 @@ from latticeops import (
     TTRRCoeffs,
     dual_dx,
     dual_sx,
+    dx,
     hankel_dets,
     left_mul,
     make_field,
+    sx,
     ttrr_oracle,
     verify_functional_identity,
 )
 from latticeops.checks import random_functional
 from latticeops.functionals import dual_dx_pow, pearson_moments
 
-from conftest import identity_lattices
+from conftest import PEARSON_LATTICES, identity_lattices
 
 small_fracs = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6
@@ -78,15 +80,11 @@ class TestMomentFunctional:
 
 class TestDualOperators:
     def test_dual_dx_pairing(self, gen_lattice, exact):
-        from latticeops import dx
-
         u = random_functional(exact, 3)
         f = Polynomial(exact, (Fraction(1, 2), 0, -3, 1))
         assert dual_dx(gen_lattice, u).apply(f) == -u.apply(dx(gen_lattice, f))
 
     def test_dual_sx_pairing(self, gen_lattice, exact):
-        from latticeops import sx
-
         u = random_functional(exact, 5)
         f = Polynomial(exact, (2, -1, 0, Fraction(5, 7)))
         assert dual_sx(gen_lattice, u).apply(f) == u.apply(sx(gen_lattice, f))
@@ -131,23 +129,35 @@ class TestPearsonMoments:
         psi = Polynomial(exact, (Fraction(1, 2), Fraction(3, 4)))
         pair = PearsonPair(gen_lattice, phi, psi)
         u = pearson_moments(gen_lattice, pair)
-        from latticeops import dx, sx
-
         z = Polynomial.monomial(exact, 1)
         probe = phi * dx(gen_lattice, z) + psi * sx(gen_lattice, z)
         assert u.apply(probe) == exact.zero
         assert u.moment(0) == exact.one
 
-    def test_all_probes_vanish(self, quad_lattice, exact):
+    def test_all_probes_vanish(self, exact):
+        """The packed recursion against <u, phi D_x z^n + psi S_x z^n> = 0
+        evaluated with Polynomial arithmetic, through n = 41."""
         phi = Polynomial(exact, (Fraction(7, 10), Fraction(-1, 3), Fraction(2, 7)))
         psi = Polynomial(exact, (Fraction(1, 2), Fraction(3, 4)))
-        pair = PearsonPair(quad_lattice, phi, psi)
-        u = pearson_moments(quad_lattice, pair)
-        from latticeops import dx, sx
+        for spec in PEARSON_LATTICES:
+            lat = Lattice.from_json(exact, spec)
+            u = pearson_moments(lat, PearsonPair(lat, phi, psi))
+            for n in range(1, 42):
+                zn = Polynomial.monomial(exact, n)
+                probe = phi * dx(lat, zn) + psi * sx(lat, zn)
+                assert u.apply(probe) == exact.zero
 
-        for n in range(1, 8):
+    def test_gaussian_pair_probes_vanish(self, exact):
+        """A pair with non-real coefficients takes the QRational rows."""
+        lat = Lattice(exact, 4, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))
+        phi = Polynomial(exact, (exact(Fraction(1, 3), Fraction(1, 2)), Fraction(-1, 3),
+                                 Fraction(2, 7)))
+        psi = Polynomial(exact, (Fraction(1, 2), exact(Fraction(3, 4), Fraction(1, 5))))
+        u = pearson_moments(lat, PearsonPair(lat, phi, psi))
+        assert all(exact.im(m) for m in u.moments(16)[1:])
+        for n in range(1, 16):
             zn = Polynomial.monomial(exact, n)
-            probe = phi * dx(quad_lattice, zn) + psi * sx(quad_lattice, zn)
+            probe = phi * dx(lat, zn) + psi * sx(lat, zn)
             assert u.apply(probe) == exact.zero
 
     def test_mu0_scaling(self, gen_lattice, exact):
@@ -167,8 +177,24 @@ class TestPearsonMoments:
         psi = Polynomial(exact, (0, d))
         pair = PearsonPair(gen_lattice, phi, psi)
         u = pearson_moments(gen_lattice, pair)
-        with pytest.raises(AdmissibilityError):
+        with pytest.raises(AdmissibilityError) as exc:
             u.moments(8)
+        assert exc.value.n == 2
+
+    def test_inadmissible_pair_stops_at_the_zero_of_d_n(self, exact):
+        """d_5 = 0 on every Pearson lattice: mu_0..mu_5 exist, and every
+        request beyond them stops at n = 5."""
+        for spec in PEARSON_LATTICES:
+            lat = Lattice.from_json(exact, spec)
+            con = lat.constants
+            phi = Polynomial(exact, (1, Fraction(1, 3), -con.alpha_n(5)))
+            psi = Polynomial(exact, (Fraction(1, 2), con.gamma_n(5)))
+            u = pearson_moments(lat, PearsonPair(lat, phi, psi))
+            for _ in range(2):
+                with pytest.raises(AdmissibilityError) as exc:
+                    u.moments(12)
+                assert exc.value.n == 5
+            assert len(u.moments(5)) == 6
 
 
 class TestTTRR:

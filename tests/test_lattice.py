@@ -78,11 +78,21 @@ class TestFrozenValuesQ4:
 
 
 class TestRecurrences:
-    def check(self, lat):
+    """The closed-form tables against their initial values and defining recurrences."""
+
+    def check(self, lat, n_max):
         field = lat.field
         con = lat.constants
         alpha, beta = con.alpha, con.beta
-        for n in range(1, 12):
+        assert con.alpha_n(0) == field.one
+        assert con.gamma_n(0) == field.zero
+        assert con.beta_n(0) == field.zero
+        assert con.alpha_n(1) == alpha
+        assert con.gamma_n(1) == field.one
+        assert con.beta_n(1) == beta
+        assert con.alpha_n(-1) == alpha
+        assert con.gamma_n(-1) == -field.one
+        for n in range(1, n_max):
             assert con.alpha_n(n + 1) == 2 * alpha * con.alpha_n(n) - con.alpha_n(n - 1)
             assert con.gamma_n(n + 1) - con.gamma_n(n - 1) == 2 * con.alpha_n(n)
             assert (
@@ -93,13 +103,13 @@ class TestRecurrences:
     @given(qs)
     def test_q_lattice(self, q):
         exact = make_field("exact")
-        self.check(Lattice(exact, q, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))))
+        self.check(Lattice(exact, q, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))), 12)
 
     def test_quadratic_lattice(self, quad_lattice):
-        self.check(quad_lattice)
+        self.check(quad_lattice, 64)
 
-    def test_self_check_passes(self, gen_lattice):
-        gen_lattice.constants.self_check(16)
+    def test_gen_lattice(self, gen_lattice):
+        self.check(gen_lattice, 64)
 
 
 def test_q1_sequences_are_polynomial(quad_lattice, exact):
@@ -129,14 +139,6 @@ def test_u1_u2_quadratic(quad_lattice, exact):
     assert quad_lattice.u2() == c4 * (z - c6) + Polynomial(
         exact, (c5 * c5 / exact(4),)
     )
-
-
-def test_gamma_factorial(gen_lattice, exact):
-    con = gen_lattice.constants
-    prod = exact.one
-    for k in range(1, 6):
-        prod = prod * con.gamma_n(k)
-    assert con.gamma_factorial(5) == prod
 
 
 def test_json_roundtrip(exact, gen_lattice):

@@ -20,9 +20,9 @@ from latticeops import (
 )
 from latticeops.checks import random_poly, reference_lattices
 from latticeops.lattice import LatticeError
-from latticeops.operators import dx_interp, sx_interp
+from latticeops.operators import dx_interp, dx_monomial, sx_interp, sx_monomial
 
-from conftest import identity_lattices
+from conftest import PEARSON_LATTICES, identity_lattices
 
 coeff_lists = st.lists(
     st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=9),
@@ -77,6 +77,34 @@ def test_two_routes_agree(exact, idx):
         f = random_poly(exact, rng)
         assert dx(lat, f) == dx_interp(lat, f)
         assert sx(lat, f) == sx_interp(lat, f)
+
+
+@pytest.mark.parametrize("idx", range(len(PEARSON_LATTICES)))
+def test_monomial_images_match_interpolation(exact, idx):
+    """High-degree rows of the packed image tables, unpacked, against divided differences of z^n."""
+    lat = Lattice.from_json(exact, PEARSON_LATTICES[idx])
+    for n in (17, 29, 41):
+        zn = Polynomial.monomial(exact, n)
+        assert dx_monomial(lat, n) == dx_interp(lat, zn)
+        assert sx_monomial(lat, n) == sx_interp(lat, zn)
+
+
+def test_bigfloat_dx_sx_never_format_polynomials(big, monkeypatch):
+    """dx and sx multiply each image by its scalar from the Polynomial side.
+
+    The other order makes mpmath try to convert the Polynomial first and
+    format it with repr for its error message before Python falls back.
+    """
+    lat = Lattice(big, Fraction(1, 4), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))
+    f = Polynomial(big, (1, Fraction(-1, 2), Fraction(2, 3), 0, 3, Fraction(3, 5)))
+    expected = dx(lat, f), sx(lat, f)
+
+    def refuse(self):
+        raise AssertionError("Polynomial.__repr__ was called")
+
+    monkeypatch.setattr(Polynomial, "__repr__", refuse)
+    assert (dx(lat, f), sx(lat, f)) == expected
+    assert expected[0].degree == 4 and expected[1].degree == 5
 
 
 def test_two_routes_agree_bigfloat(big):

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from latticeops import BackendMismatch, Polynomial, interpolate, make_field
-from latticeops.polynomials import add_coeffs, mul_coeffs
+from latticeops.operators import mul_rows
+from latticeops.polynomials import mul_coeffs
+from latticeops.scalars import add_rows
 
 coeff = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=9
@@ -66,12 +68,15 @@ def test_divide_by_zero_poly(exact):
 def test_coefficient_kernels_match_evaluation(exact):
     f = Polynomial(exact, (2, -1, Fraction(1, 4)))
     g = Polynomial(exact, (Fraction(-1, 2), 0, 0, 3))
-    for a, b in ((f, g), (g, f), (f, Polynomial.zero(exact))):
+    h = Polynomial(exact, (exact(1, 2), Fraction(1, 3)))
+    for a, b in ((f, g), (g, f), (f, Polynomial.zero(exact)), (f, h), (h, g)):
+        ra, rb = exact.pack(a.coeffs), exact.pack(b.coeffs)
         prod = Polynomial(exact, mul_coeffs(a.coeffs, b.coeffs))
-        total = Polynomial(exact, add_coeffs(a.coeffs, b.coeffs))
+        packed_prod = Polynomial(exact, exact.unpack(mul_rows(ra, rb)))
+        packed_total = Polynomial(exact, exact.unpack(add_rows(ra, rb)))
         for z in (0, 1, Fraction(2, 7), Fraction(-9, 4), exact(1, -2)):
-            assert prod(z) == (a * b)(z) == a(z) * b(z)
-            assert total(z) == (a + b)(z) == a(z) + b(z)
+            assert prod(z) == packed_prod(z) == (a * b)(z) == a(z) * b(z)
+            assert packed_total(z) == (a + b)(z) == a(z) + b(z)
 
 
 def test_derivative(exact):

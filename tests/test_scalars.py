@@ -19,6 +19,7 @@ from latticeops import (
     ScalarDomainError,
     make_field,
 )
+from latticeops.scalars import add_rows, join_rows
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -90,6 +91,23 @@ class TestExactField:
         z = qr(1, -2)
         assert (exact.re(z), exact.im(z)) == (1, -2)
         assert (exact.to_json(z), exact.to_str(z)) == (["1", "-2"], "1-2i")
+
+    def test_packed_rows(self, exact, big):
+        """Real rows pack to reduced ints over one denominator; QRational and
+        bigfloat rows pack over 1."""
+        row = exact.pack((Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6), 0))
+        assert row == ([3, 2, -5, 0], 6)
+        assert exact.unpack(row) == [Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6), 0]
+        assert all(type(v) is Fraction for v in exact.unpack(row))
+        assert exact.pack((Fraction(1, 2), qr(1, 2))) == ([Fraction(1, 2), qr(1, 2)], 1)
+        # 1/2 + 1/2 and 1/2 - 1/2: one gcd reduces the sum, the zero is trimmed
+        assert add_rows(([1, 1], 2), ([1, -1], 2)) == ([1], 1)
+        assert add_rows(([1], 2), ([1, 1], 3)) == ([5, 2], 6)
+        assert join_rows(([1], 2), ([1], 3)) == ([3, 2], 6)
+        mixed = add_rows(([1], 2), exact.pack((qr(0, 1),)))
+        assert exact.unpack(mixed) == [qr(Fraction(1, 2), 1)]
+        values, den = big.pack((1, Fraction(1, 3)))
+        assert den == 1 and big.unpack((values, den)) == values == [big(1), big(Fraction(1, 3))]
 
     def test_sqrt_of_square(self, exact):
         assert exact.sqrt(exact(Fraction(9, 4))) == exact(Fraction(3, 2))
