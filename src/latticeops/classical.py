@@ -20,6 +20,7 @@ from typing import List, Optional, Tuple
 
 from .functionals import (
     AdmissibilityError,
+    InternalCheckError,
     MomentFunctional,
     OPSequence,
     TTRRCoeffs,
@@ -34,10 +35,6 @@ from .lattice import Lattice, LatticeError
 from .operators import dx, sx
 from .polynomials import Polynomial
 from .scalars import Field, Report, encode_fields
-
-
-class InternalCheckError(RuntimeError):
-    """Two supposedly equivalent computation routes disagreed."""
 
 
 class PearsonPair:
@@ -119,7 +116,7 @@ class PearsonPair:
                 ("phi", phi_next, phi_closed),
                 ("psi", psi_next, psi_closed),
             ):
-                if not field.compare(rec.coeffs, closed.coeffs)[1]:
+                if not field.report(f"{name}^[{j}]", [(rec.coeffs, closed.coeffs)]).passed:
                     raise InternalCheckError(
                         f"{name}^[{j}] closed form disagrees with the recursion"
                     )
@@ -250,26 +247,14 @@ class RegularityReport:
         return {
             "regular": self.regular,
             "verdict": self.verdict,
-            "rows": [
-                {
-                    "n": r.n,
-                    "d_n": field.to_json(r.d_n),
-                    "e_n": field.to_json(r.e_n),
-                    "witness": field.to_json(r.witness),
-                    "witness_zero": r.witness_zero,
-                }
-                for r in self.rows
-            ],
+            "rows": [encode_fields(field, r) for r in self.rows],
         }
 
 
 def witness_point(pair: PearsonPair, n: int):
     """The point where phi^[n] must not vanish for u to stay regular."""
     lat = pair.lattice
-    dn2 = pair.d_value(2 * n)
-    if pair.field.is_zero(dn2):
-        raise AdmissibilityError(2 * n)
-    ratio = pair.e_value(n) / dn2
+    ratio = pair.e_value(n) / _checked_d(pair, 2 * n)
     if lat.is_q_lattice:
         return lat.c[2] - ratio
     return -lat.constants.beta * (n * n) - ratio
@@ -345,7 +330,7 @@ def ttrr_from_pearson(pair: PearsonPair) -> TTRRCoeffs:
         n = m - 1
         phi_n, _ = pair.iterated(n, validate=False)
         w = phi_n(witness_point(pair, n))
-        gamma_next = con.gamma_n(n + 1) if lat.is_q_lattice else field(n + 1)
+        gamma_next = con.gamma_n(n + 1)
         if n == 0:
             # d_(n-1) appears in both numerator and denominator; cancel it
             # so pairs with d_(-1) = 0 still get their valid C_1

@@ -10,7 +10,7 @@ the coordinates of the lattice it was requested on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
 from .functionals import TTRRCoeffs
@@ -247,11 +247,7 @@ class RestrictionReport:
     detail: str = ""
 
     def to_json(self):
-        return {
-            "ok": self.ok,
-            "first_violation": self.first_violation,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def check_restrictions(spec: FamilySpec, n_max: int) -> RestrictionReport:

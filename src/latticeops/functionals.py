@@ -30,6 +30,10 @@ from .polynomials import Polynomial
 from .scalars import Field, Report, add_rows, join_rows
 
 
+class InternalCheckError(RuntimeError):
+    """Two supposedly equivalent computation routes disagreed."""
+
+
 class HorizonError(RuntimeError):
     """A fixed moment table was asked beyond its last entry."""
 
@@ -189,7 +193,7 @@ def pearson_moments(lat: Lattice, pair, mu0=1) -> MomentFunctional:
         dn = field.unpack(([lead], gden))[0]
         dn_closed = a * con.gamma_n(n) + d * con.alpha_n(n)
         if not field.approx_eq(dn, dn_closed):
-            raise AssertionError(
+            raise InternalCheckError(
                 f"leading Pearson coefficient disagrees with d_{n} closed form"
             )
         # the scale is read by the bigfloat rule only, whose rows are over 1

@@ -52,9 +52,8 @@ def _as_half_integer(s) -> Fraction:
 class LatticeConstants:
     """alpha, beta and the sequences alpha_n, beta_n, gamma_n (n >= -1)."""
 
-    def __init__(self, lattice: "Lattice", table_horizon: int = DEFAULT_TABLE_HORIZON):
+    def __init__(self, lattice: "Lattice"):
         self.lattice = lattice
-        self.table_horizon = table_horizon
         field = lattice.field
         self._is_q = lattice.is_q_lattice
         if self._is_q:
@@ -74,9 +73,9 @@ class LatticeConstants:
             self.beta = lattice.c[0] / 4
 
     def _grow(self, n: int) -> None:
-        if n > self.table_horizon:
+        if n > DEFAULT_TABLE_HORIZON:
             raise LatticeError(
-                f"sequence index {n} exceeds the table horizon {self.table_horizon}"
+                f"sequence index {n} exceeds the table horizon {DEFAULT_TABLE_HORIZON}"
             )
         while len(self._tp) <= n:
             self._tp.append(self._tp[-1] * self._t)
@@ -120,7 +119,7 @@ class LatticeConstants:
 class Lattice:
     """A concrete lattice over a scalar field."""
 
-    def __init__(self, field: Field, q, c, table_horizon: int = DEFAULT_TABLE_HORIZON):
+    def __init__(self, field: Field, q, c):
         self.field = field
         q = field(q)
         if len(c) != 3:
@@ -150,7 +149,7 @@ class Lattice:
                 raise LatticeError("a q=1 lattice needs (c4, c5, c6) != (0, 0, 0)")
             self.sqrt_q = field.one
             self.kind = "quadratic" if self.c[0] != field.zero else "linear"
-        self.constants = LatticeConstants(self, table_horizon)
+        self.constants = LatticeConstants(self)
 
     @property
     def is_constant(self) -> bool:
@@ -243,12 +242,12 @@ class Lattice:
         }
 
     @classmethod
-    def from_json(cls, field: Field, obj, table_horizon: int = DEFAULT_TABLE_HORIZON):
+    def from_json(cls, field: Field, obj):
         if not isinstance(obj, dict) or "q" not in obj or "c" not in obj:
             raise LatticeError("lattice spec must be an object with 'q' and 'c'")
         q = field.from_json(obj["q"])
         c = [field.from_json(v) for v in obj["c"]]
-        lat = cls(field, q, c, table_horizon)
+        lat = cls(field, q, c)
         declared = obj.get("kind")
         if declared is not None and declared != lat.kind:
             raise LatticeError(

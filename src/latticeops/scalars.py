@@ -17,19 +17,24 @@ Every algorithm in the package receives scalars produced by one of these
 fields and combines them only through arithmetic operators, so the two
 backends are drop-in replacements for each other.
 
-Every "zero or not" verdict is decided here, by one rule per backend:
+Every "zero or not" verdict is decided here, by one method per backend,
+``_vanishes(values, scale)``:
 
-* exact: a value is zero when it equals zero, nothing else;
-* bigfloat: a value is zero when its magnitude is at most
-  ``eps * max(1, scale)``, where the scale is the largest magnitude among
-  the scalars it is measured against.
+* exact: every value equals zero; ``scale`` is not read;
+* bigfloat: the largest magnitude among the values is at most
+  ``eps * max(1, |s| for s in scale)``, where ``scale`` holds the scalars
+  the values are measured against; all of it is computed in the field's
+  own mpmath context, so magnitudes beyond the range of a Python float
+  are decided like any others.
 
-``is_zero`` applies the rule to one scalar, ``vanish`` to a list of
-values (with their float magnitudes for reports), and ``compare`` to two
-paired lists, such as polynomial coefficients or moments up to a horizon.
-``report`` runs ``compare`` over a list of such slots and returns the one
-``Report`` shape every pass/fail check uses; ``failing`` names the value
-a failed check hinges on.
+The verdict methods are shared code on top of it: ``is_zero`` decides one
+scalar, ``approx_eq`` the difference of two scalars measured against both,
+``vanish`` a list of values, and ``report`` every slot of a check, a pair
+of scalar lists such as polynomial coefficients or moments up to a
+horizon, gathered into the one ``Report`` shape every pass/fail check
+uses.  Float magnitudes appear only in what a report shows: its
+residuals, and the value ``failing`` names as the one a failed check
+hinges on.
 
 Coefficient rows that are built by long recurrences (the monomial images
 and the Pearson moments) travel *packed*: a pair ``(values, den)`` that
@@ -249,22 +254,21 @@ class Report:
 
 
 class _Comparator:
-    """The paired comparison and its report, shared by both backends through ``vanish``."""
+    """The verdict methods shared by both backends; each decides through ``_vanishes``."""
 
-    def _differences(self, lhs: Iterable, rhs: Iterable) -> Tuple[List, List[float], bool]:
-        pairs = list(zip_longest(lhs, rhs, fillvalue=self.zero))
-        diffs = [a - b for a, b in pairs]
-        residuals, passed = self.vanish(diffs, chain.from_iterable(pairs))
-        return diffs, residuals, passed
+    def is_zero(self, a, scale: Iterable = ()) -> bool:
+        """Whether `a` vanishes, measured against the scalars of `scale`."""
+        return self._vanishes([a], scale)
 
-    def compare(self, lhs: Iterable, rhs: Iterable) -> Tuple[float, bool]:
-        """Largest |a - b| over paired scalars, and whether all differences vanish.
+    def approx_eq(self, a, b) -> bool:
+        """Whether a - b vanishes, measured against a and b."""
+        a, b = self(a), self(b)
+        return self._vanishes([a - b], (a, b))
 
-        The shorter side is padded with zeros; each difference is measured
-        against every scalar on both sides.
-        """
-        _, residuals, passed = self._differences(lhs, rhs)
-        return max(residuals, default=0.0), passed
+    def vanish(self, values: Iterable, scale: Iterable = ()) -> Tuple[List[float], bool]:
+        """Float magnitudes of `values`, and whether they all vanish against `scale`."""
+        values = list(values)
+        return [self.magnitude(v) if v else 0.0 for v in values], self._vanishes(values, scale)
 
     def failing(self, values: Iterable) -> dict:
         """``{"index", "value"}`` of the value a failed verdict hinges on.
@@ -279,10 +283,16 @@ class _Comparator:
 
     def report(self, name: str, slots: Iterable[Tuple[Iterable, Iterable]],
                detail: str = "") -> Report:
-        """``compare`` on every (lhs, rhs) slot, gathered into one ``Report``."""
+        """Every (lhs, rhs) slot, gathered into one ``Report``.
+
+        The shorter side of a slot is padded with zeros, and each difference
+        a - b is measured against every scalar on both sides.
+        """
         rep = Report(name=name, residuals=[], detail=detail)
         for k, (lhs, rhs) in enumerate(slots):
-            diffs, residuals, ok = self._differences(lhs, rhs)
+            pairs = list(zip_longest(lhs, rhs, fillvalue=self.zero))
+            diffs = [a - b for a, b in pairs]
+            residuals, ok = self.vanish(diffs, chain.from_iterable(pairs))
             rep.residuals.append(max(residuals, default=0.0))
             if not ok and rep.first_fail is None:
                 rep.first_fail, rep.failing = k, self.failing(diffs)
@@ -329,19 +339,9 @@ class ExactField(_Comparator):
         a = self(a)
         return a.im if isinstance(a, QRational) else Fraction(0)
 
-    def is_zero(self, a, eps=None, scale: Iterable = ()) -> bool:
-        return not a
-
-    def vanish(self, values: Iterable, scale: Iterable = ()) -> Tuple[List[float], bool]:
-        """Magnitudes of `values`, and whether every one is exactly zero.
-
-        `scale` is ignored; only nonzero values are measured.
-        """
-        values = list(values)
-        return [self.magnitude(v) if v else 0.0 for v in values], not any(values)
-
-    def approx_eq(self, a, b, eps=None) -> bool:
-        return self(a) == self(b)
+    def _vanishes(self, values: Iterable, scale: Iterable) -> bool:
+        """Every value is exactly zero; `scale` is not read."""
+        return not any(values)
 
     def sqrt(self, a):
         a = self(a)
@@ -465,27 +465,10 @@ class BigFloatField(_Comparator):
     def im(self, a):
         return self(a).imag
 
-    def _scale(self, scale: Iterable) -> float:
-        return max([1.0, *(self.magnitude(s) for s in scale)])
-
-    def is_zero(self, a, eps=None, scale: Iterable = ()) -> bool:
-        """|a| <= eps * max(1, |s| for s in scale), in this context's precision."""
-        eps = self.eps if eps is None else self.real(eps)
-        return abs(self(a)) <= eps * self.real(self._scale(scale))
-
-    def vanish(self, values: Iterable, scale: Iterable = ()) -> Tuple[List[float], bool]:
-        """Magnitudes of `values`, and whether the largest is within the bound.
-
-        The bound is eps * max(1, |s| for s in scale), taken in floats.
-        """
-        residuals = [self.magnitude(v) for v in values]
-        bound = self.magnitude(self.eps) * self._scale(scale)
-        return residuals, max(residuals, default=0.0) <= bound
-
-    def approx_eq(self, a, b, eps=None) -> bool:
-        a, b = self(a), self(b)
-        eps = self.eps if eps is None else self.real(eps)
-        return abs(a - b) <= eps * max(self.ctx.mpf(1), abs(a), abs(b))
+    def _vanishes(self, values: Iterable, scale: Iterable) -> bool:
+        """max |v| <= eps * max(1, |s| for s in scale), in this context's precision."""
+        top = max((abs(self(v)) for v in values), default=0)
+        return top <= self.eps * max([self.ctx.mpf(1), *(abs(self(s)) for s in scale)])
 
     def sqrt(self, a):
         return self.ctx.sqrt(self(a))

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import pytest
+
 from conftest import run_check
 from latticeops import FirstCharacterization, checks
 from latticeops.cli import main
@@ -124,6 +126,20 @@ def test_characterize_lower_failure_exit(capsys):
     code, out, _ = run(
         capsys, "characterize", "--relation", "lower", "--family", "chebyshev_u",
         "-N", "6",
+    )
+    assert code == 1
+    assert json.loads(out)["relation"]["first_fail"] == 2
+
+
+# c2 = 10^400: every scale of the relation is beyond the float range
+HUGE_SYM_LATTICE = json.dumps({"q": "1/4", "c": ["1/2", "1" + "0" * 400, "0"]})
+
+
+@pytest.mark.parametrize("backend", ["exact", "bigfloat"])
+def test_characterize_lower_failure_beyond_the_float_range(capsys, backend):
+    code, out, _ = run(
+        capsys, "--backend", backend, "characterize", "--relation", "lower",
+        "--family", "chebyshev_u", "-N", "4", "--lattice", HUGE_SYM_LATTICE,
     )
     assert code == 1
     assert json.loads(out)["relation"]["first_fail"] == 2
@@ -261,6 +277,25 @@ def test_internal_check_failure_exits_one(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "internal check failed: two d_0 formulas disagree\n"
+
+
+def test_moment_cross_check_failure_exits_one(capsys, monkeypatch):
+    from latticeops import functionals
+
+    rows = functionals.monomial_rows
+
+    def doubled_sx(lat, n):
+        dxrow, (sx, den) = rows(lat, n)
+        return dxrow, ([2 * v for v in sx], den)
+
+    monkeypatch.setattr(functionals, "monomial_rows", doubled_sx)
+    code, out, err = run(
+        capsys, "moments", "--lattice", GEN_LATTICE, "--pair", SAMPLE_PAIR, "-N", "3"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == ("internal check failed: leading Pearson coefficient "
+                   "disagrees with d_0 closed form\n")
 
 
 def test_invalid_json_spec(capsys):

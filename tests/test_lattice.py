@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from latticeops import Lattice, LatticeError, Polynomial, make_field
+from latticeops.lattice import DEFAULT_TABLE_HORIZON
 
 qs = st.sampled_from(
     [Fraction(1, 9), Fraction(1, 4), Fraction(4), Fraction(9), Fraction(25, 4)]
@@ -161,10 +162,10 @@ def test_bigfloat_lattice_with_irrational_sqrt_q(big):
 
 
 def test_table_horizon_is_enforced(exact):
-    lat = Lattice(exact, 4, (1, 1, 0), table_horizon=4)
-    lat.constants.gamma_n(4)
+    lat = Lattice(exact, 4, (1, 1, 0))
+    lat.constants.gamma_n(DEFAULT_TABLE_HORIZON)
     with pytest.raises(LatticeError):
-        lat.constants.gamma_n(5)
+        lat.constants.gamma_n(DEFAULT_TABLE_HORIZON + 1)
 
 
 def test_default_horizon_allows_deep_indices(exact):

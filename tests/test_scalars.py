@@ -30,6 +30,12 @@ def qr(re, im=0):
     return QRational(Fraction(re), Fraction(im))
 
 
+def one_slot(field, lhs, rhs):
+    """(residual, passed) of the report of one (lhs, rhs) slot."""
+    rep = field.report("slot", [(lhs, rhs)])
+    return rep.residual, rep.passed
+
+
 class TestQRational:
     def test_basic_arithmetic(self):
         a = qr(Fraction(3, 4), Fraction(1, 2))
@@ -120,13 +126,13 @@ class TestExactField:
         with pytest.raises(ScalarDomainError):
             exact.sqrt(exact(Fraction(1, 2)))
 
-    def test_compare_is_exact_equality(self, exact):
+    def test_report_is_exact_equality(self, exact):
         tiny = Fraction(1, 10**400)
-        residual, passed = exact.compare([exact(1), exact(tiny)], [exact(1)])
+        residual, passed = one_slot(exact, [exact(1), exact(tiny)], [exact(1)])
         # the float residual underflows; the verdict does not
         assert (residual, passed) == (0.0, False)
-        assert exact.compare([exact(2), exact(0)], [exact(2)]) == (0.0, True)
-        assert exact.compare([exact(3)], [exact(1)]) == (2.0, False)
+        assert one_slot(exact, [exact(2), exact(0)], [exact(2)]) == (0.0, True)
+        assert one_slot(exact, [exact(3)], [exact(1)]) == (2.0, False)
 
     def test_vanish_ignores_scale(self, exact):
         assert exact.vanish([exact(0), exact(0)], [exact(10) ** 90]) == ([0.0, 0.0], True)
@@ -159,22 +165,37 @@ class TestBigFloatField:
         assert field.is_zero((big_val + field(1)) - big_val - field(1))
         assert not field.is_zero(field(1, 10**19))
 
-    def test_compare_is_scale_relative(self):
+    def test_report_is_scale_relative(self):
         field = make_field("bigfloat", precision=128, eps=Fraction(1, 10**20))
         big_val = field(10) ** 30
         # a difference of 1 against operands of size 10^30 vanishes ...
-        residual, passed = field.compare([big_val + 1], [big_val])
+        residual, passed = one_slot(field, [big_val + 1], [big_val])
         assert passed and residual == 1.0
         # ... but not against operands of size 1
-        assert field.compare([field(2)], [field(1)]) == (1.0, False)
+        assert one_slot(field, [field(2)], [field(1)]) == (1.0, False)
         # the scale never drops below 1
-        assert field.compare([field(Fraction(1, 10**21))], []) == (1e-21, True)
+        assert one_slot(field, [field(Fraction(1, 10**21))], []) == (1e-21, True)
 
     def test_vanish_measures_against_scale(self):
         field = make_field("bigfloat", precision=128, eps=Fraction(1, 10**20))
         assert not field.vanish([field(Fraction(1, 10**10))])[1]
         assert field.vanish([field(Fraction(1, 10**10))], [field(10) ** 11])[1]
         assert field.vanish([], []) == ([], True)
+
+    def test_verdicts_beyond_the_float_range(self, big):
+        # scales past 1.8e308 are infinite as floats; the verdict never sees a float
+        huge = big(10) ** 400
+        rep = big.report("x", [([10**400], [2 * 10**400])])
+        assert not rep.passed and rep.first_fail == 0
+        assert rep.residual == float("inf")  # what the report shows overflows
+        assert big.report("x", [([huge + 1], [huge])]).passed
+        assert big.vanish([huge], [2 * huge]) == ([float("inf")], False)
+        assert big.vanish([big(1)], [huge])[1]
+        assert not big.is_zero(huge, scale=[2 * huge])
+        assert not big.is_zero(huge / 10**20, scale=[huge])
+        assert big.is_zero(huge / 10**30, scale=[huge])
+        assert not big.approx_eq(huge, 2 * huge)
+        assert big.approx_eq(huge, huge + 1)
 
     def test_approx_eq(self, big):
         a = big(Fraction(1, 3))
@@ -259,3 +280,8 @@ def test_verdict_rules_live_in_scalars():
         'use the exact backend")',
     )]
     assert floors == []
+    # one decision method per backend; the verdict methods are shared
+    for cls in (ExactField, BigFloatField):
+        assert "_vanishes" in vars(cls)
+        assert not {"is_zero", "vanish", "approx_eq", "compare"} & set(vars(cls))
+    assert not hasattr(ExactField, "compare")
