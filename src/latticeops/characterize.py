@@ -8,7 +8,9 @@ Four relation checks run against an orthogonal sequence:
   lattice of base q, for the continuous dual q-Hahn family of base
   q^(1/2) at parameters (1, -1, q^(1/4))
 * ``system``:     the five nonlinear difference equations that the TTRR
-  coefficients of any solution of ``lower`` must satisfy
+  coefficients of any solution of ``lower`` must satisfy, one report slot
+  per equation; ``system_constants`` gives the fitted constants k1, k2 of
+  t_n = gamma_n/C_n = k1 q^(n/2) + k2 q^(-n/2)
 
 plus the constructive directions: recovering the Pearson pair a
 structure relation forces, the Askey-Wilson-type family built from the
@@ -26,15 +28,15 @@ forced recurrence through C_2 and breaks the relation at slot 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from .classical import InternalCheckError, PearsonPair, ttrr_from_pearson
 from .functionals import OPSequence, TTRRCoeffs
 from .lattice import Lattice, LatticeError
 from .operators import dx, sx
 from .polynomials import Polynomial
-from .scalars import Field, Report, encode_fields
+from .scalars import Report
 
 RELATIONS = ("sx_raise", "lower", "counterexample4term", "system")
 # the relations of the form D_x P_(n+1) = (right-hand side at P_n)
@@ -245,127 +247,69 @@ def pearson_from_ttrr(lat: Lattice, case: str, b0, c1, b1=None, c2=None) -> Pear
     raise ValueError(f"unknown construction case {case!r}")
 
 
-@dataclass
-class SystemReport:
-    """The five difference equations; ``failing`` names the first failing one."""
-
-    k1: object
-    k2: object
-    residuals: Dict[str, List[float]] = dc_field(default_factory=dict)
-    max_residuals: Dict[str, float] = dc_field(default_factory=dict)
-    t_closed_residual: float = 0.0
-    passed: bool = True
-    failing: Optional[dict] = None
-
-    def to_json(self, field: Field):
-        out = encode_fields(field, self)
-        if self.failing is None:
-            del out["failing"]
-        return out
-
-
-def check_system(lat: Lattice, ttrr: TTRRCoeffs, n_max: int) -> SystemReport:
-    """Residuals of the five difference equations forced by ``lower``.
-
-    c_n := gamma_n; t_n := c_n/C_n for n >= 1 and t_0 := k1 + k2, where
-    k1, k2 are fitted from t_1, t_2 through t_n = k1 q^(n/2) + k2 q^(-n/2).
-    """
+def _system_t(lat: Lattice, ttrr: TTRRCoeffs, n_top: int) -> list:
+    """[t_0, ..., t_(n_top)] for n_top >= 2: t_n := gamma_n/C_n, t_0 := 2 alpha t_1 - t_2."""
     if not lat.is_q_lattice:
         raise LatticeError("the difference system is stated for q-lattices")
     field = lat.field
     con = lat.constants
-    q = lat.q
-    sq = lat.sqrt_q
-    c1c2 = lat.c[0] * lat.c[1]
-    c3 = lat.c[2]
+    t = [None]
+    for n in range(1, n_top + 1):
+        cn = ttrr.c(n)
+        if field.is_zero(cn):
+            raise ValueError(f"C_{n} = 0: t_{n} undefined")
+        t.append(con.gamma_n(n) / cn)
+    t[0] = 2 * con.alpha * t[1] - t[2]
+    return t
+
+
+def system_constants(lat: Lattice, ttrr: TTRRCoeffs) -> Tuple[object, object]:
+    """k1, k2 of t_n = k1 q^(n/2) + k2 q^(-n/2), fitted from t_1 and t_2."""
+    _, t1, t2 = _system_t(lat, ttrr, 2)
+    q, sq = lat.q, lat.sqrt_q
+    det = lat.field.one / sq - sq
+    return (t1 / q - t2 / sq) / det, (t2 * sq - t1 * q) / det
+
+
+def check_system(lat: Lattice, ttrr: TTRRCoeffs, n_max: int) -> Report:
+    """The five difference equations forced by ``lower``, one slot each.
+
+    c_n := gamma_n, t_n := c_n/C_n for n >= 1 and t_0 := 2 alpha t_1 - t_2,
+    which is k1 + k2 for the constants of ``system_constants``; with it eq2
+    states t_n = k1 q^(n/2) + k2 q^(-n/2).  Slot k holds both sides of
+    eq(k+1) at every n in its range, so ``first_fail`` is the index of the
+    first failing equation and ``failing["index"]`` the position in it.
+    A zero C_n (n <= max(2, n_max)) raises ``ValueError``.
+    """
+    t = _system_t(lat, ttrr, max(2, n_max))
+    one = lat.field.one
+    con = lat.constants
     alpha = con.alpha
+    c = con.gamma_n
+    c1c2 = lat.c[0] * lat.c[1]
 
-    def c_of(n: int):
-        return con.gamma_n(n)
+    def b(n: int):
+        return ttrr.b(n) - lat.c[2]
 
-    t_cache: Dict[int, object] = {}
+    def cc(n: int):
+        return ttrr.c(n) - c1c2
 
-    def t_of(n: int):
-        if n not in t_cache:
-            if n == 0:
-                t_cache[n] = k1 + k2
-            else:
-                cn = ttrr.c(n)
-                if not cn:
-                    raise ValueError(f"C_{n} = 0: t_{n} undefined")
-                t_cache[n] = c_of(n) / cn
-        return t_cache[n]
+    def equation(ns, sides):
+        rows = [sides(n) for n in ns]
+        return [lhs for lhs, _ in rows], [rhs for _, rhs in rows]
 
-    t1 = c_of(1) / ttrr.c(1)
-    t2 = c_of(2) / ttrr.c(2)
-    det = field.one / sq - sq
-    k1 = (t1 / q - t2 / sq) / det
-    k2 = (t2 * sq - t1 * q) / det
-
-    t_closed_residual = 0.0
-    for n in range(1, n_max + 1):
-        closed = k1 * sq**n + k2 * sq**-n
-        t_closed_residual = max(
-            t_closed_residual, field.magnitude(t_of(n) - closed)
-        )
-
-    def b_off(n: int):
-        return ttrr.b(n) - c3
-
-    # per equation: the residual values and the scalars they are measured against
-    equations: Dict[str, Tuple[List, List]] = {}
-
-    def record(tag: str, value, scale):
-        values, scales = equations.setdefault(tag, ([], []))
-        values.append(value)
-        scales.append(scale)
-
-    for n in range(0, n_max - 1):
-        record("eq1", c_of(n + 2) - 2 * alpha * c_of(n + 1) + c_of(n), c_of(n + 2))
-        record("eq2", t_of(n + 2) - 2 * alpha * t_of(n + 1) + t_of(n), t_of(n + 2))
-    for n in range(0, n_max - 2):
-        record(
-            "eq3",
-            t_of(n + 3) * b_off(n + 2)
-            - (t_of(n + 2) + t_of(n + 1)) * b_off(n + 1)
-            + t_of(n) * b_off(n),
-            t_of(n + 3) * b_off(n + 2),
-        )
-    for n in range(2, n_max - 1):
-        lhs = (
-            (t_of(n + 1) + t_of(n + 2)) * (ttrr.c(n + 1) - c1c2)
-            - 2 * (field.one + alpha) * t_of(n) * (ttrr.c(n) - c1c2)
-            + (t_of(n - 1) + t_of(n - 2)) * (ttrr.c(n - 1) - c1c2)
-        )
-        rhs = t_of(n) * (
-            b_off(n) ** 2 - 2 * alpha * b_off(n) * b_off(n - 1) + b_off(n - 1) ** 2
-        )
-        record("eq4", lhs - rhs, lhs)
-    for n in range(1, n_max):
-        record(
-            "eq5",
-            c_of(n + 1) * b_off(n + 1)
-            + (field.one - 2 * alpha) * b_off(n)
-            + c_of(n) * b_off(n - 1),
-            c_of(n + 1) * b_off(n + 1),
-        )
-
-    residuals: Dict[str, List[float]] = {}
-    failing = None
-    for tag, (values, scales) in equations.items():
-        residuals[tag], ok = field.vanish(values, scales)
-        if not ok and failing is None:
-            failing = {"equation": tag, **field.failing(values)}
-    max_residuals = {tag: max(vals) for tag, vals in residuals.items()}
-    return SystemReport(
-        k1=k1,
-        k2=k2,
-        residuals=residuals,
-        max_residuals=max_residuals,
-        t_closed_residual=t_closed_residual,
-        passed=failing is None,
-        failing=failing,
-    )
+    return lat.field.report("system", (
+        equation(range(n_max - 1), lambda n: (c(n + 2) + c(n), 2 * alpha * c(n + 1))),
+        equation(range(n_max - 1), lambda n: (t[n + 2] + t[n], 2 * alpha * t[n + 1])),
+        equation(range(n_max - 2), lambda n: (
+            t[n + 3] * b(n + 2) + t[n] * b(n), (t[n + 2] + t[n + 1]) * b(n + 1))),
+        equation(range(2, n_max - 1), lambda n: (
+            (t[n + 1] + t[n + 2]) * cc(n + 1) - 2 * (one + alpha) * t[n] * cc(n)
+            + (t[n - 1] + t[n - 2]) * cc(n - 1),
+            t[n] * (b(n) ** 2 - 2 * alpha * b(n) * b(n - 1) + b(n - 1) ** 2))),
+        equation(range(1, n_max), lambda n: (
+            c(n + 1) * b(n + 1) + c(n) * b(n - 1), (2 * alpha - one) * b(n))),
+    ))
 
 
 @dataclass
@@ -402,7 +346,7 @@ class FirstCharacterization:
         one = field.one
         c1c2 = lat.c[0] * lat.c[1]
         alpha = lat.constants.alpha
-        qn = q**n
+        qn = lat.q_pow(n)
         return (
             c1c2
             * (q - one)
@@ -444,7 +388,7 @@ def solve_first_characterization(lat: Lattice, c1, branch: str = "+",
         r = kappa - root
     else:
         raise ValueError("branch must be '+' or '-'")
-    if not r:
+    if field.is_zero(r):
         raise ValueError("degenerate parameter r = 0")
     c1_back = (one - one / q) * (one + one / r) * (one - r * q) * c1c2 / 2
     if not field.approx_eq(c1_back, c1):
@@ -482,7 +426,7 @@ def meixner_image_ttrr(lat: Lattice, b0, c1) -> TTRRCoeffs:
 
     def c_fn(m: int):
         value = m * (c1 - (m - 1) * c5 * c5 / 4)
-        if not value:
+        if field.is_zero(value):
             raise ValueError(
                 f"C_{m} = 0: 4*C_1/c5^2 = {m - 1} violates the non-integrality condition"
             )

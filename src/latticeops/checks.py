@@ -213,11 +213,11 @@ def q_hermite_lower_and_system(seed: int) -> dict:
     sym = Lattice(EXACT, *SYM)
     qh = families.make_family("q_hermite", sym, ()).ttrr
     closed = EXACT.report("c_closed", (
-        ([qh.c(n + 1)], [(EXACT.one - sym.q ** (n + 1)) * sym.c[0] * sym.c[1]])
+        ([qh.c(n + 1)], [(EXACT.one - sym.q_pow(n + 1)) * sym.c[0] * sym.c[1]])
         for n in range(13)))
-    system = check_system(sym, qh, 10).passed
-    return _verdict([check_structure(sym, OPSequence(EXACT, qh), "lower", 12), closed],
-                    system, system_passed=system)
+    system = check_system(sym, qh, 10)
+    return _verdict([check_structure(sym, OPSequence(EXACT, qh), "lower", 12), closed, system],
+                    system_passed=system.passed)
 
 
 def chebyshev_lower_fails_system_passes(seed: int) -> dict:

@@ -188,35 +188,6 @@ class PearsonPair:
 
 
 @dataclass
-class AdmissibilityReport:
-    values: List
-    first_zero: Optional[int]
-
-    @property
-    def admissible(self) -> bool:
-        return self.first_zero is None
-
-
-def admissibility(pair: PearsonPair, n_max: int) -> AdmissibilityReport:
-    """d_n for n <= n_max, cross-checked against (gamma_n/2) phi'' + alpha_n psi'."""
-    field = pair.field
-    con = pair.lattice.constants
-    phi_dd = 2 * pair.a
-    psi_d = pair.d
-    values = []
-    first_zero = None
-    for n in range(n_max + 1):
-        dn = pair.d_value(n)
-        alt = con.gamma_n(n) / 2 * phi_dd + con.alpha_n(n) * psi_d
-        if not field.approx_eq(dn, alt):
-            raise InternalCheckError(f"two d_{n} formulas disagree")
-        values.append(dn)
-        if first_zero is None and field.is_zero(dn):
-            first_zero = n
-    return AdmissibilityReport(values=values, first_zero=first_zero)
-
-
-@dataclass
 class RegularityRow:
     n: int
     d_n: object
@@ -263,23 +234,22 @@ def witness_point(pair: PearsonPair, n: int):
 def regularity(pair: PearsonPair, n_max: int) -> RegularityReport:
     """Decide regularity through level n_max via d_n and the phi^[n] witnesses."""
     field = pair.field
-    adm = admissibility(pair, 2 * n_max + 1)
+    d_zero = next((n for n in range(2 * n_max + 2) if field.is_zero(pair.d_value(n))), None)
     rows: List[RegularityRow] = []
     witness_zero_at = None
     for n in range(n_max + 1):
-        dn = adm.values[n]
-        en = pair.e_value(n)
-        if adm.first_zero is not None and 2 * n >= adm.first_zero:
+        if d_zero is not None and 2 * n >= d_zero:
             break
         phi_n, _ = pair.iterated(n)
         w = phi_n(witness_point(pair, n))
         wz = field.is_zero(w, scale=phi_n.coeffs)
-        rows.append(RegularityRow(n=n, d_n=dn, e_n=en, witness=w, witness_zero=wz))
+        rows.append(RegularityRow(n=n, d_n=pair.d_value(n), e_n=pair.e_value(n),
+                                  witness=w, witness_zero=wz))
         if wz and witness_zero_at is None:
             witness_zero_at = n
     return RegularityReport(
         rows=rows,
-        admissibility_first_zero=adm.first_zero,
+        admissibility_first_zero=d_zero,
         witness_first_zero=witness_zero_at,
     )
 
@@ -439,13 +409,13 @@ def asymptotics(pair: PearsonPair, n_eval: int, sum_horizon: int = 64) -> Asympt
         if q_below_one:
             ratio_limit = -(numer / (uval * denom)) / lat.sqrt_q
             series_value = (psi_c3 - 2 * uval * phid_c3) / ((q - field.one) * denom)
-            scale_pow = (field.one / q) ** n_eval
+            scale_pow = lat.q_pow(-n_eval)
         else:
             ratio_limit = lat.sqrt_q * numer / (uval * denom)
             series_value = (psi_c3 + 2 * uval * phid_c3) / (
                 (field.one / q - field.one) * denom
             )
-            scale_pow = q**n_eval
+            scale_pow = lat.q_pow(n_eval)
         ratio_estimate = scale_pow * b_offset(pair, n_eval)
         series_estimate = partial_sum_closed(pair, n_eval)
         return AsymptoticsReport(

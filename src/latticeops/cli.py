@@ -6,7 +6,9 @@ Subcommands map onto the library layers:
 * ``moments``       moment table of the functional solving a Pearson equation
 * ``classify``      regularity decision (plus Rodrigues / asymptotics add-ons)
 * ``family``        displayed recurrence data for the named family
-* ``characterize``  structure-relation checks and the raising construction
+* ``characterize``  structure-relation checks and the raising construction;
+  every relation prints its ``Report`` under ``"relation"``, and
+  ``system`` adds the fitted constants ``k1``, ``k2``
 * ``all``           the named checks of ``checks.CHECKS``, each at its acceptance size
 
 Exit codes: 0 all checks passed, 1 a check failed (an internal
@@ -38,6 +40,7 @@ from .characterize import (
     check_structure,
     check_system,
     solve_first_characterization,
+    system_constants,
 )
 from .classical import (
     InternalCheckError,
@@ -280,9 +283,10 @@ def cmd_characterize(args) -> int:
         payload = {"family": args.family, "lattice": lat.to_json()}
         if relation == "system":
             rep = check_system(lat, spec.ttrr, args.n_max)
-            payload["system"] = rep.to_json(field)
-            return _emit(args, payload, rep.passed)
-        rep = check_structure(lat, OPSequence(field, spec.ttrr), relation, args.n_max)
+            k1, k2 = system_constants(lat, spec.ttrr)
+            payload.update(k1=field.to_json(k1), k2=field.to_json(k2))
+        else:
+            rep = check_structure(lat, OPSequence(field, spec.ttrr), relation, args.n_max)
     payload["relation"] = rep.to_json()
     return _emit(args, payload, rep.passed)
 

@@ -159,13 +159,13 @@ def _askey_wilson_ttrr(lat: Lattice, params) -> TTRRCoeffs:
 
 def _al_salam_ttrr(lat: Lattice, params) -> TTRRCoeffs:
     field = lat.field
-    q = lat.q
     a, b = (field(p) for p in params)
     one = field.one
+    qq = lat.q_pow
     return TTRRCoeffs(
         field,
-        lambda n: (a + b) * q**n / 2,
-        lambda m: (one - a * b * q ** (m - 1)) * (one - q**m) / 4,
+        lambda n: (a + b) * qq(n) / 2,
+        lambda m: (one - a * b * qq(m - 1)) * (one - qq(m)) / 4,
     )
 
 
@@ -259,12 +259,11 @@ def check_restrictions(spec: FamilySpec, n_max: int) -> RestrictionReport:
     """
     field = spec.lattice.field
     if spec.name == "askey_wilson":
-        q = spec.lattice.q
         a1, a2, a3, a4 = (field(p) for p in spec.params)
         prod = a1 * a2 * a3 * a4
         one = field.one
         for n in range(n_max + 1):
-            qn = q**n
+            qn = spec.lattice.q_pow(n)
             factors = (
                 one - prod * qn,
                 one - a1 * a2 * qn,

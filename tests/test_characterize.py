@@ -20,6 +20,7 @@ from latticeops import (
     regularity,
     solve_first_characterization,
     solve_relation,
+    system_constants,
     ttrr_from_pearson,
     ttrr_oracle,
     witness_point,
@@ -103,8 +104,8 @@ class TestSystem:
         qh = make_family("q_hermite", sym_lattice, ()).ttrr
         rep = check_system(sym_lattice, qh, 10)
         assert rep.passed
-        assert rep.k1 == exact.zero
-        assert max(rep.max_residuals.values()) == 0.0
+        assert system_constants(sym_lattice, qh)[0] == exact.zero
+        assert rep.residuals == [0.0] * 5
 
     def test_chebyshev_passes(self, sym_lattice):
         cheb = make_family("chebyshev_u", sym_lattice, ()).ttrr
@@ -113,16 +114,48 @@ class TestSystem:
 
     def test_fitted_constants_match_displayed_formulas(self, sym_lattice, exact):
         qh = make_family("q_hermite", sym_lattice, ()).ttrr
-        rep = check_system(sym_lattice, qh, 8)
+        k1, k2 = system_constants(sym_lattice, qh)
         q = sym_lattice.q
         sq = sym_lattice.sqrt_q
         c1, c2 = qh.c(1), qh.c(2)
-        k1 = ((exact.one + q) * c1 - c2) / (sq * (q - exact.one) * c1 * c2)
-        k2 = ((exact.one / q + exact.one) * c1 - c2) / (
+        assert k1 == ((exact.one + q) * c1 - c2) / (sq * (q - exact.one) * c1 * c2)
+        assert k2 == ((exact.one / q + exact.one) * c1 - c2) / (
             (exact.one / sq) * (exact.one / q - exact.one) * c1 * c2
         )
-        assert rep.k1 == k1
-        assert rep.k2 == k2
+
+    def test_t_closed_form_holds_where_eq2_does(self, sym_lattice, exact):
+        """t_0 = 2 alpha t_1 - t_2 is k1 + k2 for every recurrence, and where
+        eq2 holds t_n = k1 q^(n/2) + k2 q^(-n/2) for every n."""
+        con = sym_lattice.constants
+        sq = sym_lattice.sqrt_q
+        cdq = make_family("cdq_hahn", sym_lattice, (Fraction(1, 2), Fraction(1, 3), 0)).ttrr
+        qh = make_family("q_hermite", sym_lattice, ()).ttrr
+        for ttrr in (cdq, qh):
+            t1, t2 = (con.gamma_n(n) / ttrr.c(n) for n in (1, 2))
+            assert sum(system_constants(sym_lattice, ttrr)) == 2 * con.alpha * t1 - t2
+        assert check_system(sym_lattice, cdq, 6).first_fail == 1
+        assert check_system(sym_lattice, qh, 10).passed
+        k1, k2 = system_constants(sym_lattice, qh)
+        for n in range(1, 11):
+            assert con.gamma_n(n) / qh.c(n) == k1 * sq**n + k2 / sq**n
+
+    @pytest.mark.parametrize("n_max, first_fail", [(0, None), (1, None), (2, 4)])
+    def test_small_horizons_have_five_slots(self, sym_lattice, n_max, first_fail):
+        """Below n_max = 2 no equation has a row; at 2, eq5 has its first."""
+        cdq = make_family("cdq_hahn", sym_lattice, (Fraction(1, 2), Fraction(1, 3), 0)).ttrr
+        rep = check_system(sym_lattice, cdq, n_max)
+        assert len(rep.residuals) == 5 and rep.first_fail == first_fail
+
+    @pytest.mark.parametrize("backend", ["exact", "big"])
+    def test_zero_c1_is_a_value_error(self, request, backend):
+        """al_salam(2, 1/2) has C_1 = (1 - ab)(1 - q)/4 = 0, so t_1 is undefined."""
+        lat = sym_lattice_at(request.getfixturevalue(backend), Fraction(1, 4))
+        ttrr = make_family("al_salam", lat, (2, Fraction(1, 2))).ttrr
+        for n_max in (0, 6):
+            with pytest.raises(ValueError, match="C_1 = 0"):
+                check_system(lat, ttrr, n_max)
+        with pytest.raises(ValueError, match="C_1 = 0"):
+            system_constants(lat, ttrr)
 
     @pytest.mark.parametrize("bump", [Fraction(1, 10), Fraction(1, 10**400)])
     def test_exact_verdict_sees_a_raised_b3(self, sym_lattice, exact, bump):
@@ -136,7 +169,7 @@ class TestSystem:
         rep = check_system(sym_lattice, ttrr, 10)
         assert not rep.passed
         if bump < Fraction(1, 10**308):
-            assert all(v == 0.0 for v in rep.max_residuals.values())
+            assert rep.residuals == [0.0] * 5
 
     def test_failed_exact_report_names_the_underflowing_value(self, sym_lattice, exact):
         """q-Hermite with B_3 + 10^-400: every float residual reads 0.0, yet
@@ -147,8 +180,8 @@ class TestSystem:
         lower = check_structure(sym_lattice, OPSequence(exact, ttrr), "lower", 6)
         system = check_system(sym_lattice, ttrr, 10)
         assert lower.residuals == [0.0] * 7
-        assert all(v == 0.0 for vals in system.residuals.values() for v in vals)
-        assert lower.first_fail == 3 and system.failing["equation"] == "eq3"
+        assert system.residuals == [0.0] * 5
+        assert lower.first_fail == 3 and system.first_fail == 2  # eq3
         for rep in (lower, system):
             assert not rep.passed
             assert exact.from_json(rep.failing["value"]) != exact.zero
@@ -157,12 +190,15 @@ class TestSystem:
         ttrr = make_family("meixner2", quad_lattice, (Fraction(1, 2), 3)).ttrr
         with pytest.raises(LatticeError):
             check_system(quad_lattice, ttrr, 6)
+        with pytest.raises(LatticeError):
+            system_constants(quad_lattice, ttrr)
 
     def test_report_serialization(self, sym_lattice, exact):
         qh = make_family("q_hermite", sym_lattice, ()).ttrr
-        blob = check_system(sym_lattice, qh, 6).to_json(exact)
+        blob = check_system(sym_lattice, qh, 6).to_json()
         assert blob["passed"] is True
-        assert set(blob["max_residuals"]) == {"eq1", "eq2", "eq3", "eq4", "eq5"}
+        assert blob["name"] == "system"
+        assert len(blob["residuals"]) == 5  # eq1..eq5
 
 
 class TestRaisingConstruction:
@@ -342,6 +378,22 @@ class TestMeixnerKindImage:
     def test_q_lattice_rejected(self, sym_lattice):
         with pytest.raises(LatticeError):
             check_meixner_linear(sym_lattice, Fraction(0), Fraction(2, 5), 6)
+
+    def test_backends_agree_on_a_vanishing_c_m(self, exact, big):
+        """C_m = m (C_1 - (m - 1) c5^2/4) vanishes exactly when 4 C_1/c5^2 is an
+        integer; both backends must reject the same points of the scan."""
+
+        def outcome(field, d, k):
+            lat = Lattice(field, 1, (0, Fraction(1, d), 0))
+            try:
+                return check_meixner_linear(lat, Fraction(1, 3), Fraction(k, 4 * d * d), 6).passed
+            except ValueError:
+                return "C_m = 0"
+
+        points = [(d, k) for d in range(3, 14) for k in range(1, 8)]
+        assert [outcome(exact, d, k) for d, k in points] == [
+            outcome(big, d, k) for d, k in points]
+        assert outcome(big, 7, 1) == "C_m = 0"
 
 
 class TestStructureDispatch:

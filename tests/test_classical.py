@@ -10,7 +10,6 @@ from latticeops import (
     NotRegularError,
     PearsonPair,
     Polynomial,
-    admissibility,
     asymptotics,
     make_field,
     regularity,
@@ -33,12 +32,6 @@ class TestPearsonPair:
             PearsonPair(gen_lattice, cubic, line)
         with pytest.raises(ValueError):
             PearsonPair(gen_lattice, line, Polynomial(exact, (0, 0, 1)))
-
-    def test_d_values_match_admissibility_report(self, gen_lattice):
-        pair = sample_pair(gen_lattice)
-        rep = admissibility(pair, 8)
-        assert rep.admissible
-        assert rep.values == [pair.d_value(n) for n in range(9)]
 
     def test_json_roundtrip(self, gen_lattice):
         pair = sample_pair(gen_lattice)

@@ -159,7 +159,24 @@ def test_characterize_system(capsys):
         "-N", "10",
     )
     assert code == 0
-    assert json.loads(out)["system"]["passed"] is True
+    payload = json.loads(out)
+    assert set(payload) == {"family", "lattice", "relation", "k1", "k2"}
+    assert payload["relation"]["name"] == "system"
+    assert payload["relation"]["passed"] is True
+    assert payload["relation"]["residuals"] == [0.0] * 5
+    assert payload["k1"] == "0"
+
+
+@pytest.mark.parametrize("backend", ["exact", "bigfloat"])
+def test_characterize_system_zero_c1_is_an_input_error(capsys, backend):
+    # al_salam(2, 1/2) has C_1 = (1 - ab)(1 - q)/4 = 0
+    code, out, err = run(
+        capsys, "--backend", backend, "characterize", "--relation", "system",
+        "--family", "al_salam", "--params", '["2", "1/2"]', "-N", "6",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: C_1 = 0: t_1 undefined\n"
 
 
 def test_characterize_counterexample_needs_fourth_power_on_exact(capsys):
@@ -241,6 +258,18 @@ def test_characterize_meixner_rejects_integer_parameter(capsys):
     )
     assert code == 2
     assert "non-integrality" in err
+
+
+@pytest.mark.parametrize("backend", ["exact", "bigfloat"])
+def test_characterize_meixner_vanishing_c2_on_both_backends(capsys, backend):
+    # c5 = 1/7 and C_1 = 1/196 = c5^2/4 make C_2 = 2 (C_1 - c5^2/4) vanish
+    code, out, err = run(
+        capsys, "--backend", backend, "characterize", "--relation", "meixner",
+        "--lattice", '{"q": "1", "c": ["0", "1/7", "0"]}', "--c1", "1/196", "-N", "6",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: C_2 = 0") and err.count("\n") == 1
 
 
 def test_characterize_needs_relation_or_c1(capsys):

@@ -16,6 +16,7 @@ from latticeops import (
     Polynomial,
     check_meixner_linear,
     check_structure,
+    check_system,
     make_family,
     rodrigues_verify,
     verify_functional_identity,
@@ -67,8 +68,13 @@ def meixner(field):
     return check_meixner_linear(lat, Fraction(1, 3), Fraction(2, 5), 4)
 
 
+def system(field):
+    lat = sym_lattice(field, Fraction(1, 4))
+    return check_system(lat, make_family("q_hermite", lat, ()).ttrr, 6)
+
+
 CHECKERS = (operator_identity, functional_identity, rodrigues, structure,
-            counterexample, meixner)
+            counterexample, meixner, system)
 
 
 @pytest.mark.parametrize("backend", ["exact", "big"])
@@ -83,3 +89,20 @@ def test_every_checker_returns_the_one_report(request, checker, backend):
     assert (rep.failing is None) is rep.passed
     assert rep.residual == max(rep.residuals)
     json.dumps(blob)
+
+
+def test_failing_system_is_the_failed_report_of_its_check(monkeypatch):
+    """q-hermite-lower-and-system keeps ``system_passed`` and reports a failed
+    system as its ``failed_report``."""
+    from latticeops import checks
+
+    def raised_b3(lat, ttrr, n_max):
+        bumped = latticeops.TTRRCoeffs(
+            lat.field, lambda n: ttrr.b(n) + (Fraction(1, 10) if n == 3 else 0), ttrr.c)
+        return check_system(lat, bumped, n_max)
+
+    monkeypatch.setattr(checks, "check_system", raised_b3)
+    record = checks.q_hermite_lower_and_system(0)
+    assert record["passed"] is False and record["system_passed"] is False
+    assert record["failed_report"]["name"] == "system"
+    assert record["failed_report"]["first_fail"] == 2  # eq3

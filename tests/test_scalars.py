@@ -285,3 +285,19 @@ def test_verdict_rules_live_in_scalars():
         assert "_vanishes" in vars(cls)
         assert not {"is_zero", "vanish", "approx_eq", "compare"} & set(vars(cls))
     assert not hasattr(ExactField, "compare")
+
+
+def test_lattice_q_powers_live_in_lattice():
+    """Every power of a lattice's q goes through ``Lattice.q_pow``.
+
+    The counterexample's ``r4`` powers stay: they are powers of the family's
+    base q^(1/4), not of the lattice's q.
+    """
+    raw = []
+    for path in sorted(Path(latticeops.__file__).parent.glob("*.py")):
+        if path.name == "lattice.py":
+            continue
+        for line in path.read_text(encoding="utf-8").splitlines():
+            if re.search(r"\bq\s*\*\*", line):
+                raw.append((path.name, line.strip()))
+    assert raw == []
