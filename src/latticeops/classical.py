@@ -11,12 +11,22 @@ Every closed form is cross-checked: iterated pairs against their
 defining recursion, moments against the Pearson recursion, recurrence
 coefficients against the moment oracle (in the test-suite), so a
 transcription slip in any one route cannot pass silently.
+
+What is memoized, per PearsonPair: d_n and e_n at every index, phi'(c3),
+psi(c3) and phi(c3) on q-lattices, and the witness phi^[n](witness_point(n))
+at every level; ``regularity`` and the C_(n+1) of ``ttrr_from_pearson``
+read the same witness.  The validated iterated pairs are kept too, but
+only once their recursion check has passed: a closed form read with
+validate=False is never stored, so the recursion check still runs at
+every level that ``iterated`` validates.  The lattice memoizes alpha_n,
+gamma_n, U1 and U2 (see ``lattice``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 from .functionals import (
     AdmissibilityError,
@@ -52,6 +62,9 @@ class PearsonPair:
         self.phi = phi
         self.psi = psi
         self._iterated: List[Tuple[Polynomial, Polynomial]] = [(phi, psi)]
+        self._d: Dict[int, object] = {}
+        self._e: Dict[int, object] = {}
+        self._witness: Dict[int, object] = {}
 
     @property
     def a(self):
@@ -73,22 +86,41 @@ class PearsonPair:
     def e(self):
         return self.psi.coeff(0)
 
+    @cached_property
+    def _at_c3(self) -> Tuple[object, object, object]:
+        """(phi'(c3), psi(c3), phi(c3)) on a q-lattice, c3 = lattice.c[2]."""
+        c3 = self.lattice.c[2]
+        return self.phi.derivative()(c3), self.psi(c3), self.phi(c3)
+
     def d_value(self, n: int):
         """d_n = a gamma_n + d alpha_n, the admissibility sequence."""
-        con = self.lattice.constants
-        return self.a * con.gamma_n(n) + self.d * con.alpha_n(n)
+        v = self._d.get(n)
+        if v is None:
+            con = self.lattice.constants
+            v = self._d[n] = self.a * con.gamma_n(n) + self.d * con.alpha_n(n)
+        return v
 
     def e_value(self, n: int):
         """e_n, the companion sequence entering B_n and the witnesses."""
-        lat = self.lattice
-        con = lat.constants
-        if lat.is_q_lattice:
-            c3 = lat.c[2]
-            return self.phi.derivative()(c3) * con.gamma_n(n) + self.psi(
-                c3
-            ) * con.alpha_n(n)
-        beta = con.beta
-        return self.b * n + self.e + 2 * beta * self.d * (n * n)
+        v = self._e.get(n)
+        if v is None:
+            lat = self.lattice
+            con = lat.constants
+            if lat.is_q_lattice:
+                phid_c3, psi_c3, _ = self._at_c3
+                v = phid_c3 * con.gamma_n(n) + psi_c3 * con.alpha_n(n)
+            else:
+                v = self.b * n + self.e + 2 * con.beta * self.d * (n * n)
+            self._e[n] = v
+        return v
+
+    def witness(self, n: int):
+        """phi^[n](witness_point(n)); a zero of it ends regularity at level n."""
+        w = self._witness.get(n)
+        if w is None:
+            phi_n, _ = self.iterated(n, validate=False)
+            w = self._witness[n] = phi_n(witness_point(self, n))
+        return w
 
     def iterated(self, k: int, validate: bool = True) -> Tuple[Polynomial, Polynomial]:
         """(phi^[k], psi^[k]); recursion and closed form must agree.
@@ -107,10 +139,10 @@ class PearsonPair:
         while len(self._iterated) <= k:
             phi_j, psi_j = self._iterated[-1]
             j = len(self._iterated)
-            phi_next = sx(lat, phi_j) + u1 * sx(lat, psi_j) + alpha * (
-                u2 * dx(lat, psi_j)
-            )
-            psi_next = dx(lat, phi_j) + alpha * sx(lat, psi_j) + u1 * dx(lat, psi_j)
+            sx_psi = sx(lat, psi_j)
+            dx_psi = dx(lat, psi_j)
+            phi_next = sx(lat, phi_j) + u1 * sx_psi + alpha * (u2 * dx_psi)
+            psi_next = dx(lat, phi_j) + alpha * sx_psi + u1 * dx_psi
             phi_closed, psi_closed = self._iterated_closed(j)
             for name, rec, closed in (
                 ("phi", phi_next, phi_closed),
@@ -132,8 +164,7 @@ class PearsonPair:
             alpha = con.alpha
             a2m1 = alpha * alpha - field.one
             zc = Polynomial(field, (-c3, field.one))
-            phid_c3 = self.phi.derivative()(c3)
-            psi_c3 = self.psi(c3)
+            phid_c3, psi_c3, phi_c3 = self._at_c3
             d2k = self.d_value(2 * k)
             ek = self.e_value(k)
             psi_k = d2k * zc + ek
@@ -141,7 +172,7 @@ class PearsonPair:
                 (self.d * a2m1 * con.gamma_n(2 * k) + self.a * con.alpha_n(2 * k))
                 * (zc * zc - 2 * c1 * c2)
                 + (phid_c3 * con.alpha_n(k) + psi_c3 * a2m1 * con.gamma_n(k)) * zc
-                + self.phi(c3)
+                + phi_c3
                 + 2 * self.a * c1 * c2
             )
             return phi_k, psi_k
@@ -241,7 +272,7 @@ def regularity(pair: PearsonPair, n_max: int) -> RegularityReport:
         if d_zero is not None and 2 * n >= d_zero:
             break
         phi_n, _ = pair.iterated(n)
-        w = phi_n(witness_point(pair, n))
+        w = pair.witness(n)
         wz = field.is_zero(w, scale=phi_n.coeffs)
         rows.append(RegularityRow(n=n, d_n=pair.d_value(n), e_n=pair.e_value(n),
                                   witness=w, witness_zero=wz))
@@ -298,8 +329,7 @@ def ttrr_from_pearson(pair: PearsonPair) -> TTRRCoeffs:
 
     def c_fn(m: int):
         n = m - 1
-        phi_n, _ = pair.iterated(n, validate=False)
-        w = phi_n(witness_point(pair, n))
+        w = pair.witness(n)
         gamma_next = con.gamma_n(n + 1)
         if n == 0:
             # d_(n-1) appears in both numerator and denominator; cancel it
@@ -389,11 +419,9 @@ def asymptotics(pair: PearsonPair, n_eval: int, sum_horizon: int = 64) -> Asympt
     con = lat.constants
     if lat.is_q_lattice:
         q = lat.q
-        c3 = lat.c[2]
         alpha = con.alpha
         uval = field.one / (lat.sqrt_q - field.one / lat.sqrt_q)
-        psi_c3 = pair.psi(c3)
-        phid_c3 = pair.phi.derivative()(c3)
+        phid_c3, psi_c3, _ = pair._at_c3
         a, d = pair.a, pair.d
         sum_residual = 0.0
         running = field.zero

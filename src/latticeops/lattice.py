@@ -6,12 +6,15 @@ A lattice is the mapping
     x(s) = c4*s^2    + c5*s   + c6   (q  = 1)
 
 classified as q-quadratic (c1*c2 != 0), q-linear, quadratic (c4 != 0) or
-linear.  Each lattice owns the constants alpha and beta, the memoized
-sequences alpha_n, beta_n, gamma_n, and the fundamental polynomials U1,
-U2 driving the operator calculus.
+linear.  Each lattice owns the constants alpha and beta, the sequences
+alpha_n, beta_n, gamma_n, and the fundamental polynomials U1, U2 driving
+the operator calculus.
 
-The sequence tables are filled from the closed forms; the test suite
-checks them against the defining recurrences.
+What is memoized, per lattice: the power tables t^n and t^(-n) of
+t = sqrt(q); every index of alpha_n and gamma_n, computed once from the
+closed form on first use; U1 and U2, built on the first call.  beta_n is
+recomputed from the power tables.  The test suite checks the sequences
+against the defining recurrences.
 Exact-backend lattices require sqrt(q) to be rational, because the
 operators evaluate x at half-integer s.
 """
@@ -19,7 +22,7 @@ operators evaluate x at half-integer s.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .polynomials import Polynomial
 from .scalars import Field, ScalarDomainError
@@ -71,6 +74,8 @@ class LatticeConstants:
         else:
             self.alpha = field.one
             self.beta = lattice.c[0] / 4
+        self._alpha_n: Dict[int, object] = {}
+        self._gamma_n: Dict[int, object] = {}
 
     def _grow(self, n: int) -> None:
         if n > DEFAULT_TABLE_HORIZON:
@@ -86,23 +91,32 @@ class LatticeConstants:
             raise LatticeError(f"sequence index {n} < -1 is undefined")
 
     def alpha_n(self, n: int):
-        self._check_index(n)
-        field = self.lattice.field
-        if not self._is_q:
-            return field.one
-        self._grow(abs(n))
-        k = abs(n)
-        return (self._tp[k] + self._tn[k]) / 2
+        value = self._alpha_n.get(n)
+        if value is None:
+            self._check_index(n)
+            if self._is_q:
+                k = abs(n)
+                self._grow(k)
+                value = (self._tp[k] + self._tn[k]) / 2
+            else:
+                value = self.lattice.field.one
+            self._alpha_n[n] = value
+        return value
 
     def gamma_n(self, n: int):
-        self._check_index(n)
-        field = self.lattice.field
-        if not self._is_q:
-            return field(n)
-        self._grow(abs(n))
-        k = abs(n)
-        value = (self._tp[k] - self._tn[k]) / self._gamma_den
-        return value if n >= 0 else -value
+        value = self._gamma_n.get(n)
+        if value is None:
+            self._check_index(n)
+            if self._is_q:
+                k = abs(n)
+                self._grow(k)
+                value = (self._tp[k] - self._tn[k]) / self._gamma_den
+                if n < 0:
+                    value = -value
+            else:
+                value = self.lattice.field(n)
+            self._gamma_n[n] = value
+        return value
 
     def beta_n(self, n: int):
         if n < 0:
@@ -150,6 +164,8 @@ class Lattice:
             self.sqrt_q = field.one
             self.kind = "quadratic" if self.c[0] != field.zero else "linear"
         self.constants = LatticeConstants(self)
+        self._u1: Optional[Polynomial] = None
+        self._u2: Optional[Polynomial] = None
 
     @property
     def is_constant(self) -> bool:
@@ -210,29 +226,35 @@ class Lattice:
         )
 
     def u1(self) -> Polynomial:
-        field = self.field
-        a = self.constants.alpha
-        if self.is_q_lattice:
-            f = a * a - field.one
-            return Polynomial(field, (-f * self.c[2], f))
-        return Polynomial(field, (self.c[0] / 2,))
+        if self._u1 is None:
+            field = self.field
+            a = self.constants.alpha
+            if self.is_q_lattice:
+                f = a * a - field.one
+                self._u1 = Polynomial(field, (-f * self.c[2], f))
+            else:
+                self._u1 = Polynomial(field, (self.c[0] / 2,))
+        return self._u1
 
     def u2(self) -> Polynomial:
-        field = self.field
-        a = self.constants.alpha
-        if self.is_q_lattice:
-            f = a * a - field.one
-            c3 = self.c[2]
-            return Polynomial(
-                field,
-                (
-                    f * (c3 * c3 - 4 * self.c[0] * self.c[1]),
-                    -2 * f * c3,
-                    f,
-                ),
-            )
-        c4, c5, c6 = self.c
-        return Polynomial(field, (c5 * c5 / 4 - c4 * c6, c4))
+        if self._u2 is None:
+            field = self.field
+            a = self.constants.alpha
+            if self.is_q_lattice:
+                f = a * a - field.one
+                c3 = self.c[2]
+                self._u2 = Polynomial(
+                    field,
+                    (
+                        f * (c3 * c3 - 4 * self.c[0] * self.c[1]),
+                        -2 * f * c3,
+                        f,
+                    ),
+                )
+            else:
+                c4, c5, c6 = self.c
+                self._u2 = Polynomial(field, (c5 * c5 / 4 - c4 * c6, c4))
+        return self._u2
 
     def to_json(self):
         return {

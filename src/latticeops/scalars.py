@@ -438,6 +438,9 @@ class BigFloatField(_Comparator):
     def __call__(self, v, im=None):
         if im is not None:
             return self.ctx.mpc(self.real(v), self.real(im))
+        if type(v) is self.ctx.mpc:
+            # values are immutable, so one of this context is its own conversion
+            return v
         if isinstance(v, QRational):
             return self.ctx.mpc(self.real(v.re), self.real(v.im))
         if isinstance(v, (int, Fraction, float, str)):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from latticeops import (
+    AdmissibilityError,
     Lattice,
     NotRegularError,
     PearsonPair,
@@ -21,6 +22,7 @@ from latticeops import (
 from latticeops.characterize import solve_first_characterization
 from latticeops.checks import random_regular_pair, sample_pair
 from latticeops.classical import b_offset, partial_sum_closed
+from latticeops.functionals import InternalCheckError
 from latticeops.lattice import LatticeError
 
 
@@ -137,6 +139,22 @@ class TestRegularity:
         assert not rep.regular
         assert rep.verdict == "fails-admissibility-at-2"
 
+    @pytest.mark.parametrize("n_max", [2, 3])
+    def test_admissibility_zero_at_the_top_of_the_scan(self, exact, n_max):
+        """The first zero of d_n at n0 = 2 N + 1 is the last index the scan reads."""
+        lat = Lattice(exact, 4, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))
+        n0 = 2 * n_max + 1
+        con = lat.constants
+        a = Fraction(2, 3)
+        d = -a * con.gamma_n(n0) / con.alpha_n(n0)
+        pair = PearsonPair(lat, Polynomial(exact, (Fraction(1, 3), Fraction(-1, 3), a)),
+                           Polynomial(exact, (Fraction(5, 3), d)))
+        assert regularity(pair, n_max).verdict == f"fails-admissibility-at-{n0}"
+        # the moment route stops at the same n: moment n0 + 1 needs 1/d_(n0)
+        with pytest.raises(AdmissibilityError) as err:
+            pair.moments().moments(n0 + 2)
+        assert err.value.n == n0
+
     def test_witness_point_formula(self, gen_lattice):
         pair = sample_pair(gen_lattice)
         c3 = gen_lattice.c[2]
@@ -150,6 +168,54 @@ class TestRegularity:
         pair = construct.pair
         phi2, _ = pair.iterated(2)
         assert phi2(witness_point(pair, 2)) == pair.field.zero
+
+
+class TestMemo:
+    def test_closed_reads_first_keep_the_recursion_check(self, exact, monkeypatch):
+        """C_(n+1) read before regularity takes the validate=False path; the
+        recursion check of every level regularity validates must still run."""
+        lat = Lattice(exact, 4, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))
+        pair = sample_pair(lat)
+        n_max, bad = 5, 3
+        closed = ttrr_from_pearson(pair)
+        for m in range(n_max + 2):
+            closed.c(m)
+        original = PearsonPair._iterated_closed
+
+        def corrupted(self, k):
+            phi_k, psi_k = original(self, k)
+            return (phi_k + 1, psi_k) if k == bad else (phi_k, psi_k)
+
+        monkeypatch.setattr(PearsonPair, "_iterated_closed", corrupted)
+        with pytest.raises(InternalCheckError, match=rf"phi\^\[{bad}\]"):
+            regularity(pair, n_max)
+
+    @pytest.mark.parametrize("backend", ["exact", "bigfloat"])
+    @pytest.mark.parametrize("spec", [
+        (4, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))),
+        (1, (2, Fraction(1, 3), Fraction(-1, 4))),
+    ])
+    def test_memo_does_not_depend_on_call_order(self, backend, spec):
+        field = make_field(backend, precision=128)
+        q, c = spec
+        top = 12
+
+        def read(order):
+            lat = Lattice(field, q, c)
+            pair = PearsonPair(lat, Polynomial(field, (Fraction(7, 10), Fraction(-1, 3),
+                                                       Fraction(2, 7))),
+                               Polynomial(field, (Fraction(1, 2), Fraction(3, 4))))
+            con = lat.constants
+            values = {n: (pair.d_value(n), pair.e_value(n), con.gamma_n(n), con.alpha_n(n))
+                      for n in order}
+            # a second read returns the memo
+            assert all(a is b for n in order for a, b in zip(
+                values[n], (pair.d_value(n), pair.e_value(n), con.gamma_n(n), con.alpha_n(n))))
+            return values
+
+        up = read(range(-1, top))
+        down = read(range(top - 1, -2, -1))
+        assert up == down
 
 
 class TestRodrigues:

@@ -106,12 +106,13 @@ class TestAskeyWilson:
             assert hahn.ttrr.c(m) == aw.ttrr.c(m)
 
     def test_restriction_scan_flags_bad_product(self, sym_lattice):
-        # a b = 4 = q^(-1) collides with the orthogonality restrictions
-        rep = check_restrictions(
-            make_family("askey_wilson", sym_lattice, (2, 2, 0, 0)), 8
-        )
-        assert not rep.ok
-        assert rep.first_violation is not None
+        # a1 a2 = q^(-n) collides with the orthogonality restrictions; no other
+        # factor vanishes, so only 1 - a1 a2 q^n can report level n (the zero
+        # C_m it causes comes one level later)
+        for params, n in (((2, 2, 0, 0), 1), ((2, 8, Fraction(1, 3), Fraction(1, 5)), 2)):
+            rep = check_restrictions(make_family("askey_wilson", sym_lattice, params), 8)
+            assert not rep.ok
+            assert rep.first_violation == n, params
 
     @pytest.mark.parametrize("q", [Fraction(1, 9), Fraction(1, 25), Fraction(1, 36),
                                    Fraction(4, 9), Fraction(9, 25)])

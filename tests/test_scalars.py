@@ -207,6 +207,18 @@ class TestBigFloatField:
         decoded = big.from_json(big.to_json(val))
         assert big.approx_eq(val, decoded)
 
+    def test_own_values_are_returned_unchanged(self, big):
+        v = big(Fraction(22, 7)) + big.i * big(Fraction(-1, 3))
+        assert type(v) is big.ctx.mpc
+        assert big(v) is v
+        assert big(v) == big.ctx.mpc(v)
+        # a value of another context is still converted, rounded to this one
+        other = make_field("bigfloat", precision=256)
+        w = other(Fraction(1, 3))
+        cw = big(w)
+        assert type(cw) is big.ctx.mpc and type(w) is not big.ctx.mpc
+        assert cw == big.ctx.mpc(w) == big(Fraction(1, 3))
+
     def test_sqrt(self, big):
         assert big.approx_eq(big.sqrt(big(2)) ** 2, big(2))
         minus = big.sqrt(big(-9))
