@@ -39,6 +39,8 @@ from .polynomials import Polynomial
 from .scalars import Report
 
 RELATIONS = ("sx_raise", "lower", "counterexample4term", "system")
+# solve_first_characterization looks for r = q^(n-1) or r = -q^(-n) at n <= this
+EXCLUDED_SCAN = 64
 # the relations of the form D_x P_(n+1) = (right-hand side at P_n)
 _SLOT_RELATIONS = ("sx_raise", "lower")
 
@@ -131,26 +133,20 @@ def counterexample_ttrr(lat: Lattice) -> TTRRCoeffs:
 
     `lat` is the lattice the relation is checked on (base q); the family
     itself lives at base q^(1/2), and its data are Laurent polynomials
-    in r4 := q^(1/4).  On the exact backend q must therefore be a
-    rational fourth power.
+    in r4 := q^(1/4), written as t^k or r4 t^k with t = r4^2 = q^(1/2).
+    On the exact backend q must therefore be a rational fourth power.
     """
     field = lat.field
     _require_symmetric(lat)
     r4 = field.sqrt(lat.sqrt_q)
     one = field.one
+    t_pow = lat.t_pow
 
     def b_fn(n: int):
-        return (
-            (one + r4**-2) * r4 ** (2 * n) + one - r4**-2
-        ) * r4 ** (2 * n + 1) / 2
+        return ((one + t_pow(-1)) * t_pow(n) + one - t_pow(-1)) * r4 * t_pow(n) / 2
 
     def c_fn(n: int):
-        return (
-            (one + r4 ** (2 * (n - 1)))
-            * (one - r4 ** (2 * n))
-            * (one - r4 ** (4 * n - 2))
-            / 4
-        )
+        return (one + t_pow(n - 1)) * (one - t_pow(n)) * (one - t_pow(2 * n - 1)) / 4
 
     return TTRRCoeffs(field, b_fn, c_fn)
 
@@ -181,7 +177,8 @@ def _check_counterexample(lat: Lattice, n_max: int) -> Report:
     b_of, c_big = ttrr.b_fn, ttrr.c_fn
 
     def c_small(n: int):
-        return c_big(n) * r4 ** (-(2 * n - 1))
+        # C_n r4^(1-2n)
+        return c_big(n) * r4 * lat.t_pow(-n)
 
     one = field.one
     a2m1 = alpha * alpha - one
@@ -357,8 +354,7 @@ class FirstCharacterization:
         )
 
 
-def solve_first_characterization(lat: Lattice, c1, branch: str = "+",
-                                 excluded_scan: int = 64) -> FirstCharacterization:
+def solve_first_characterization(lat: Lattice, c1, branch: str = "+") -> FirstCharacterization:
     """Build the Askey-Wilson-type family of the raising case from C_1.
 
     The raising case is D_x P_(n+1) = (gamma_(n+1)/alpha_n) S_x P_n.
@@ -394,7 +390,7 @@ def solve_first_characterization(lat: Lattice, c1, branch: str = "+",
     if not field.approx_eq(c1_back, c1):
         raise InternalCheckError("C_1 round trip through r failed")
     excluded_index = None
-    for n in range(excluded_scan + 1):
+    for n in range(EXCLUDED_SCAN + 1):
         if field.approx_eq(r, lat.q_pow(n - 1)) or field.approx_eq(r, -lat.q_pow(-n)):
             excluded_index = n
             break

@@ -12,21 +12,21 @@ defining recursion, moments against the Pearson recursion, recurrence
 coefficients against the moment oracle (in the test-suite), so a
 transcription slip in any one route cannot pass silently.
 
-What is memoized, per PearsonPair: d_n and e_n at every index, phi'(c3),
-psi(c3) and phi(c3) on q-lattices, and the witness phi^[n](witness_point(n))
-at every level; ``regularity`` and the C_(n+1) of ``ttrr_from_pearson``
-read the same witness.  The validated iterated pairs are kept too, but
-only once their recursion check has passed: a closed form read with
-validate=False is never stored, so the recursion check still runs at
-every level that ``iterated`` validates.  The lattice memoizes alpha_n,
-gamma_n, U1 and U2 (see ``lattice``).
+What is memoized, per PearsonPair, through ``lattice.memoized``: d_n and
+e_n at every index, phi'(c3), psi(c3) and phi(c3) on q-lattices, and the
+witness phi^[n](witness_point(n)) at every level; ``regularity`` and the
+C_(n+1) of ``ttrr_from_pearson`` read the same witness.  The iterated
+pairs are kept too, but a level is stored only once its recursion check
+has passed.  A witness reads the stored pair when its level is there and
+the closed form otherwise, and that closed form is never stored, so the
+recursion check still runs at every level that ``iterated`` reaches.
+The lattice memoizes alpha_n, gamma_n, U1 and U2 (see ``lattice``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .functionals import (
     AdmissibilityError,
@@ -41,7 +41,7 @@ from .functionals import (
     moment_slot,
     pearson_moments,
 )
-from .lattice import Lattice, LatticeError
+from .lattice import Lattice, LatticeError, memoized
 from .operators import dx, sx
 from .polynomials import Polynomial
 from .scalars import Field, Report, encode_fields
@@ -62,9 +62,6 @@ class PearsonPair:
         self.phi = phi
         self.psi = psi
         self._iterated: List[Tuple[Polynomial, Polynomial]] = [(phi, psi)]
-        self._d: Dict[int, object] = {}
-        self._e: Dict[int, object] = {}
-        self._witness: Dict[int, object] = {}
 
     @property
     def a(self):
@@ -86,53 +83,45 @@ class PearsonPair:
     def e(self):
         return self.psi.coeff(0)
 
-    @cached_property
+    @memoized
     def _at_c3(self) -> Tuple[object, object, object]:
         """(phi'(c3), psi(c3), phi(c3)) on a q-lattice, c3 = lattice.c[2]."""
         c3 = self.lattice.c[2]
         return self.phi.derivative()(c3), self.psi(c3), self.phi(c3)
 
+    @memoized
     def d_value(self, n: int):
         """d_n = a gamma_n + d alpha_n, the admissibility sequence."""
-        v = self._d.get(n)
-        if v is None:
-            con = self.lattice.constants
-            v = self._d[n] = self.a * con.gamma_n(n) + self.d * con.alpha_n(n)
-        return v
+        con = self.lattice.constants
+        return self.a * con.gamma_n(n) + self.d * con.alpha_n(n)
 
+    @memoized
     def e_value(self, n: int):
         """e_n, the companion sequence entering B_n and the witnesses."""
-        v = self._e.get(n)
-        if v is None:
-            lat = self.lattice
-            con = lat.constants
-            if lat.is_q_lattice:
-                phid_c3, psi_c3, _ = self._at_c3
-                v = phid_c3 * con.gamma_n(n) + psi_c3 * con.alpha_n(n)
-            else:
-                v = self.b * n + self.e + 2 * con.beta * self.d * (n * n)
-            self._e[n] = v
-        return v
+        lat = self.lattice
+        con = lat.constants
+        if lat.is_q_lattice:
+            phid_c3, psi_c3, _ = self._at_c3()
+            return phid_c3 * con.gamma_n(n) + psi_c3 * con.alpha_n(n)
+        return self.b * n + self.e + 2 * con.beta * self.d * (n * n)
 
+    @memoized
     def witness(self, n: int):
-        """phi^[n](witness_point(n)); a zero of it ends regularity at level n."""
-        w = self._witness.get(n)
-        if w is None:
-            phi_n, _ = self.iterated(n, validate=False)
-            w = self._witness[n] = phi_n(witness_point(self, n))
-        return w
+        """phi^[n](witness_point(n)); a zero of it ends regularity at level n.
 
-    def iterated(self, k: int, validate: bool = True) -> Tuple[Polynomial, Polynomial]:
-        """(phi^[k], psi^[k]); recursion and closed form must agree.
-
-        With validate=False only the closed form is evaluated, which keeps
-        deep indices (growth limits probe k around 10^4) cheap; the dual
-        route stays on for every validated index.
+        Reads the validated pair when level n is stored and the closed form
+        otherwise, which keeps deep levels cheap.
         """
+        if n < len(self._iterated):
+            phi_n = self._iterated[n][0]
+        else:
+            phi_n, _ = self._iterated_closed(n)
+        return phi_n(witness_point(self, n))
+
+    def iterated(self, k: int) -> Tuple[Polynomial, Polynomial]:
+        """(phi^[k], psi^[k]); recursion and closed form must agree at every level."""
         lat = self.lattice
         field = self.field
-        if not validate and k >= len(self._iterated):
-            return self._iterated_closed(k)
         u1 = lat.u1()
         u2 = lat.u2()
         alpha = lat.constants.alpha
@@ -164,7 +153,7 @@ class PearsonPair:
             alpha = con.alpha
             a2m1 = alpha * alpha - field.one
             zc = Polynomial(field, (-c3, field.one))
-            phid_c3, psi_c3, phi_c3 = self._at_c3
+            phid_c3, psi_c3, phi_c3 = self._at_c3()
             d2k = self.d_value(2 * k)
             ek = self.e_value(k)
             psi_k = d2k * zc + ek
@@ -421,7 +410,7 @@ def asymptotics(pair: PearsonPair, n_eval: int, sum_horizon: int = 64) -> Asympt
         q = lat.q
         alpha = con.alpha
         uval = field.one / (lat.sqrt_q - field.one / lat.sqrt_q)
-        phid_c3, psi_c3, _ = pair._at_c3
+        phid_c3, psi_c3, _ = pair._at_c3()
         a, d = pair.a, pair.d
         sum_residual = 0.0
         running = field.zero

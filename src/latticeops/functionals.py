@@ -21,10 +21,10 @@ operation per coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from .lattice import Lattice
+from .lattice import Lattice, memoized
 from .operators import dx_monomial, monomial_rows, mul_rows, sx_monomial, tnk
 from .polynomials import Polynomial
 from .scalars import Field, Report, add_rows, join_rows
@@ -219,8 +219,6 @@ class TTRRCoeffs:
     b_fn: Callable[[int], object]
     c_fn: Callable[[int], object]
     horizon: Optional[int] = None
-    _cache_b: Dict[int, object] = dc_field(default_factory=dict)
-    _cache_c: Dict[int, object] = dc_field(default_factory=dict)
 
     @classmethod
     def from_lists(cls, field: Field, bs: Sequence, cs: Sequence) -> "TTRRCoeffs":
@@ -240,21 +238,20 @@ class TTRRCoeffs:
 
         return cls(field, b_fn, c_fn, horizon=len(bs) - 1)
 
+    # b_fn and c_fn are read at call time: a caller may rebind them
+    @memoized
     def b(self, n: int):
         if n < 0:
             raise ValueError("B_n is defined for n >= 0")
-        if n not in self._cache_b:
-            self._cache_b[n] = self.field(self.b_fn(n))
-        return self._cache_b[n]
+        return self.field(self.b_fn(n))
 
+    @memoized
     def c(self, n: int):
         if n < 0:
             raise ValueError("C_n is defined for n >= 0")
         if n == 0:
             return self.field.zero
-        if n not in self._cache_c:
-            self._cache_c[n] = self.field(self.c_fn(n))
-        return self._cache_c[n]
+        return self.field(self.c_fn(n))
 
     def rows(self, n_max: int):
         return [(n, self.b(n), self.c(n)) for n in range(n_max + 1)]

@@ -10,19 +10,22 @@ linear.  Each lattice owns the constants alpha and beta, the sequences
 alpha_n, beta_n, gamma_n, and the fundamental polynomials U1, U2 driving
 the operator calculus.
 
-What is memoized, per lattice: the power tables t^n and t^(-n) of
-t = sqrt(q); every index of alpha_n and gamma_n, computed once from the
-closed form on first use; U1 and U2, built on the first call.  beta_n is
-recomputed from the power tables.  The test suite checks the sequences
-against the defining recurrences.
+Every closed form on a q-lattice is a Laurent polynomial in t = sqrt(q),
+so every power of q or t goes through one helper, ``Lattice.t_pow``: it
+keeps the tables t^k and t^(-k), grown by one multiplication per index.
+What is memoized, per lattice, through the ``memoized`` decorator: every
+index of alpha_n and gamma_n, computed once from the closed form on first
+use, and U1 and U2.  beta_n is recomputed from the power tables.  The
+test suite checks the sequences against the defining recurrences.
 Exact-backend lattices require sqrt(q) to be rational, because the
 operators evaluate x at half-integer s.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, Tuple
 
 from .polynomials import Polynomial
 from .scalars import Field, ScalarDomainError
@@ -36,6 +39,28 @@ KINDS = Q_KINDS + ONE_KINDS
 
 class LatticeError(ValueError):
     pass
+
+
+def memoized(fn):
+    """Compute ``fn(obj, *args)`` once per object and argument tuple.
+
+    The values live in a dict in ``obj.__dict__``, so the memo holds no
+    reference to ``obj`` and goes away with it.  A call that raises stores
+    nothing.  ``fn`` may be a method or a function whose first argument is
+    the object that owns the memo.
+    """
+    slot = f"_memo_{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def wrapper(obj, *args):
+        try:
+            return obj.__dict__[slot][args]
+        except KeyError:
+            pass
+        value = obj.__dict__.setdefault(slot, {})[args] = fn(obj, *args)
+        return value
+
+    return wrapper
 
 
 def _as_half_integer(s) -> Fraction:
@@ -63,60 +88,37 @@ class LatticeConstants:
             t = lattice.sqrt_q
             self.alpha = (t + field.one / t) / 2
             self.beta = (field.one - self.alpha) * lattice.c[2]
-            # power tables t^n and t^(-n); alpha_n, gamma_n, beta_n derive
-            # from them with integer powers of t only
-            self._tp: List = [field.one]
-            self._tn: List = [field.one]
-            self._t = t
-            self._ti = field.one / t
-            self._gamma_den = t - self._ti
-            self._beta_den = t - 2 + self._ti
+            # alpha_n, gamma_n and beta_n use integer powers of t only
+            t_pow = lattice.t_pow
+            self._gamma_den = t_pow(1) - t_pow(-1)
+            self._beta_den = t_pow(1) - 2 + t_pow(-1)
         else:
             self.alpha = field.one
             self.beta = lattice.c[0] / 4
-        self._alpha_n: Dict[int, object] = {}
-        self._gamma_n: Dict[int, object] = {}
-
-    def _grow(self, n: int) -> None:
-        if n > DEFAULT_TABLE_HORIZON:
-            raise LatticeError(
-                f"sequence index {n} exceeds the table horizon {DEFAULT_TABLE_HORIZON}"
-            )
-        while len(self._tp) <= n:
-            self._tp.append(self._tp[-1] * self._t)
-            self._tn.append(self._tn[-1] * self._ti)
 
     def _check_index(self, n: int) -> None:
         if n < -1:
             raise LatticeError(f"sequence index {n} < -1 is undefined")
+        if self._is_q and n > DEFAULT_TABLE_HORIZON:
+            raise LatticeError(
+                f"sequence index {n} exceeds the table horizon {DEFAULT_TABLE_HORIZON}"
+            )
 
+    @memoized
     def alpha_n(self, n: int):
-        value = self._alpha_n.get(n)
-        if value is None:
-            self._check_index(n)
-            if self._is_q:
-                k = abs(n)
-                self._grow(k)
-                value = (self._tp[k] + self._tn[k]) / 2
-            else:
-                value = self.lattice.field.one
-            self._alpha_n[n] = value
-        return value
+        self._check_index(n)
+        if not self._is_q:
+            return self.lattice.field.one
+        t_pow = self.lattice.t_pow
+        return (t_pow(n) + t_pow(-n)) / 2
 
+    @memoized
     def gamma_n(self, n: int):
-        value = self._gamma_n.get(n)
-        if value is None:
-            self._check_index(n)
-            if self._is_q:
-                k = abs(n)
-                self._grow(k)
-                value = (self._tp[k] - self._tn[k]) / self._gamma_den
-                if n < 0:
-                    value = -value
-            else:
-                value = self.lattice.field(n)
-            self._gamma_n[n] = value
-        return value
+        self._check_index(n)
+        if not self._is_q:
+            return self.lattice.field(n)
+        t_pow = self.lattice.t_pow
+        return (t_pow(n) - t_pow(-n)) / self._gamma_den
 
     def beta_n(self, n: int):
         if n < 0:
@@ -124,10 +126,11 @@ class LatticeConstants:
         field = self.lattice.field
         if not self._is_q:
             return self.beta * field(n * n)
-        self._grow(n)
+        self._check_index(n)
+        t_pow = self.lattice.t_pow
         # ((q^(n/4)-q^(-n/4))/(q^(1/4)-q^(-1/4)))^2 written with integer
         # powers of sqrt(q) so the exact backend never needs quarter powers
-        return self.beta * (self._tp[n] - 2 + self._tn[n]) / self._beta_den
+        return self.beta * (t_pow(n) - 2 + t_pow(-n)) / self._beta_den
 
 
 class Lattice:
@@ -163,9 +166,10 @@ class Lattice:
                 raise LatticeError("a q=1 lattice needs (c4, c5, c6) != (0, 0, 0)")
             self.sqrt_q = field.one
             self.kind = "quadratic" if self.c[0] != field.zero else "linear"
+        # t^k and t^(-k) for t = sqrt(q), index k; see t_pow
+        self._t_pos = [field.one]
+        self._t_neg = [field.one]
         self.constants = LatticeConstants(self)
-        self._u1: Optional[Polynomial] = None
-        self._u2: Optional[Polynomial] = None
 
     @property
     def is_constant(self) -> bool:
@@ -178,25 +182,32 @@ class Lattice:
     def x(self, s):
         """Evaluate x(s) for s on the half-integer grid."""
         f = _as_half_integer(s)
-        field = self.field
         if self.is_q_lattice:
-            # q^s = sqrt(q)^(2s); 2s is an integer, so the exact backend
-            # stays inside the field
+            # q^s = t^(2s); 2s is an integer, so the exact backend stays
+            # inside the field
             k = int(2 * f)
-            ts = self.sqrt_q**k
-            return self.c[0] / ts + self.c[1] * ts + self.c[2]
-        sv = field(f)
+            return self.c[0] * self.t_pow(-k) + self.c[1] * self.t_pow(k) + self.c[2]
+        sv = self.field(f)
         return (self.c[0] * sv + self.c[1]) * sv + self.c[2]
 
-    def q_pow(self, k: int):
-        """q^k for any integer k.
+    def t_pow(self, k: int):
+        """t^k for t = sqrt(q) and any integer k.
 
-        A negative power is computed as (1/q)^(-k), so bigfloat values do
-        not depend on how mpmath rounds q**k for k < 0.
+        Both tables grow by one multiplication per index, by t for k >= 0
+        and by 1/t for k < 0, so a bigfloat value does not depend on how
+        mpmath rounds a power.
         """
-        if k >= 0:
-            return self.q**k
-        return (self.field.one / self.q) ** (-k)
+        table = self._t_pos if k >= 0 else self._t_neg
+        k = abs(k)
+        if k >= len(table):
+            step = self.sqrt_q if table is self._t_pos else self.field.one / self.sqrt_q
+            while len(table) <= k:
+                table.append(table[-1] * step)
+        return table[k]
+
+    def q_pow(self, k: int):
+        """q^k = t^(2k) for any integer k."""
+        return self.t_pow(2 * k)
 
     def node_stream(self) -> Iterator[Tuple[int, object]]:
         """(s, x(s)) over integer s >= 0, skipping repeated x values."""
@@ -209,52 +220,27 @@ class Lattice:
                 yield s, z
             s += 1
 
-    def nodes(self, m: int) -> List[Tuple[int, object]]:
-        """First m integer nodes with pairwise distinct x values."""
-        if m < 1:
-            raise LatticeError("node count must be >= 1")
-        out: List[Tuple[int, object]] = []
-        stream = self.node_stream()
-        for s, z in stream:
-            out.append((s, z))
-            if len(out) == m:
-                return out
-            if s >= 4 * m:
-                break
-        raise LatticeError(
-            f"could not find {m} distinct lattice points within {4 * m} candidates"
-        )
-
+    @memoized
     def u1(self) -> Polynomial:
-        if self._u1 is None:
-            field = self.field
+        field = self.field
+        if self.is_q_lattice:
             a = self.constants.alpha
-            if self.is_q_lattice:
-                f = a * a - field.one
-                self._u1 = Polynomial(field, (-f * self.c[2], f))
-            else:
-                self._u1 = Polynomial(field, (self.c[0] / 2,))
-        return self._u1
+            f = a * a - field.one
+            return Polynomial(field, (-f * self.c[2], f))
+        return Polynomial(field, (self.c[0] / 2,))
 
+    @memoized
     def u2(self) -> Polynomial:
-        if self._u2 is None:
-            field = self.field
+        field = self.field
+        if self.is_q_lattice:
             a = self.constants.alpha
-            if self.is_q_lattice:
-                f = a * a - field.one
-                c3 = self.c[2]
-                self._u2 = Polynomial(
-                    field,
-                    (
-                        f * (c3 * c3 - 4 * self.c[0] * self.c[1]),
-                        -2 * f * c3,
-                        f,
-                    ),
-                )
-            else:
-                c4, c5, c6 = self.c
-                self._u2 = Polynomial(field, (c5 * c5 / 4 - c4 * c6, c4))
-        return self._u2
+            f = a * a - field.one
+            c3 = self.c[2]
+            return Polynomial(
+                field, (f * (c3 * c3 - 4 * self.c[0] * self.c[1]), -2 * f * c3, f)
+            )
+        c4, c5, c6 = self.c
+        return Polynomial(field, (c5 * c5 / 4 - c4 * c6, c4))
 
     def to_json(self):
         return {

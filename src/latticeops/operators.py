@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
-from .lattice import Lattice, LatticeError
+from .lattice import Lattice, LatticeError, memoized
 from .polynomials import Polynomial, interpolate, mul_coeffs
 from .scalars import Report, add_rows
 
@@ -85,33 +85,23 @@ def mul_rows(a, b) -> tuple:
     return mul_coeffs(a[0], b[0]), a[1] * b[1]
 
 
-def _monomial_cache(lat: Lattice) -> dict:
-    cache = getattr(lat, "_monomial_images", None)
-    if cache is None:
-        field = lat.field
-        if lat.is_q_lattice:
-            alpha = lat.constants.alpha
-            sz = Polynomial(field, ((field.one - alpha) * lat.c[2], alpha))
-        else:
-            sz = Polynomial(field, (lat.constants.beta, field.one))
-        one, szrow = field.pack((field.one,)), field.pack(sz.coeffs)
-        cache = {
-            "dx": [field.pack(()), one],
-            "sx": [one, szrow],
-            # the recurrences' multipliers S_x z and U2
-            "mul": (szrow, field.pack(lat.u2().coeffs)),
-            # (kind, n) -> the unpacked Polynomial, made on first request
-            "polys": {},
-        }
-        lat._monomial_images = cache
-    return cache
+@memoized
+def _monomial_tables(lat: Lattice) -> tuple:
+    """The packed rows of D_x z^n and S_x z^n so far, and the recurrences'
+    multipliers S_x z and U2."""
+    field = lat.field
+    if lat.is_q_lattice:
+        alpha = lat.constants.alpha
+        sz = Polynomial(field, ((field.one - alpha) * lat.c[2], alpha))
+    else:
+        sz = Polynomial(field, (lat.constants.beta, field.one))
+    one, szrow = field.pack((field.one,)), field.pack(sz.coeffs)
+    return [field.pack(()), one], [one, szrow], szrow, field.pack(lat.u2().coeffs)
 
 
 def monomial_rows(lat: Lattice, n: int) -> tuple:
     """The packed rows of D_x z^n and S_x z^n, extending both tables through degree n."""
-    cache = _monomial_cache(lat)
-    dxrows, sxrows = cache["dx"], cache["sx"]
-    sz, u2 = cache["mul"]
+    dxrows, sxrows, sz, u2 = _monomial_tables(lat)
     while len(dxrows) <= n:
         d, s = dxrows[-1], sxrows[-1]
         dxrows.append(add_rows(s, mul_rows(sz, d)))
@@ -119,14 +109,11 @@ def monomial_rows(lat: Lattice, n: int) -> tuple:
     return dxrows[n], sxrows[n]
 
 
+@memoized
 def _monomial(lat: Lattice, kind: str, n: int) -> Polynomial:
-    polys = _monomial_cache(lat)["polys"]
-    poly = polys.get((kind, n))
-    if poly is None:
-        dxrow, sxrow = monomial_rows(lat, n)
-        row = dxrow if kind == "dx" else sxrow
-        poly = polys[kind, n] = Polynomial(lat.field, lat.field.unpack(row))
-    return poly
+    """D_x z^n or S_x z^n as a Polynomial, unpacked from its row once."""
+    dxrow, sxrow = monomial_rows(lat, n)
+    return Polynomial(lat.field, lat.field.unpack(dxrow if kind == "dx" else sxrow))
 
 
 def dx_monomial(lat: Lattice, n: int) -> Polynomial:

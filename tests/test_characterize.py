@@ -276,6 +276,22 @@ class TestRaisingConstruction:
         with pytest.raises(LatticeError):
             solve_first_characterization(quad_lattice, Fraction(1, 2))
 
+    def test_forced_pair_is_the_constructed_pair_negated(self, sym_lattice):
+        """At B_0 = c3 the pair the raising relation forces from C_1 is -1
+        times the pair built from C_1, so both give one recurrence."""
+        forced = pearson_from_ttrr(sym_lattice, "sx_raise", sym_lattice.c[2], Fraction(-9, 32))
+        fc = solve_first_characterization(sym_lattice, Fraction(-9, 32))
+        assert (forced.phi, forced.psi) == (-fc.pair.phi, -fc.pair.psi)
+        ttrr = ttrr_from_pearson(forced)
+        for n in range(11):
+            assert (ttrr.b(n), ttrr.c(n)) == (fc.ttrr.b(n), fc.ttrr.c(n))
+
+    def test_forced_pair_returns_b0_and_c1(self, exact):
+        lat = Lattice(exact, 4, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))
+        b0, c1 = Fraction(1, 3), Fraction(-2, 5)
+        ttrr = ttrr_from_pearson(pearson_from_ttrr(lat, "sx_raise", b0, c1))
+        assert (ttrr.b(0), ttrr.c(1)) == (exact(b0), exact(c1))
+
 
 class TestSolveRelation:
     """The relation-first route: the TTRR a relation forces from B_0, C_1."""

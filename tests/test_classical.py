@@ -60,9 +60,7 @@ class TestIterated:
         for lat in (gen_lattice, quad_lattice):
             pair = sample_pair(lat)
             for k in range(6):
-                assert pair.iterated(k, validate=True) == pair.iterated(
-                    k, validate=False
-                )
+                assert pair.iterated(k) == pair._iterated_closed(k)
 
     def test_semigroup_property(self, gen_lattice):
         """Iterating twice = iterating once from the once-iterated pair."""
@@ -172,7 +170,7 @@ class TestRegularity:
 
 class TestMemo:
     def test_closed_reads_first_keep_the_recursion_check(self, exact, monkeypatch):
-        """C_(n+1) read before regularity takes the validate=False path; the
+        """C_(n+1) read before regularity reads unchecked closed forms; the
         recursion check of every level regularity validates must still run."""
         lat = Lattice(exact, 4, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))
         pair = sample_pair(lat)

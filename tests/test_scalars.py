@@ -300,16 +300,17 @@ def test_verdict_rules_live_in_scalars():
 
 
 def test_lattice_q_powers_live_in_lattice():
-    """Every power of a lattice's q goes through ``Lattice.q_pow``.
+    """Every power of a lattice's q or sqrt(q) goes through ``Lattice.t_pow``.
 
-    The counterexample's ``r4`` powers stay: they are powers of the family's
-    base q^(1/4), not of the lattice's q.
+    That covers ``q_pow`` and the counterexample's powers of r4 = q^(1/4),
+    written as ``r4 * t_pow(k)``: no other module raises q, ``sqrt_q`` or
+    ``r4`` to a power with ``**``.
     """
     raw = []
     for path in sorted(Path(latticeops.__file__).parent.glob("*.py")):
         if path.name == "lattice.py":
             continue
         for line in path.read_text(encoding="utf-8").splitlines():
-            if re.search(r"\bq\s*\*\*", line):
+            if re.search(r"\b(q|sqrt_q|r4)\s*\*\*", line):
                 raw.append((path.name, line.strip()))
     assert raw == []
