@@ -38,7 +38,6 @@ from .operators import dx, sx
 from .polynomials import Polynomial
 from .scalars import Report
 
-RELATIONS = ("sx_raise", "lower", "counterexample4term", "system")
 # solve_first_characterization looks for r = q^(n-1) or r = -q^(-n) at n <= this
 EXCLUDED_SCAN = 64
 # the relations of the form D_x P_(n+1) = (right-hand side at P_n)

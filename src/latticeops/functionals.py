@@ -11,12 +11,15 @@ Pearson moments, the TTRR by the Chebyshev algorithm on the moments alone,
 Hankel determinants (a second, determinant route to the same TTRR), and
 moment-wise checks of the dual-side identities.
 
-The Pearson moment recursion reads the monomial images as packed rows
-(`operators.monomial_rows`, format in `scalars`) and keeps mu_0..mu_n as
-one packed row too.  On the exact backend a step is an integer
-convolution, one integer dot product and one `Fraction` for the new
-moment (plus one for the cross-check of d_n), instead of a `Fraction`
-operation per coefficient.
+Every pairing of a functional with a polynomial goes through one method,
+`MomentFunctional.pair`, on the polynomial's packed row (format in
+`scalars`): `apply`, `left_mul` and the two duals, which read the
+monomial images straight from `operators.monomial_rows`.  The Pearson
+moment recursion reads the same rows and keeps mu_0..mu_n as one packed
+row too.  On the exact backend a step is an integer convolution, one
+integer dot product and one `Fraction` for the new moment (plus one for
+the cross-check of d_n), instead of a `Fraction` operation per
+coefficient.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .lattice import Lattice, memoized
-from .operators import dx_monomial, monomial_rows, mul_rows, sx_monomial, tnk
+from .operators import monomial_rows, tnk
 from .polynomials import Polynomial
-from .scalars import Field, Report, add_rows, join_rows
+from .scalars import Field, Report, add_rows, join_rows, mul_rows
 
 
 class InternalCheckError(RuntimeError):
@@ -89,12 +92,21 @@ class MomentFunctional:
         self._ensure(n)
         return list(self._moments[: n + 1])
 
+    def pair(self, row, shift: int = 0):
+        """<u, z^shift g> for the polynomial g with packed row `row`.
+
+        The sum runs in increasing degree, coefficient times moment, and
+        is divided once by the row's denominator.
+        """
+        values, den = row
+        acc = self.field.zero
+        for j, v in enumerate(values):
+            acc = acc + v * self.moment(shift + j)
+        return acc if den == 1 else acc / den
+
     def apply(self, f: Polynomial):
         """<u, f>."""
-        acc = self.field.zero
-        for k, c in enumerate(f.coeffs):
-            acc = acc + c * self.moment(k)
-        return acc
+        return self.pair(self.field.pack(f.coeffs))
 
     def __add__(self, other: "MomentFunctional") -> "MomentFunctional":
         return MomentFunctional(
@@ -119,24 +131,21 @@ class MomentFunctional:
 def left_mul(u: MomentFunctional, f: Polynomial) -> MomentFunctional:
     """The functional f*u with <f*u, g> = <u, f*g>."""
 
-    def ext(k: int):
-        acc = u.field.zero
-        for j, c in enumerate(f.coeffs):
-            acc = acc + c * u.moment(k + j)
-        return acc
-
-    return MomentFunctional(u.field, extender=ext)
+    row = u.field.pack(f.coeffs)
+    return MomentFunctional(u.field, extender=lambda k: u.pair(row, k))
 
 
 def dual_dx(lat: Lattice, u: MomentFunctional) -> MomentFunctional:
+    """D u, with moments -<u, D_x z^k> read off row k of the D_x table."""
     return MomentFunctional(
-        u.field, extender=lambda k: -u.apply(dx_monomial(lat, k))
+        u.field, extender=lambda k: -u.pair(monomial_rows(lat, k)[0])
     )
 
 
 def dual_sx(lat: Lattice, u: MomentFunctional) -> MomentFunctional:
+    """S u, with moments <u, S_x z^k> read off row k of the S_x table."""
     return MomentFunctional(
-        u.field, extender=lambda k: u.apply(sx_monomial(lat, k))
+        u.field, extender=lambda k: u.pair(monomial_rows(lat, k)[1])
     )
 
 

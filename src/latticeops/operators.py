@@ -11,13 +11,14 @@ seeded with D_x z = 1 and the degree-one average S_x z.  These involve
 no divided differences of evaluations, so they stay numerically stable
 on lattices whose nodes spread exponentially.
 
-Each lattice keeps both tables as packed rows (`scalars.pack`): on the
-exact backend a row of real coefficients is a list of Python ints over
-one denominator, so a recurrence step is an integer convolution and one
-gcd.  `monomial_rows` hands the packed rows to the Pearson moment
-recursion; `dx_monomial` and `sx_monomial` unpack a row into a
-`Polynomial` the first time it is asked for and keep it, and `dx` and
-`sx` expand their argument over those Polynomials.
+Each lattice keeps both tables as packed rows (`scalars.pack`), and the
+packed row is the only form of the images: on the exact backend a row of
+real coefficients is a list of Python ints over one denominator, so a
+recurrence step is an integer convolution and one gcd.  `monomial_rows`
+hands the rows to the Pearson moment recursion and to the dual
+functionals; `dx` and `sx` sum f_k times row k of their table as packed
+rows and unpack the sum once.  `dx_monomial` and `sx_monomial` unpack
+one row into a `Polynomial`, uncached, for callers that want one image.
 
 A second, fully independent route (`dx_interp`, `sx_interp`) evaluates
 the argument at x(s +- 1/2) over interpolation nodes and interpolates
@@ -33,8 +34,8 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .lattice import Lattice, LatticeError, memoized
-from .polynomials import Polynomial, interpolate, mul_coeffs
-from .scalars import Report, add_rows
+from .polynomials import Polynomial, interpolate
+from .scalars import Report, add_rows, mul_rows
 
 HALF = Fraction(1, 2)
 
@@ -80,11 +81,6 @@ def sx_interp(lat: Lattice, f: Polynomial) -> Polynomial:
     return interpolate(lat.field, pts)
 
 
-def mul_rows(a, b) -> tuple:
-    """The packed row of the product of the polynomials with packed rows a and b."""
-    return mul_coeffs(a[0], b[0]), a[1] * b[1]
-
-
 @memoized
 def _monomial_tables(lat: Lattice) -> tuple:
     """The packed rows of D_x z^n and S_x z^n so far, and the recurrences'
@@ -109,40 +105,40 @@ def monomial_rows(lat: Lattice, n: int) -> tuple:
     return dxrows[n], sxrows[n]
 
 
-@memoized
-def _monomial(lat: Lattice, kind: str, n: int) -> Polynomial:
-    """D_x z^n or S_x z^n as a Polynomial, unpacked from its row once."""
-    dxrow, sxrow = monomial_rows(lat, n)
-    return Polynomial(lat.field, lat.field.unpack(dxrow if kind == "dx" else sxrow))
-
-
 def dx_monomial(lat: Lattice, n: int) -> Polynomial:
-    """D_x z^n, cached per lattice (the moment transforms hit these hard)."""
-    return _monomial(lat, "dx", n)
+    """D_x z^n, unpacked from its row of the lattice's table."""
+    return Polynomial(lat.field, lat.field.unpack(monomial_rows(lat, n)[0]))
 
 
 def sx_monomial(lat: Lattice, n: int) -> Polynomial:
-    return _monomial(lat, "sx", n)
+    """S_x z^n, unpacked from its row of the lattice's table."""
+    return Polynomial(lat.field, lat.field.unpack(monomial_rows(lat, n)[1]))
+
+
+def _expand(lat: Lattice, f: Polynomial, kind: int) -> Polynomial:
+    """The sum over k of f_k times row k of the D_x (kind 0) or S_x (kind 1) table.
+
+    Each term is image row times coefficient and the sum runs in
+    increasing k, the order of the plain-scalar sum, so bigfloat values
+    round alike; the sum is unpacked once.
+    """
+    field = lat.field
+    acc = field.pack(())
+    for k, c in enumerate(f.coeffs):
+        acc = add_rows(acc, mul_rows(monomial_rows(lat, k)[kind], field.pack((c,))))
+    return Polynomial(field, field.unpack(acc))
 
 
 def dx(lat: Lattice, f: Polynomial) -> Polynomial:
-    if f.degree <= 0:
-        return Polynomial.zero(lat.field)
     if lat.is_constant:
         return f.derivative()
-    out = Polynomial.zero(lat.field)
-    for k in range(1, f.degree + 1):
-        out = out + dx_monomial(lat, k) * f.coeff(k)
-    return out
+    return _expand(lat, f, 0)
 
 
 def sx(lat: Lattice, f: Polynomial) -> Polynomial:
-    if f.degree <= 0 or lat.is_constant:
+    if lat.is_constant:
         return f
-    out = Polynomial(lat.field, (f.coeff(0),))
-    for k in range(1, f.degree + 1):
-        out = out + sx_monomial(lat, k) * f.coeff(k)
-    return out
+    return _expand(lat, f, 1)
 
 
 def dx_power(lat: Lattice, f: Polynomial, n: int) -> Polynomial:

@@ -2,16 +2,18 @@
 
 Coefficients are stored lowest degree first and trailing zeros are
 trimmed, so the zero polynomial has an empty coefficient tuple and
-degree -1.  The monomial basis in z is canonical everywhere; the lattice
-operators are realized by evaluation and interpolation, so this module
-also provides exact Newton interpolation.
+degree -1.  The monomial basis in z is canonical everywhere.  A product
+is `scalars.mul_coeffs`, the kernel the packed rows of `scalars` share.
+The interpolation route of the lattice operators (`operators.dx_interp`)
+evaluates and interpolates, so this module also provides exact Newton
+interpolation.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .scalars import Field, same_field
+from .scalars import Field, mul_coeffs, same_field
 
 
 class Polynomial:
@@ -106,35 +108,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial power must be a nonnegative integer")
-        result = Polynomial.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __divmod__(self, other: "Polynomial"):
-        o = self._wrap(other)
-        if o.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        lead = o.leading
-        dq = len(rem) - len(o.coeffs)
-        if dq < 0:
-            return Polynomial.zero(self.field), self
-        quot = [self.field.zero] * (dq + 1)
-        for k in range(dq, -1, -1):
-            factor = rem[k + o.degree] / lead
-            quot[k] = factor
-            for j, c in enumerate(o.coeffs):
-                rem[k + j] = rem[k + j] - factor * c
-        return Polynomial(self.field, quot), Polynomial(self.field, rem)
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -174,19 +147,6 @@ class Polynomial:
 def _nonzero(c) -> bool:
     # exact zero test on both backends; bigfloat trims only true zeros
     return c != 0
-
-
-def mul_coeffs(a: Sequence, b: Sequence) -> list:
-    """Coefficients of a*b, lowest degree first, untrimmed.
-
-    Each coefficient sums its products in increasing index into `a`.
-    """
-    out = [None] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            t = x * y
-            out[i + j] = t if out[i + j] is None else out[i + j] + t
-    return out
 
 
 def interpolate(field: Field, points: Sequence[tuple]) -> Polynomial:

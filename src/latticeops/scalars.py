@@ -36,17 +36,21 @@ uses.  Float magnitudes appear only in what a report shows: its
 residuals, and the value ``failing`` names as the one a failed check
 hinges on.
 
-Coefficient rows that are built by long recurrences (the monomial images
-and the Pearson moments) travel *packed*: a pair ``(values, den)`` that
-stands for ``[v / den for v in values]``.  ``pack`` makes one and
-``unpack`` turns it back into scalars.  The exact backend packs a list of
-real ``Fraction``s as Python-int numerators over their least common
-denominator, so a recurrence step is integer arithmetic with one gcd per
-row instead of one per coefficient; a list holding a ``QRational``, and
-every bigfloat list, packs as its values over 1.  ``add_rows`` and
-``join_rows`` combine packed rows of either kind, so the code that runs
-the recurrences is the same on both backends, and on bigfloat it makes
-the same operations in the same order as on plain scalars.
+Coefficient rows that are built by long recurrences (the monomial images,
+the sums ``dx`` and ``sx`` make of them, and the Pearson moments) travel
+*packed*: a pair ``(values, den)`` that stands for
+``[v / den for v in values]``.  This module defines the format and every
+operation on it.  ``pack`` makes a row and ``unpack`` turns it back into
+scalars.  The exact backend packs a list of real ``Fraction``s as
+Python-int numerators over their least common denominator, so a
+recurrence step is integer arithmetic with one gcd per row instead of one
+per coefficient; a list holding a ``QRational``, and every bigfloat list,
+packs as its values over 1.  ``mul_rows``, ``add_rows`` and ``join_rows``
+combine packed rows of either kind, and ``mul_coeffs``, the convolution
+under ``mul_rows``, is also the product of two ``Polynomial``s.  So the
+code that runs the recurrences is the same on both backends, and on
+bigfloat it makes the same operations in the same order as on plain
+scalars.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from itertools import chain, zip_longest
 from math import gcd, isqrt, lcm
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 DEFAULT_PRECISION = 128
 MIN_PRECISION = 64
@@ -546,6 +550,24 @@ def _over(a, b) -> Tuple[list, list, int]:
     g = gcd(xden, yden)
     xs, ys = yden // g, xden // g
     return [v * xs for v in x], [v * ys for v in y], xden * xs
+
+
+def mul_coeffs(a: Sequence, b: Sequence) -> list:
+    """Coefficients of a*b, lowest degree first, untrimmed.
+
+    Each coefficient sums its products in increasing index into `a`.
+    """
+    out = [None] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            t = x * y
+            out[i + j] = t if out[i + j] is None else out[i + j] + t
+    return out
+
+
+def mul_rows(a, b) -> Tuple[list, int]:
+    """The packed row of the product of the polynomials with packed rows a and b."""
+    return mul_coeffs(a[0], b[0]), a[1] * b[1]
 
 
 def add_rows(a, b) -> Tuple[list, int]:

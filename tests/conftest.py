@@ -41,6 +41,15 @@ PEARSON_LATTICES = (
 )
 
 
+def gaussian_lattices(field):
+    """Lattices whose image rows hold Gaussian rationals, and the symmetric q = 1/4 one."""
+    return [
+        Lattice(field, 4, (Fraction(1, 2), Fraction(1, 3), field(Fraction(1, 5), Fraction(2, 7)))),
+        Lattice(field, 1, (2, field(Fraction(1, 3), 1), Fraction(-1, 4))),
+        Lattice(field, Fraction(1, 4), (Fraction(1, 2), Fraction(1, 2), 0)),
+    ]
+
+
 def identity_lattices(field):
     return reference_lattices(field) + [Lattice(field, q, c) for q, c in EXTRA_LATTICES]
 

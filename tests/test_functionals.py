@@ -29,8 +29,9 @@ from latticeops import (
 )
 from latticeops.checks import random_functional
 from latticeops.functionals import dual_dx_pow, pearson_moments
+from latticeops.operators import dx_interp, sx_interp
 
-from conftest import PEARSON_LATTICES, identity_lattices
+from conftest import PEARSON_LATTICES, gaussian_lattices, identity_lattices
 
 small_fracs = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6
@@ -88,6 +89,26 @@ class TestDualOperators:
         u = random_functional(exact, 5)
         f = Polynomial(exact, (2, -1, 0, Fraction(5, 7)))
         assert dual_sx(gen_lattice, u).apply(f) == u.apply(sx(gen_lattice, f))
+
+    @pytest.mark.parametrize("idx", range(3))
+    def test_duals_match_interpolation(self, exact, idx):
+        """The moments of D u and S u, from the image rows, against the
+        pairings with the divided-difference images of z^k.
+
+        The pairing is summed here term by term rather than by `apply`,
+        which shares its code with the duals.
+        """
+        lat = gaussian_lattices(exact)[idx]
+        u = random_functional(exact, 11 + idx)
+        du, su = dual_dx(lat, u), dual_sx(lat, u)
+
+        def pairing(f):
+            return sum((c * u.moment(j) for j, c in enumerate(f.coeffs)), exact.zero)
+
+        for k in range(9):
+            zk = Polynomial.monomial(exact, k)
+            assert du.moment(k) == -pairing(dx_interp(lat, zk)) == -u.apply(dx_interp(lat, zk))
+            assert su.moment(k) == pairing(sx_interp(lat, zk)) == u.apply(sx_interp(lat, zk))
 
     def test_dual_power_iterates(self, gen_lattice, exact):
         u = random_functional(exact, 8)

@@ -22,7 +22,7 @@ from latticeops.checks import random_poly, reference_lattices
 from latticeops.lattice import LatticeError
 from latticeops.operators import dx_interp, dx_monomial, sx_interp, sx_monomial
 
-from conftest import PEARSON_LATTICES, identity_lattices
+from conftest import PEARSON_LATTICES, gaussian_lattices, identity_lattices
 
 coeff_lists = st.lists(
     st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=9),
@@ -79,6 +79,18 @@ def test_two_routes_agree(exact, idx):
         assert sx(lat, f) == sx_interp(lat, f)
 
 
+@pytest.mark.parametrize("idx", range(3))
+def test_two_routes_agree_on_gaussian_coefficients(exact, idx):
+    """Gaussian-rational coefficients with zero interior ones, so the packed
+    sums in dx and sx mix int rows with rows of Gaussian rationals."""
+    lat = gaussian_lattices(exact)[idx]
+    f = Polynomial(exact, (exact(Fraction(1, 2), Fraction(-1, 3)), 0, Fraction(2, 7), 0,
+                           exact(3, Fraction(1, 5))))
+    df, sf = dx(lat, f), sx(lat, f)
+    assert df == dx_interp(lat, f) and df.degree == 3
+    assert sf == sx_interp(lat, f) and sf.degree == 4
+
+
 @pytest.mark.parametrize("idx", range(len(PEARSON_LATTICES)))
 def test_monomial_images_match_interpolation(exact, idx):
     """High-degree rows of the packed image tables, unpacked, against divided differences of z^n."""
@@ -90,10 +102,11 @@ def test_monomial_images_match_interpolation(exact, idx):
 
 
 def test_bigfloat_dx_sx_never_format_polynomials(big, monkeypatch):
-    """dx and sx multiply each image by its scalar from the Polynomial side.
+    """dx and sx never hand a Polynomial to an mpmath operation.
 
-    The other order makes mpmath try to convert the Polynomial first and
-    format it with repr for its error message before Python falls back.
+    If one did, mpmath would try to convert the Polynomial first and
+    format it with repr for its error message before Python falls back;
+    dx and sx multiply packed rows of scalars and build one Polynomial.
     """
     lat = Lattice(big, Fraction(1, 4), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))
     f = Polynomial(big, (1, Fraction(-1, 2), Fraction(2, 3), 0, 3, Fraction(3, 5)))

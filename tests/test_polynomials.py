@@ -6,9 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from latticeops import BackendMismatch, Polynomial, interpolate, make_field
-from latticeops.operators import mul_rows
-from latticeops.polynomials import mul_coeffs
-from latticeops.scalars import add_rows
+from latticeops.scalars import add_rows, mul_coeffs, mul_rows
 
 coeff = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=9
@@ -48,21 +46,6 @@ def test_ring_operations(exact):
     assert (f + g)(z) == f(z) + g(z)
     assert (f - g)(z) == f(z) - g(z)
     assert (f * g)(z) == f(z) * g(z)
-    assert (f**3)(z) == f(z) ** 3
-
-
-def test_divmod_reconstructs(exact):
-    f = Polynomial(exact, (1, -2, 0, Fraction(4, 5), 3))
-    g = Polynomial(exact, (Fraction(1, 2), 0, 1))
-    quot, rem = divmod(f, g)
-    assert quot * g + rem == f
-    assert rem.degree < g.degree
-
-
-def test_divide_by_zero_poly(exact):
-    f = Polynomial(exact, (1, 1))
-    with pytest.raises(ZeroDivisionError):
-        divmod(f, Polynomial.zero(exact))
 
 
 def test_coefficient_kernels_match_evaluation(exact):
