@@ -253,6 +253,8 @@ def witness_point(pair: PearsonPair, n: int):
 
 def regularity(pair: PearsonPair, n_max: int) -> RegularityReport:
     """Decide regularity through level n_max via d_n and the phi^[n] witnesses."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     field = pair.field
     d_zero = next((n for n in range(2 * n_max + 2) if field.is_zero(pair.d_value(n))), None)
     rows: List[RegularityRow] = []
@@ -356,6 +358,8 @@ def uk_functional(pair: PearsonPair, k: int,
 
 def rodrigues_verify(pair: PearsonPair, n: int, horizon: int = 10) -> Report:
     """Compare the moments of P_n u with k_n D^n u^[n] up to `horizon`, as one slot."""
+    if n < 0:
+        raise ValueError(f"the Rodrigues order must be >= 0, got {n}")
     field = pair.field
     lat = pair.lattice
     u = pair.moments()
@@ -404,6 +408,11 @@ def asymptotics(pair: PearsonPair, n_eval: int, sum_horizon: int = 64) -> Asympt
     lattices: the n^2 and n^4 growth constants of B_n and C_(n+1).
     """
     lat = pair.lattice
+    least = 0 if lat.is_q_lattice else 1  # the quadratic estimates divide by n_eval
+    if n_eval < least:
+        raise ValueError(
+            f"asymptotics on a {lat.kind} lattice needs n_eval >= {least}, got {n_eval}"
+        )
     field = pair.field
     con = lat.constants
     if lat.is_q_lattice:

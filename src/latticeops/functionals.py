@@ -20,11 +20,21 @@ row too.  On the exact backend a step is an integer convolution, one
 integer dot product and one `Fraction` for the new moment (plus one for
 the cross-check of d_n), instead of a `Fraction` operation per
 coefficient.
+
+The moment oracle `ttrr_oracle` runs on the integer-scaled functional
+scale * u, scale the least common denominator of the moments read so far.
+B_n and C_(n+1) are ratios of entries of one sigma table, and multiplying
+u by a constant multiplies every entry by it, so they are unchanged; the
+entries then carry only the denominators of the B_k and C_k, which are
+far smaller than the moments' own.  The oracle reads the moments through
+`MomentFunctional.moment` only, never the Pearson recursion's packed row,
+so the two routes stay independent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .lattice import Lattice, memoized
@@ -312,15 +322,35 @@ def ttrr_oracle(u: MomentFunctional, n_max: int) -> TTRRCoeffs:
     k + l = m per moment mu_m, and each one needs only the two before it,
     so level n is decided from mu_0..mu_(2n) alone and a full run reads up
     to mu_(2 n_max + 2).  Raises NotRegularError when some h_n vanishes.
+
+    The recurrence runs on scale * u, where scale is the least common
+    denominator of mu_0..mu_m read so far (`field.pack`), so the scaled
+    moments are integers and a sigma entry carries only the denominators
+    that B_k and C_k bring in, not those of the moments.  Multiplying u
+    by a constant multiplies every sigma_(k,l) by it and leaves the monic
+    P_k alone, so B_n and C_(n+1), ratios of sigma entries, are unchanged;
+    when mu_m widens the denominator by g, the two anti-diagonals kept are
+    multiplied by g too, so every entry is on one scale.  Bigfloat and
+    Gaussian-rational moments pack over 1 and run unscaled.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     field = u.field
     bs: List = []
     cs: List = []  # cs[k-1] = C_k
     ratio_prev = field.zero  # sigma_(n-1,n)/h_(n-1); zero for n = 0
-    older: List = []  # older[k] = sigma_(k, m-2-k)
-    old: List = []  # old[k] = sigma_(k, m-1-k)
+    older: List = []  # older[k] = scale * sigma_(k, m-2-k)
+    old: List = []  # old[k] = scale * sigma_(k, m-1-k)
+    scale = 1  # lcm of the denominators of mu_0..mu_m
     for m in range(2 * n_max + 3):
-        diag = [u.moment(m)]  # diag[k] = sigma_(k, m-k), down to k = m // 2
+        (num,), den = field.pack((u.moment(m),))
+        g = den // gcd(scale, den)
+        if g > 1:
+            scale *= g
+            old = [v * g for v in old]
+            older = [v * g for v in older]
+        # diag[k] = scale * sigma_(k, m-k), down to k = m // 2
+        diag = [field(num * (scale // den))]
         for k in range(1, m // 2 + 1):
             s = diag[k - 1] - bs[k - 1] * old[k - 1]
             if k >= 2:
@@ -463,6 +493,8 @@ def _functional_sides(lat: Lattice, identity: str, f: Optional[Polynomial],
 def moment_slot(lhs: MomentFunctional, rhs: MomentFunctional,
                 horizon: int) -> Tuple[List, List]:
     """The moments 0..horizon of two functionals, as one report slot."""
+    if horizon < 0:
+        raise ValueError(f"the moment horizon must be >= 0, got {horizon}")
     ms = range(horizon + 1)
     return [lhs.moment(m) for m in ms], [rhs.moment(m) for m in ms]
 

@@ -5,9 +5,15 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from latticeops import Lattice, make_field
 from latticeops.checks import reference_lattices, run
+
+# every @given test draws the same examples on every run of one commit;
+# each test's own max_examples and deadline still apply
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 @functools.cache

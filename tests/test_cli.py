@@ -294,6 +294,24 @@ def test_inadmissible_pair_is_a_one_line_input_error(capsys):
     assert err == "error: d_0 = 0: the Pearson pair is not admissible\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["-N", "2", "--rodrigues", "-1"], "the Rodrigues order must be >= 0, got -1"),
+    (["-N", "2", "--rodrigues", "1", "--horizon", "-1"],
+     "the moment horizon must be >= 0, got -1"),
+    (["-N", "-1"], "n_max must be >= 0, got -1"),
+    (["--asymptotics", "-1"],
+     "asymptotics on a q-quadratic lattice needs n_eval >= 0, got -1"),
+    (["--lattice", '{"kind": "quadratic", "q": "1", "c": ["2", "1/3", "-1/4"]}',
+      "-N", "2", "--asymptotics", "0"],
+     "asymptotics on a quadratic lattice needs n_eval >= 1, got 0"),
+])
+def test_negative_order_is_a_one_line_input_error(capsys, argv, message):
+    code, out, err = run(capsys, "classify", "--pair", SAMPLE_PAIR, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_internal_check_failure_exits_one(capsys, monkeypatch):
     from latticeops import cli
     from latticeops.classical import InternalCheckError

@@ -372,6 +372,37 @@ class TestOracle:
             expected = dets[n + 2] * dets[n] / (dets[n + 1] * dets[n + 1])
             assert ttrr.c(n + 1) == expected
 
+    @pytest.mark.parametrize("lam", [Fraction(7, 3), Fraction(-1, 1024)])
+    def test_scaled_functional_has_the_same_ttrr(self, exact, lam):
+        """B_n and C_(n+1) are ratios of the sigma table, so lam * u gives the same ones."""
+        u = self.sample_functional(exact)
+        want, got = ttrr_oracle(u, 12), ttrr_oracle(lam * u, 12)
+        assert got.rows(12) == want.rows(12)
+        assert got.c(13) == want.c(13)
+
+    def test_coprime_denominators_match_the_determinant_route(self, exact):
+        """mu_k over the k-th prime: every moment widens the oracle's scale by a
+        new factor.  C_(n+1) = Delta_(n+2) Delta_n / Delta_(n+1)^2, and B_n
+        from P_n(0) = (-1)^n Delta^(1)_n / Delta_n, Delta^(1) the Hankel
+        determinants of mu_1, mu_2, ...:
+        P_(n+1)(0) = -B_n P_n(0) - C_n P_(n-1)(0)."""
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+        ms = [Fraction((-1) ** (k // 2) * (k + 1), p) for k, p in enumerate(primes)]
+        u = MomentFunctional(exact, ms)
+        dets = hankel_dets(u, 8)
+        p0 = [(-1) ** n * d / dets[n]
+              for n, d in enumerate(hankel_dets(MomentFunctional(exact, ms[1:]), 7))]
+        assert all(dets) and all(p0)
+        ttrr = ttrr_oracle(u, 6)
+        for n in range(7):
+            assert ttrr.c(n + 1) == dets[n + 2] * dets[n] / (dets[n + 1] * dets[n + 1])
+            below = ttrr.c(n) * p0[n - 1] if n >= 1 else 0
+            assert ttrr.b(n) == -(p0[n + 1] + below) / p0[n]
+
+    def test_negative_level_is_a_usage_error(self, exact):
+        with pytest.raises(ValueError):
+            ttrr_oracle(self.sample_functional(exact), -1)
+
     def test_oracle_reads_moments_only(self, exact, monkeypatch):
         """The oracle forms no polynomial and applies u to none: it works
         from the moment table alone."""
