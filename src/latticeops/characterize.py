@@ -54,8 +54,10 @@ def _relation_rhs(lat: Lattice, relation: str, n: int, p: Polynomial) -> Polynom
 
 def _relation_slots(lat: Lattice, seq: OPSequence, relation: str, n_max: int):
     """Slot n <= n_max of a slot relation: the coefficients of both sides."""
-    for n in range(n_max + 1):
-        yield dx(lat, seq.p(n + 1)).coeffs, _relation_rhs(lat, relation, n, seq.p(n)).coeffs
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    return ((dx(lat, seq.p(n + 1)).coeffs, _relation_rhs(lat, relation, n, seq.p(n)).coeffs)
+            for n in range(n_max + 1))
 
 
 def check_structure(lat: Lattice, seq: Optional[OPSequence], relation: str,
@@ -165,6 +167,8 @@ def _require_symmetric(lat: Lattice) -> None:
 
 
 def _check_counterexample(lat: Lattice, n_max: int) -> Report:
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     field = lat.field
     _require_symmetric(lat)
     con = lat.constants
@@ -277,6 +281,8 @@ def check_system(lat: Lattice, ttrr: TTRRCoeffs, n_max: int) -> Report:
     first failing equation and ``failing["index"]`` the position in it.
     A zero C_n (n <= max(2, n_max)) raises ``ValueError``.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     t = _system_t(lat, ttrr, max(2, n_max))
     one = lat.field.one
     con = lat.constants

@@ -122,14 +122,21 @@ def _emit(args, payload, passed: bool, csv_rows=None, csv_header=None) -> int:
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write output file {args.out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0 if passed else 1
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 0:
+        raise CliError(f"--trials must be >= 0, got {args.trials}")
+    if args.max_degree < 1:
+        raise CliError(f"--max-degree must be >= 1, got {args.max_degree}")
     field = _field_from_args(args)
     rng = random.Random(args.seed)
     if args.lattice is not None:

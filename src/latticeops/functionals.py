@@ -99,6 +99,8 @@ class MomentFunctional:
         return self._moments[n]
 
     def moments(self, n: int) -> List:
+        if n < 0:
+            raise ValueError(f"the moment horizon must be >= 0, got {n}")
         self._ensure(n)
         return list(self._moments[: n + 1])
 
@@ -237,7 +239,6 @@ class TTRRCoeffs:
     field: Field
     b_fn: Callable[[int], object]
     c_fn: Callable[[int], object]
-    horizon: Optional[int] = None
 
     @classmethod
     def from_lists(cls, field: Field, bs: Sequence, cs: Sequence) -> "TTRRCoeffs":
@@ -255,7 +256,7 @@ class TTRRCoeffs:
                 raise HorizonError(f"C_{n} is beyond the stored range")
             return cs[n - 1]
 
-        return cls(field, b_fn, c_fn, horizon=len(bs) - 1)
+        return cls(field, b_fn, c_fn)
 
     # b_fn and c_fn are read at call time: a caller may rebind them
     @memoized

@@ -55,7 +55,6 @@ scalars.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from itertools import chain, zip_longest
@@ -66,8 +65,6 @@ DEFAULT_PRECISION = 128
 MIN_PRECISION = 64
 DEFAULT_EPS = Fraction(1, 10**25)
 
-PRECISION_ENV_VAR = "LATTICEOPS_PRECISION"
-
 
 class BackendMismatch(TypeError):
     """Raised when scalars from different fields are combined."""
@@ -75,19 +72,6 @@ class BackendMismatch(TypeError):
 
 class ScalarDomainError(ArithmeticError):
     """Raised for operations that leave the field (e.g. irrational sqrt)."""
-
-
-def default_precision() -> int:
-    raw = os.environ.get(PRECISION_ENV_VAR)
-    if raw is None:
-        return DEFAULT_PRECISION
-    try:
-        bits = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{PRECISION_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if bits < MIN_PRECISION:
-        raise ValueError(f"{PRECISION_ENV_VAR} must be >= {MIN_PRECISION}, got {bits}")
-    return bits
 
 
 def _as_fraction(v) -> Fraction:
@@ -418,7 +402,7 @@ class BigFloatField(_Comparator):
 
     def __init__(self, precision: Optional[int] = None, eps=None):
         if precision is None:
-            precision = default_precision()
+            precision = DEFAULT_PRECISION
         if precision < MIN_PRECISION:
             raise ValueError(f"precision must be >= {MIN_PRECISION} bits, got {precision}")
         self.precision = precision

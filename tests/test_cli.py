@@ -294,19 +294,39 @@ def test_inadmissible_pair_is_a_one_line_input_error(capsys):
     assert err == "error: d_0 = 0: the Pearson pair is not admissible\n"
 
 
+CLASSIFY = ["classify", "--pair", SAMPLE_PAIR]
+CHARACTERIZE = ["characterize", "-N", "-1"]
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["-N", "2", "--rodrigues", "-1"], "the Rodrigues order must be >= 0, got -1"),
-    (["-N", "2", "--rodrigues", "1", "--horizon", "-1"],
+    (CLASSIFY + ["-N", "2", "--rodrigues", "-1"], "the Rodrigues order must be >= 0, got -1"),
+    (CLASSIFY + ["-N", "2", "--rodrigues", "1", "--horizon", "-1"],
      "the moment horizon must be >= 0, got -1"),
-    (["-N", "-1"], "n_max must be >= 0, got -1"),
-    (["--asymptotics", "-1"],
+    (CLASSIFY + ["-N", "-1"], "n_max must be >= 0, got -1"),
+    (CLASSIFY + ["--asymptotics", "-1"],
      "asymptotics on a q-quadratic lattice needs n_eval >= 0, got -1"),
-    (["--lattice", '{"kind": "quadratic", "q": "1", "c": ["2", "1/3", "-1/4"]}',
-      "-N", "2", "--asymptotics", "0"],
+    (CLASSIFY + ["--lattice", '{"kind": "quadratic", "q": "1", "c": ["2", "1/3", "-1/4"]}',
+                 "-N", "2", "--asymptotics", "0"],
      "asymptotics on a quadratic lattice needs n_eval >= 1, got 0"),
+    (CHARACTERIZE + ["--relation", "lower", "--family", "chebyshev_u"],
+     "n_max must be >= 0, got -1"),
+    (CHARACTERIZE + ["--relation", "system", "--family", "q_hermite"],
+     "n_max must be >= 0, got -1"),
+    (CHARACTERIZE + ["--relation", "counterexample", "--lattice",
+                     '{"kind": "q-quadratic", "q": "1/16", "c": ["1/2", "1/2", "0"]}'],
+     "n_max must be >= 0, got -1"),
+    (CHARACTERIZE + ["--relation", "meixner",
+                     "--lattice", '{"kind": "linear", "q": "1", "c": ["0", "1", "0"]}'],
+     "n_max must be >= 0, got -1"),
+    (CHARACTERIZE + ["--solve-c1=-9/32"], "n_max must be >= 0, got -1"),
+    (["family", "--name", "chebyshev_u", "-N", "-1"], "n_max must be >= 0, got -1"),
+    (["moments", "--pair", SAMPLE_PAIR, "-N", "-1"],
+     "the moment horizon must be >= 0, got -1"),
+    (["verify", "ops", "--trials", "-1"], "--trials must be >= 0, got -1"),
+    (["verify", "ops", "--max-degree", "0"], "--max-degree must be >= 1, got 0"),
 ])
 def test_negative_order_is_a_one_line_input_error(capsys, argv, message):
-    code, out, err = run(capsys, "classify", "--pair", SAMPLE_PAIR, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
@@ -371,6 +391,18 @@ def test_out_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["family"] == "q_hermite"
+
+
+def test_out_to_a_missing_directory_is_a_one_line_input_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(
+        capsys, "--out", str(target), "family", "--name", "q_hermite", "-N", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write output file {str(target)!r}: ")
+    assert err.count("\n") == 1
+    assert not target.parent.exists()
 
 
 ALL_CHECKS = [

@@ -97,6 +97,32 @@ class TestAskeyWilson:
         assert spec.ttrr.b(0) == exact(Fraction(118, 211))
         assert spec.ttrr.c(1) == exact(Fraction(7351344, 37442161))
 
+    @pytest.mark.parametrize("c, bs, cs", [
+        ((Fraction(1, 2), Fraction(1, 2), 0),
+         ("66547/709171", "3605668/180690721", "220263952/46243115521"),
+         ("122322002034375/510769073287204",
+          "8273114180146227321/33415465854056563204",
+          "546126287372222611910625/2189677308134529664819204")),
+        ((2, Fraction(1, 2), Fraction(1, 5)),
+         ("1374641/3545855", "216747401/903453605", "48445755041/231215577605"),
+         ("122322002034375/127692268321801",
+          "8273114180146227321/8353866463514140801",
+          "546126287372222611910625/547419327033632416204801")),
+    ])
+    def test_frozen_general_terms(self, exact, c, bs, cs):
+        """B_1..B_3 and C_2..C_4 past the n = 0 special cases.
+
+        The six pair products of (1/2, -1/3, 1/5, 1/7) are distinct, so a
+        factor read with the wrong pair of indices changes these values.
+        """
+        lat = Lattice(exact, Fraction(1, 4), c)
+        spec = make_family(
+            "askey_wilson", lat,
+            (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5), Fraction(1, 7)),
+        )
+        assert [spec.ttrr.b(n) for n in (1, 2, 3)] == [Fraction(v) for v in bs]
+        assert [spec.ttrr.c(m) for m in (2, 3, 4)] == [Fraction(v) for v in cs]
+
     def test_cdq_hahn_is_fourth_parameter_zero(self, sym_lattice):
         """The three-parameter family has the d = 0 Askey-Wilson products."""
         params3 = (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5))

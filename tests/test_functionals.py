@@ -415,8 +415,9 @@ class TestOracle:
         monkeypatch.setattr(Polynomial, "__mul__", forbidden)
         monkeypatch.setattr(MomentFunctional, "apply", forbidden)
         ttrr = ttrr_oracle(u, 12)
-        assert ttrr.horizon == 12
         assert ttrr.c(13) != exact.zero
+        with pytest.raises(HorizonError):
+            ttrr.b(13)
 
     @pytest.mark.parametrize("n_max", [12, 16])
     @pytest.mark.parametrize(

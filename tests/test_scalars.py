@@ -238,10 +238,8 @@ class TestMakeField:
         with pytest.raises(ValueError):
             make_field("bigfloat", precision=16)
 
-    def test_env_var_default_precision(self, monkeypatch):
-        monkeypatch.setenv("LATTICEOPS_PRECISION", "192")
-        field = make_field("bigfloat")
-        assert field.precision == 192
+    def test_default_precision(self):
+        assert make_field("bigfloat").precision == 128
 
 
 def test_exact_process_never_loads_mpmath():
