@@ -170,11 +170,10 @@ def _check_counterexample(lat: Lattice, n_max: int) -> Report:
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     field = lat.field
-    _require_symmetric(lat)
+    ttrr = counterexample_ttrr(lat)
     con = lat.constants
     alpha = con.alpha
     r4 = field.sqrt(lat.sqrt_q)
-    ttrr = counterexample_ttrr(lat)
     seq = OPSequence(field, ttrr)
 
     b_of, c_big = ttrr.b_fn, ttrr.c_fn

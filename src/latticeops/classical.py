@@ -13,13 +13,14 @@ coefficients against the moment oracle (in the test-suite), so a
 transcription slip in any one route cannot pass silently.
 
 What is memoized, per PearsonPair, through ``lattice.memoized``: d_n and
-e_n at every index, phi'(c3), psi(c3) and phi(c3) on q-lattices, and the
-witness phi^[n](witness_point(n)) at every level; ``regularity`` and the
-C_(n+1) of ``ttrr_from_pearson`` read the same witness.  The iterated
-pairs are kept too, but a level is stored only once its recursion check
-has passed.  A witness reads the stored pair when its level is there and
-the closed form otherwise, and that closed form is never stored, so the
-recursion check still runs at every level that ``iterated`` reaches.
+e_n at every index, phi'(c3), psi(c3) and phi(c3) on q-lattices, the
+closed form (phi^[n], psi^[n]) and the witness phi^[n](witness_point(n))
+at every level; ``regularity`` and the C_(n+1) of ``ttrr_from_pearson``
+read the same witness, and the witness reads only the closed form, which
+keeps deep levels cheap.  ``iterated`` keeps the pairs it has validated
+apart: a level is stored there only once the recursion from the level
+below agrees with the closed form, so the recursion check still runs at
+every level that ``iterated`` reaches, whatever the witness read first.
 The lattice memoizes alpha_n, gamma_n, U1 and U2 (see ``lattice``).
 """
 
@@ -107,16 +108,8 @@ class PearsonPair:
 
     @memoized
     def witness(self, n: int):
-        """phi^[n](witness_point(n)); a zero of it ends regularity at level n.
-
-        Reads the validated pair when level n is stored and the closed form
-        otherwise, which keeps deep levels cheap.
-        """
-        if n < len(self._iterated):
-            phi_n = self._iterated[n][0]
-        else:
-            phi_n, _ = self._iterated_closed(n)
-        return phi_n(witness_point(self, n))
+        """phi^[n](witness_point(n)); a zero of it ends regularity at level n."""
+        return self._iterated_closed(n)[0](witness_point(self, n))
 
     def iterated(self, k: int) -> Tuple[Polynomial, Polynomial]:
         """(phi^[k], psi^[k]); recursion and closed form must agree at every level."""
@@ -144,6 +137,7 @@ class PearsonPair:
             self._iterated.append((phi_closed, psi_closed))
         return self._iterated[k]
 
+    @memoized
     def _iterated_closed(self, k: int) -> Tuple[Polynomial, Polynomial]:
         lat = self.lattice
         field = self.field
@@ -184,7 +178,7 @@ class PearsonPair:
         return phi_k, psi_k
 
     def moments(self, mu0=1) -> MomentFunctional:
-        return pearson_moments(self.lattice, (self.phi, self.psi), mu0)
+        return pearson_moments(self, mu0)
 
     def to_json(self):
         return {
@@ -343,12 +337,9 @@ def rodrigues_constant(pair: PearsonPair, n: int):
     return k
 
 
-def uk_functional(pair: PearsonPair, k: int,
-                  u: Optional[MomentFunctional] = None) -> MomentFunctional:
+def uk_functional(pair: PearsonPair, k: int, u: MomentFunctional) -> MomentFunctional:
     """u^[k]: u^[0] = u and u^[k+1] = D(U2 psi^[k] u^[k]) - S(phi^[k] u^[k])."""
     lat = pair.lattice
-    if u is None:
-        u = pair.moments()
     u2 = lat.u2()
     for j in range(k):
         phi_j, psi_j = pair.iterated(j)
@@ -400,6 +391,19 @@ def partial_sum_closed(pair: PearsonPair, n: int):
     return -con.gamma_n(n) * pair.e_value(n - 1) / _checked_d(pair, 2 * n - 2)
 
 
+def partial_sums(pair: PearsonPair, horizon: int) -> Report:
+    """S_n = sum_(j<n) (B_j - c3) summed term by term against ``partial_sum_closed``,
+    one slot for each n = 1..horizon."""
+
+    def slots():
+        running = pair.field.zero
+        for j in range(horizon):
+            running = running + b_offset(pair, j)
+            yield [running], [partial_sum_closed(pair, j + 1)]
+
+    return pair.field.report("partial_sums", slots())
+
+
 def asymptotics(pair: PearsonPair, n_eval: int, sum_horizon: int = 64) -> AsymptoticsReport:
     """Limit behaviour of the recurrence coefficients, checked numerically.
 
@@ -421,12 +425,7 @@ def asymptotics(pair: PearsonPair, n_eval: int, sum_horizon: int = 64) -> Asympt
         uval = field.one / (lat.sqrt_q - field.one / lat.sqrt_q)
         phid_c3, psi_c3, _ = pair._at_c3()
         a, d = pair.a, pair.d
-        sum_residual = 0.0
-        running = field.zero
-        for j in range(sum_horizon):
-            running = running + b_offset(pair, j)
-            closed = partial_sum_closed(pair, j + 1)
-            sum_residual = max(sum_residual, field.magnitude(running - closed))
+        sum_residual = partial_sums(pair, sum_horizon).residual
         q_below_one = field.magnitude(q) < 1
         denom = d - 2 * a * uval if q_below_one else d + 2 * a * uval
         if field.is_zero(denom):

@@ -59,7 +59,7 @@ from .functionals import (
     ttrr_oracle,
     verify_functional_identity,
 )
-from .lattice import Lattice, LatticeError
+from .lattice import Lattice
 from .operators import OPERATOR_IDENTITIES, verify_operator_identity
 from .scalars import ScalarDomainError, make_field
 
@@ -74,6 +74,13 @@ VERIFY_GROUPS = {
 
 class CliError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ``CliError``, so ``main`` prints them as one line."""
+
+    def error(self, message):
+        raise CliError(message)
 
 
 def _load_spec(raw: Optional[str], default=None):
@@ -107,6 +114,13 @@ def _lattice_from_args(args, field) -> Lattice:
 def _pair_from_args(args, lat: Lattice) -> PearsonPair:
     spec = _load_spec(args.pair)
     return PearsonPair.from_json(lat, spec)
+
+
+def _params_from_args(args, field) -> tuple:
+    params = json.loads(args.params)
+    if not isinstance(params, list):
+        raise CliError("--params must be a JSON array")
+    return tuple(field.from_json(p) for p in params)
 
 
 def _emit(args, payload, passed: bool, csv_rows=None, csv_header=None) -> int:
@@ -220,7 +234,7 @@ def cmd_classify(args) -> int:
 def cmd_family(args) -> int:
     field = _field_from_args(args)
     lat = _lattice_from_args(args, field)
-    params = tuple(field.from_json(p) for p in json.loads(args.params))
+    params = _params_from_args(args, field)
     spec = families.make_family(args.name, lat, params)
     restr = families.check_restrictions(spec, args.n_max)
     payload = {
@@ -285,8 +299,7 @@ def cmd_characterize(args) -> int:
     else:
         if args.family is None:
             raise CliError(f"--relation {relation} needs --family")
-        params = tuple(field.from_json(p) for p in json.loads(args.params))
-        spec = families.make_family(args.family, lat, params)
+        spec = families.make_family(args.family, lat, _params_from_args(args, field))
         payload = {"family": args.family, "lattice": lat.to_json()}
         if relation == "system":
             rep = check_system(lat, spec.ttrr, args.n_max)
@@ -305,7 +318,7 @@ def cmd_all(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latticeops",
         description="verification kernel for orthogonal polynomials on "
                     "quadratic and q-quadratic lattices",
@@ -377,12 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (CliError, LatticeError, ScalarDomainError, ValueError,
-            AdmissibilityError, NotRegularError, HorizonError) as exc:
+    except (ValueError, ScalarDomainError, AdmissibilityError, NotRegularError,
+            HorizonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalCheckError as exc:

@@ -3,12 +3,14 @@
 Each family is one entry of the table `_FAMILIES`: its parameter count,
 its builder `(lat, params) -> TTRRCoeffs` producing B_n and C_n from the
 printed closed forms, and its lattice rule.  The four canonical
-q-families are normalized to the lattice x(s) = (q^(-s) + q^s)/2; on any
-other q-quadratic lattice the affine covariance  B_n -> lam*B_n + tau,
-C_n -> lam^2*C_n  with lam = 2*sqrt(c1*c2), tau = c3 is applied, so
-family output is always in the coordinates of the lattice it was
-requested on.  `chebyshev_u` needs a q-quadratic lattice but is written
-in its coordinates already, and `meixner2` takes any lattice.
+q-families are normalized to the lattice x(s) = (q^(-s) + q^s)/2, and
+every display of theirs goes through the affine covariance
+B_n -> lam*B_n + tau, C_n -> lam^2*C_n  with lam = 2*sqrt(c1*c2),
+tau = c3, so family output is always in the coordinates of the lattice it
+was requested on.  On the canonical lattice itself lam = 1 and tau = 0,
+and the map changes no value.  `chebyshev_u` needs a q-quadratic lattice
+but is written in its coordinates already, and `meixner2` takes any
+lattice.
 
 The Askey-Wilson display (Koekoek-Lesky-Swarttouw, 2010, §14.1) is made
 of the seven factors 1 - p q^k, p = a1a2a3a4 or one of the six pair
@@ -40,31 +42,18 @@ class FamilySpec:
     ttrr: TTRRCoeffs
 
 
-def _affine_for(lat: Lattice):
-    """lam, tau mapping the canonical q-lattice onto lat, or identity."""
-    field = lat.field
-    c1, c2, c3 = lat.c
-    half = field(1) / 2
-    if c1 == half and c2 == half and c3 == field.zero:
-        return None
+def _wrap_affine(lat: Lattice, ttrr: TTRRCoeffs) -> TTRRCoeffs:
+    """The display mapped from the canonical q-lattice onto lat."""
+    c1, c2, tau = lat.c
     try:
-        lam = 2 * field.sqrt(c1 * c2)
+        lam = 2 * lat.field.sqrt(c1 * c2)
     except ScalarDomainError as exc:
         raise FamilyError(
             "the affine family map needs sqrt(c1*c2); "
             "use a lattice with a square c1*c2 or the bigfloat backend"
         ) from exc
-    return lam, c3
-
-
-def _wrap_affine(lat: Lattice, ttrr: TTRRCoeffs) -> TTRRCoeffs:
-    mapped = _affine_for(lat)
-    if mapped is None:
-        return ttrr
-    lam, tau = mapped
-    field = lat.field
     return TTRRCoeffs(
-        field,
+        lat.field,
         lambda n: lam * ttrr.b(n) + tau,
         lambda n: lam * lam * ttrr.c(n),
     )
@@ -99,16 +88,17 @@ def _askey_wilson_ttrr(lat: Lattice, params) -> TTRRCoeffs:
         return factors(qq(k))[0]
 
     def b_fn(n: int):
+        """(a1 + 1/a1 - A_n - C_n)/2 with the A_n, C_n of KLS (14.1.5)."""
         d1 = _nonzero_or_raise(field, full(2 * n - 1) * full(2 * n), f"a denominator of B_{n}")
         _, f12, f13, f14, _, _, _ = factors(qq(n))
         term1 = f12 * f13 * f14 * full(n - 1) / (a1 * d1)
         if n == 0:
-            # the second display term carries the factor (1 - q^0) = 0
-            return a1 + one / a1 - term1
+            # C_0 carries the factor (1 - q^0) = 0
+            return (a1 + one / a1 - term1) / 2
         d2 = _nonzero_or_raise(field, full(2 * n - 1) * full(2 * n - 2), f"a denominator of B_{n}")
         _, _, _, _, f23, f24, f34 = factors(qq(n - 1))
         term2 = a1 * (one - qq(n)) * f23 * f24 * f34 / d2
-        return a1 + one / a1 - term1 - term2
+        return (a1 + one / a1 - term1 - term2) / 2
 
     def c_fn(m: int):
         n = m - 1
@@ -210,7 +200,7 @@ def make_family(name: str, lattice: Lattice, params=()) -> FamilySpec:
     params = tuple(params)
     if len(params) != expected:
         raise FamilyError(f"{name} takes {expected} parameters, got {len(params)}")
-    if rule != _ANY and (not lattice.is_q_lattice or lattice.kind != "q-quadratic"):
+    if rule != _ANY and lattice.kind != "q-quadratic":
         raise FamilyError(f"{name} needs a q-quadratic lattice")
     ttrr = build(lattice, params)
     if rule == _CANONICAL:

@@ -38,7 +38,7 @@ from math import gcd
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .lattice import Lattice, memoized
-from .operators import monomial_rows, tnk
+from .operators import dx, monomial_rows, sx, tnk
 from .polynomials import Polynomial
 from .scalars import Field, Report, add_rows, join_rows, mul_rows
 
@@ -173,17 +173,9 @@ def dual_sx_pow(lat: Lattice, u: MomentFunctional, n: int) -> MomentFunctional:
     return u
 
 
-def _pair_polys(pair):
-    """Accept a (phi, psi) tuple or any object with .phi/.psi attributes."""
-    if isinstance(pair, tuple):
-        phi, psi = pair
-    else:
-        phi, psi = pair.phi, pair.psi
-    return phi, psi
-
-
-def pearson_moments(lat: Lattice, pair, mu0=1) -> MomentFunctional:
-    """Moments of the functional solving D(phi*u) = S(psi*u).
+def pearson_moments(pair, mu0=1) -> MomentFunctional:
+    """Moments of the functional solving D(phi*u) = S(psi*u), for a Pearson pair
+    (phi, psi) on the lattice ``pair.lattice``.
 
     Pairing the equation with z^n gives <u, phi*D_x z^n + psi*S_x z^n> = 0,
     a linear recursion for mu_(n+1) whose leading coefficient is the
@@ -195,7 +187,7 @@ def pearson_moments(lat: Lattice, pair, mu0=1) -> MomentFunctional:
     kept as one packed row too, so mu_(n+1) is one dot product of the two
     rows' values divided once; g's denominator cancels from that quotient.
     """
-    phi, psi = _pair_polys(pair)
+    lat, phi, psi = pair.lattice, pair.phi, pair.psi
     field = lat.field
     con = lat.constants
     a = phi.coeff(2)
@@ -416,8 +408,6 @@ FUNCTIONAL_IDENTITIES = (
 
 def _functional_sides(lat: Lattice, identity: str, f: Optional[Polynomial],
                       u: MomentFunctional, n: Optional[int]):
-    from .operators import dx, sx  # local import keeps module load order simple
-
     field = lat.field
     con = lat.constants
     alpha = con.alpha

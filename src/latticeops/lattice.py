@@ -32,10 +32,6 @@ from .scalars import Field, ScalarDomainError
 
 DEFAULT_TABLE_HORIZON = 2048
 
-Q_KINDS = ("q-quadratic", "q-linear")
-ONE_KINDS = ("quadratic", "linear")
-KINDS = Q_KINDS + ONE_KINDS
-
 
 class LatticeError(ValueError):
     pass
@@ -253,6 +249,8 @@ class Lattice:
     def from_json(cls, field: Field, obj):
         if not isinstance(obj, dict) or "q" not in obj or "c" not in obj:
             raise LatticeError("lattice spec must be an object with 'q' and 'c'")
+        if not isinstance(obj["c"], list):
+            raise LatticeError("lattice constants 'c' must be a JSON array")
         q = field.from_json(obj["q"])
         c = [field.from_json(v) for v in obj["c"]]
         lat = cls(field, q, c)

@@ -223,25 +223,16 @@ def tnk(lat: Lattice, f: Polynomial, n: int, k: int) -> Polynomial:
         return zero
     con = lat.constants
     u1 = lat.u1()
-    memo = {(0, 0): f}
-
-    def rec(m: int, j: int) -> Polynomial:
-        if j < 0 or j > m:
-            return zero
-        got = memo.get((m, j))
-        if got is not None:
-            return got
-        prev_same = rec(m - 1, j)
-        prev_down = rec(m - 1, j - 1)
-        value = sx(lat, prev_same)
-        value = value - (con.gamma_n(m - j) / con.alpha_n(m - j)) * (
-            u1 * dx(lat, prev_same)
-        )
-        value = value + (lat.field.one / con.alpha_n(m + 1 - j)) * dx(lat, prev_down)
-        memo[(m, j)] = value
-        return value
-
-    return rec(n, k)
+    # row m holds T_{m,j} f for the j that T_{n,k} f reads: k - (n - m) <= j <= k
+    row = {0: f}
+    for m in range(1, n + 1):
+        prev, row = row, {}
+        for j in range(max(0, k - n + m), min(m, k) + 1):
+            same, down = prev.get(j, zero), prev.get(j - 1, zero)
+            value = sx(lat, same)
+            value = value - (con.gamma_n(m - j) / con.alpha_n(m - j)) * (u1 * dx(lat, same))
+            row[j] = value + (lat.field.one / con.alpha_n(m + 1 - j)) * dx(lat, down)
+    return row[k]
 
 
 OPERATOR_IDENTITIES = ("product_dx", "product_sx", "swap_sx", "swap_dx", "dxn_sx")

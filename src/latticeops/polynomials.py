@@ -131,7 +131,9 @@ class Polynomial:
         return [self.field.to_json(c) for c in self.coeffs]
 
     @classmethod
-    def from_json(cls, field: Field, obj: Sequence) -> "Polynomial":
+    def from_json(cls, field: Field, obj: list) -> "Polynomial":
+        if not isinstance(obj, list):
+            raise ValueError("polynomial coefficients must be a JSON array")
         return cls(field, [field.from_json(c) for c in obj])
 
     def __repr__(self):

@@ -88,6 +88,14 @@ def _as_fraction(v) -> Fraction:
     raise TypeError(f"cannot interpret {v!r} as a rational number")
 
 
+def _parse_fraction(obj) -> Fraction:
+    """The rational that ``str(obj)`` spells; a zero denominator is a ValueError too."""
+    try:
+        return Fraction(str(obj))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in the scalar {obj!r}") from None
+
+
 def rational_sqrt(v: Fraction) -> Optional[Fraction]:
     """Exact square root of a nonnegative rational, or None."""
     if v < 0:
@@ -364,9 +372,9 @@ class ExactField(_Comparator):
         if isinstance(obj, list):
             if len(obj) != 2:
                 raise ValueError("complex scalar must be a two-element array")
-            return _gaussian(Fraction(str(obj[0])), Fraction(str(obj[1])))
+            return _gaussian(_parse_fraction(obj[0]), _parse_fraction(obj[1]))
         if isinstance(obj, (str, int)):
-            return Fraction(str(obj))
+            return _parse_fraction(obj)
         raise ValueError(f"cannot decode exact scalar from {obj!r}")
 
     def to_str(self, a) -> str:
@@ -481,13 +489,15 @@ class BigFloatField(_Comparator):
 
     def from_json(self, obj):
         if isinstance(obj, dict):
+            if "value" not in obj:
+                raise ValueError("a bigfloat value object needs a 'value'")
             obj = obj["value"]
         if isinstance(obj, list):
             if len(obj) != 2:
                 raise ValueError("complex scalar must be a two-element array")
             return self.ctx.mpc(self.ctx.mpf(str(obj[0])), self.ctx.mpf(str(obj[1])))
         if isinstance(obj, str) and "/" in obj:
-            return self(Fraction(obj))
+            return self(_parse_fraction(obj))
         return self.ctx.mpc(self.ctx.mpf(str(obj)))
 
     def to_str(self, a) -> str:

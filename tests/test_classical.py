@@ -21,7 +21,7 @@ from latticeops import (
 )
 from latticeops.characterize import solve_first_characterization
 from latticeops.checks import random_regular_pair, sample_pair
-from latticeops.classical import b_offset, partial_sum_closed
+from latticeops.classical import b_offset, partial_sum_closed, partial_sums
 from latticeops.functionals import InternalCheckError
 from latticeops.lattice import LatticeError
 
@@ -247,6 +247,8 @@ class TestAsymptotics:
         for j in range(64):
             running = running + b_offset(pair, j)
             assert running == partial_sum_closed(pair, j + 1)
+        rep = partial_sums(pair, 64)
+        assert rep.passed and rep.residual == 0.0 and len(rep.residuals) == 64
 
     def test_q_below_one_limits(self):
         big = make_field("bigfloat", precision=512)

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import run_check
 from latticeops import FirstCharacterization, checks
@@ -294,6 +297,7 @@ def test_inadmissible_pair_is_a_one_line_input_error(capsys):
     assert err == "error: d_0 = 0: the Pearson pair is not admissible\n"
 
 
+FAMILY_NAMES = "'al_salam', 'askey_wilson', 'cdq_hahn', 'chebyshev_u', 'meixner2', 'q_hermite'"
 CLASSIFY = ["classify", "--pair", SAMPLE_PAIR]
 CHARACTERIZE = ["characterize", "-N", "-1"]
 
@@ -324,12 +328,67 @@ CHARACTERIZE = ["characterize", "-N", "-1"]
      "the moment horizon must be >= 0, got -1"),
     (["verify", "ops", "--trials", "-1"], "--trials must be >= 0, got -1"),
     (["verify", "ops", "--max-degree", "0"], "--max-degree must be >= 1, got 0"),
+    # a spec that is not what its option asks for, and the usage errors of argparse
+    (["family", "--name", "al_salam", "--params", '"12"'], "--params must be a JSON array"),
+    (["family", "--name", "al_salam", "--params", "5"], "--params must be a JSON array"),
+    (["characterize", "--relation", "lower", "--family", "q_hermite", "--params", "{}"],
+     "--params must be a JSON array"),
+    (["family", "--name", "al_salam", "--params", '["1/0", "1"]'],
+     "zero denominator in the scalar '1/0'"),
+    (["--backend", "bigfloat", "family", "--name", "al_salam", "--params", '[{}, "1"]'],
+     "a bigfloat value object needs a 'value'"),
+    (["family", "--name", "q_hermite", "--lattice", '{"q": "1/4", "c": 5}'],
+     "lattice constants 'c' must be a JSON array"),
+    (["moments", "--pair", '{"phi": "123", "psi": ["1/2", "3/4"]}'],
+     "polynomial coefficients must be a JSON array"),
+    (["family", "--name", "jacobi"],
+     f"argument --name: invalid choice: 'jacobi' (choose from {FAMILY_NAMES})"),
+    (["family", "--name", "q_hermite", "-N", "abc"], "argument -N/--n-max: invalid int value: 'abc'"),
+    (["moments"], "the following arguments are required: --pair"),
+    ([], "the following arguments are required: command"),
 ])
 def test_negative_order_is_a_one_line_input_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["family", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: latticeops family")
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-99, 99)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["1/2", "-1/3", "4", "0", "1/0", "abc", ""]) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["q", "c", "phi", "psi", "kind", "value"]), inner,
+                      max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(backend=st.sampled_from(["exact", "bigfloat"]), where=st.sampled_from(
+    ["lattice", "pair", "params"]), first=_json_values, second=_json_values)
+def test_drawn_json_specs_exit_with_a_code_and_at_most_one_line(backend, where, first, second):
+    if where == "lattice":
+        argv = ["family", "--name", "chebyshev_u", "-N", "2",
+                "--lattice", json.dumps({"q": first, "c": second})]
+    elif where == "pair":
+        argv = ["moments", "-N", "2", "--pair", json.dumps({"phi": first, "psi": second})]
+    else:
+        argv = ["family", "--name", "al_salam", "-N", "2", "--params", json.dumps(first)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--backend", backend, *argv])
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") <= 1
+    assert "Traceback" not in err.getvalue()
 
 
 def test_internal_check_failure_exits_one(capsys, monkeypatch):

@@ -94,23 +94,28 @@ class TestAskeyWilson:
             sym_lattice,
             (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5), Fraction(1, 7)),
         )
-        assert spec.ttrr.b(0) == exact(Fraction(118, 211))
+        # KLS (14.1.5): A_0 = 819/422, so B_0 = (a1 + 1/a1 - A_0)/2 = 59/211
+        assert spec.ttrr.b(0) == exact(Fraction(59, 211))
         assert spec.ttrr.c(1) == exact(Fraction(7351344, 37442161))
 
     @pytest.mark.parametrize("c, bs, cs", [
         ((Fraction(1, 2), Fraction(1, 2), 0),
-         ("66547/709171", "3605668/180690721", "220263952/46243115521"),
+         ("66547/1418342", "1802834/180690721", "110131976/46243115521"),
          ("122322002034375/510769073287204",
           "8273114180146227321/33415465854056563204",
           "546126287372222611910625/2189677308134529664819204")),
         ((2, Fraction(1, 2), Fraction(1, 5)),
-         ("1374641/3545855", "216747401/903453605", "48445755041/231215577605"),
+         ("1041906/3545855", "198719061/903453605", "47344435281/231215577605"),
          ("122322002034375/127692268321801",
           "8273114180146227321/8353866463514140801",
           "546126287372222611910625/547419327033632416204801")),
     ])
     def test_frozen_general_terms(self, exact, c, bs, cs):
         """B_1..B_3 and C_2..C_4 past the n = 0 special cases.
+
+        The literals are KLS (14.1.5) in monic form, B_n = (a1 + 1/a1 - A_n
+        - C_n)/2 and C_(n+1) = A_n C_(n+1)/4 with the KLS A_n and C_n,
+        mapped by B -> lam B + c3, C -> lam^2 C, lam = 2 sqrt(c1 c2).
 
         The six pair products of (1/2, -1/3, 1/5, 1/7) are distinct, so a
         factor read with the wrong pair of indices changes these values.
@@ -124,11 +129,12 @@ class TestAskeyWilson:
         assert [spec.ttrr.c(m) for m in (2, 3, 4)] == [Fraction(v) for v in cs]
 
     def test_cdq_hahn_is_fourth_parameter_zero(self, sym_lattice):
-        """The three-parameter family has the d = 0 Askey-Wilson products."""
+        """The three-parameter family is Askey-Wilson at d = 0 (KLS 14.3): B_n and C_m."""
         params3 = (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5))
         hahn = make_family("cdq_hahn", sym_lattice, params3)
         aw = make_family("askey_wilson", sym_lattice, params3 + (0,))
         for m in range(1, 9):
+            assert hahn.ttrr.b(m - 1) == aw.ttrr.b(m - 1)
             assert hahn.ttrr.c(m) == aw.ttrr.c(m)
 
     def test_restriction_scan_flags_bad_product(self, sym_lattice):

@@ -149,7 +149,7 @@ class TestPearsonMoments:
         phi = Polynomial(exact, (Fraction(7, 10), Fraction(-1, 3), Fraction(2, 7)))
         psi = Polynomial(exact, (Fraction(1, 2), Fraction(3, 4)))
         pair = PearsonPair(gen_lattice, phi, psi)
-        u = pearson_moments(gen_lattice, pair)
+        u = pearson_moments(pair)
         z = Polynomial.monomial(exact, 1)
         probe = phi * dx(gen_lattice, z) + psi * sx(gen_lattice, z)
         assert u.apply(probe) == exact.zero
@@ -162,7 +162,7 @@ class TestPearsonMoments:
         psi = Polynomial(exact, (Fraction(1, 2), Fraction(3, 4)))
         for spec in PEARSON_LATTICES:
             lat = Lattice.from_json(exact, spec)
-            u = pearson_moments(lat, PearsonPair(lat, phi, psi))
+            u = pearson_moments(PearsonPair(lat, phi, psi))
             for n in range(1, 42):
                 zn = Polynomial.monomial(exact, n)
                 probe = phi * dx(lat, zn) + psi * sx(lat, zn)
@@ -174,7 +174,7 @@ class TestPearsonMoments:
         phi = Polynomial(exact, (exact(Fraction(1, 3), Fraction(1, 2)), Fraction(-1, 3),
                                  Fraction(2, 7)))
         psi = Polynomial(exact, (Fraction(1, 2), exact(Fraction(3, 4), Fraction(1, 5))))
-        u = pearson_moments(lat, PearsonPair(lat, phi, psi))
+        u = pearson_moments(PearsonPair(lat, phi, psi))
         assert all(exact.im(m) for m in u.moments(16)[1:])
         for n in range(1, 16):
             zn = Polynomial.monomial(exact, n)
@@ -185,8 +185,8 @@ class TestPearsonMoments:
         phi = Polynomial(exact, (1, 0, Fraction(1, 4)))
         psi = Polynomial(exact, (0, 1))
         pair = PearsonPair(gen_lattice, phi, psi)
-        u1 = pearson_moments(gen_lattice, pair, mu0=1)
-        u3 = pearson_moments(gen_lattice, pair, mu0=Fraction(3, 2))
+        u1 = pearson_moments(pair, mu0=1)
+        u3 = pearson_moments(pair, mu0=Fraction(3, 2))
         assert u3.moments(5) == [exact(Fraction(3, 2)) * m for m in u1.moments(5)]
 
     def test_inadmissible_pair_raises(self, gen_lattice, exact):
@@ -197,7 +197,7 @@ class TestPearsonMoments:
         phi = Polynomial(exact, (1, 0, a))
         psi = Polynomial(exact, (0, d))
         pair = PearsonPair(gen_lattice, phi, psi)
-        u = pearson_moments(gen_lattice, pair)
+        u = pearson_moments(pair)
         with pytest.raises(AdmissibilityError) as exc:
             u.moments(8)
         assert exc.value.n == 2
@@ -210,7 +210,7 @@ class TestPearsonMoments:
             con = lat.constants
             phi = Polynomial(exact, (1, Fraction(1, 3), -con.alpha_n(5)))
             psi = Polynomial(exact, (Fraction(1, 2), con.gamma_n(5)))
-            u = pearson_moments(lat, PearsonPair(lat, phi, psi))
+            u = pearson_moments(PearsonPair(lat, phi, psi))
             for _ in range(2):
                 with pytest.raises(AdmissibilityError) as exc:
                     u.moments(12)
@@ -283,7 +283,7 @@ class TestOracle:
         phi = Polynomial(exact, (Fraction(7, 10), Fraction(-1, 3), Fraction(2, 7)))
         psi = Polynomial(exact, (Fraction(1, 2), Fraction(3, 4)))
         lat = Lattice(exact, 4, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))
-        return pearson_moments(lat, PearsonPair(lat, phi, psi))
+        return pearson_moments(PearsonPair(lat, phi, psi))
 
     def test_orthogonality(self, exact):
         u = self.sample_functional(exact)
@@ -352,7 +352,7 @@ class TestOracle:
         con = gen_lattice.constants
         phi = Polynomial(exact, (1, 0, -con.alpha_n(n0)))
         psi = Polynomial(exact, (0, con.gamma_n(n0)))
-        base = pearson_moments(gen_lattice, PearsonPair(gen_lattice, phi, psi))
+        base = pearson_moments(PearsonPair(gen_lattice, phi, psi))
         u, seen = recording(base.moment)
         with pytest.raises(AdmissibilityError) as err:
             ttrr_oracle(u, 8)
@@ -365,7 +365,7 @@ class TestOracle:
     def test_determinant_route_at_every_level(self, request, lattice):
         """C_(n+1) = Delta_(n+2) Delta_n / Delta_(n+1)^2 for n <= 8."""
         lat = request.getfixturevalue(lattice)
-        u = pearson_moments(lat, readme_pair(lat))
+        u = pearson_moments(readme_pair(lat))
         ttrr = ttrr_oracle(u, 8)
         dets = hankel_dets(u, 10)
         for n in range(9):
@@ -426,8 +426,8 @@ class TestOracle:
     def test_bigfloat_oracle_matches_exact(self, request, big, lattice, n_max):
         exact_lat = request.getfixturevalue(lattice)
         big_lat = Lattice(big, exact_lat.q, exact_lat.c)
-        want = ttrr_oracle(pearson_moments(exact_lat, readme_pair(exact_lat)), n_max)
-        got = ttrr_oracle(pearson_moments(big_lat, readme_pair(big_lat)), n_max)
+        want = ttrr_oracle(pearson_moments(readme_pair(exact_lat)), n_max)
+        got = ttrr_oracle(pearson_moments(readme_pair(big_lat)), n_max)
         for n in range(n_max + 1):
             assert big.approx_eq(got.b(n), want.b(n))
             assert big.approx_eq(got.c(n + 1), want.c(n + 1))
