@@ -24,6 +24,8 @@ where no recurrence satisfies it.  On a q-quadratic lattice ``sx_raise``
 has no regular monic solution: slot 3 forces B_0 = c3, and then slot 4
 forces C_2 = 0 or C_3 = 0.  The family built from C_1 agrees with the
 forced recurrence through C_2 and breaks the relation at slot 3.
+The counterexample, the difference system and the raising construction
+are q-lattice statements, so they stay per kind.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Optional, Tuple
 
 from .classical import InternalCheckError, PearsonPair, ttrr_from_pearson
 from .functionals import OPSequence, TTRRCoeffs
-from .lattice import Lattice, LatticeError
+from .lattice import Lattice, LatticeError, memoized
 from .operators import dx, sx
 from .polynomials import Polynomial
 from .scalars import Report
@@ -138,8 +140,7 @@ def counterexample_ttrr(lat: Lattice) -> TTRRCoeffs:
     On the exact backend q must therefore be a rational fourth power.
     """
     field = lat.field
-    _require_symmetric(lat)
-    r4 = field.sqrt(lat.sqrt_q)
+    r4 = _quarter_root(lat)
     one = field.one
     t_pow = lat.t_pow
 
@@ -152,7 +153,10 @@ def counterexample_ttrr(lat: Lattice) -> TTRRCoeffs:
     return TTRRCoeffs(field, b_fn, c_fn)
 
 
-def _require_symmetric(lat: Lattice) -> None:
+@memoized
+def _quarter_root(lat: Lattice):
+    """r4 = q^(1/4) of the symmetric lattice, once per lattice; a lattice that
+    is not symmetric is refused before the root is taken."""
     field = lat.field
     half = field(1) / 2
     if lat.kind != "q-quadratic" or not (
@@ -164,6 +168,7 @@ def _require_symmetric(lat: Lattice) -> None:
             "the four-term counterexample needs the symmetric lattice "
             "x(s) = (q^(-s) + q^s)/2"
         )
+    return field.sqrt(lat.sqrt_q)
 
 
 def _check_counterexample(lat: Lattice, n_max: int) -> Report:
@@ -173,7 +178,7 @@ def _check_counterexample(lat: Lattice, n_max: int) -> Report:
     ttrr = counterexample_ttrr(lat)
     con = lat.constants
     alpha = con.alpha
-    r4 = field.sqrt(lat.sqrt_q)
+    r4 = _quarter_root(lat)
     seq = OPSequence(field, ttrr)
 
     b_of, c_big = ttrr.b_fn, ttrr.c_fn
@@ -223,13 +228,7 @@ def pearson_from_ttrr(lat: Lattice, case: str, b0, c1, b1=None, c2=None) -> Pear
     z = Polynomial.monomial(field, 1)
     if case == "sx_raise":
         psi = Polynomial(field, (b0, -field.one))
-        if lat.is_q_lattice:
-            inv_alpha = field.one / alpha
-            phi = (alpha - inv_alpha) * (
-                (z - lat.c[2]) * (z - b0)
-            ) + inv_alpha * c1
-        else:
-            phi = 2 * beta * (z - b0) + c1
+        phi = (field.one / alpha) * (lat.u1() * (z - b0) + c1)
         return PearsonPair(lat, phi, psi)
     if case == "lower":
         if b1 is None or c2 is None:

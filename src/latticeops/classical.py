@@ -12,6 +12,11 @@ defining recursion, moments against the Pearson recursion, recurrence
 coefficients against the moment oracle (in the test-suite), so a
 transcription slip in any one route cannot pass silently.
 
+The closed route is written once for every lattice, in alpha, beta,
+delta = U2(0), alpha_n, beta_n and gamma_n (see ``lattice``): the iterated
+pairs, the witness point (the root of psi^[n]) and through them C_(n+1).
+e_n, ``b_offset`` and the partial sums keep a per-kind c3-offset form.
+
 What is memoized, per PearsonPair, through ``lattice.memoized``: d_n and
 e_n at every index, phi'(c3), psi(c3) and phi(c3) on q-lattices, the
 closed form (phi^[n], psi^[n]) and the witness phi^[n](witness_point(n))
@@ -86,7 +91,7 @@ class PearsonPair:
 
     @memoized
     def _at_c3(self) -> Tuple[object, object, object]:
-        """(phi'(c3), psi(c3), phi(c3)) on a q-lattice, c3 = lattice.c[2]."""
+        """(phi'(c3), psi(c3), phi(c3)) on a q-lattice, for the c3-offset forms."""
         c3 = self.lattice.c[2]
         return self.phi.derivative()(c3), self.psi(c3), self.phi(c3)
 
@@ -98,7 +103,7 @@ class PearsonPair:
 
     @memoized
     def e_value(self, n: int):
-        """e_n, the companion sequence entering B_n and the witnesses."""
+        """e_n, the companion sequence entering B_n; per kind, as ``classify`` prints it."""
         lat = self.lattice
         con = lat.constants
         if lat.is_q_lattice:
@@ -139,42 +144,25 @@ class PearsonPair:
 
     @memoized
     def _iterated_closed(self, k: int) -> Tuple[Polynomial, Polynomial]:
-        lat = self.lattice
-        field = self.field
-        con = lat.constants
-        if lat.is_q_lattice:
-            c1, c2, c3 = lat.c
-            alpha = con.alpha
-            a2m1 = alpha * alpha - field.one
-            zc = Polynomial(field, (-c3, field.one))
-            phid_c3, psi_c3, phi_c3 = self._at_c3()
-            d2k = self.d_value(2 * k)
-            ek = self.e_value(k)
-            psi_k = d2k * zc + ek
-            phi_k = (
-                (self.d * a2m1 * con.gamma_n(2 * k) + self.a * con.alpha_n(2 * k))
-                * (zc * zc - 2 * c1 * c2)
-                + (phid_c3 * con.alpha_n(k) + psi_c3 * a2m1 * con.gamma_n(k)) * zc
-                + phi_c3
-                + 2 * self.a * c1 * c2
-            )
-            return phi_k, psi_k
-        beta = con.beta
-        c4, c5, c6 = lat.c
-        a, b, d, e = self.a, self.b, self.d, self.e
-        dk = a * k + d
-        bk2 = beta * (k * k)
-        z = Polynomial.monomial(field, 1)
-        phi_k = (
-            a * (z * z)
-            + (b + 6 * beta * k * dk) * z
-            + self.phi(bk2)
-            + 2 * beta * k * self.psi(bk2)
-            - field(k) / 4 * (16 * beta * c6 - c5 * c5) * dk
-        )
-        d2k = self.d_value(2 * k)
-        ek = self.e_value(k)
-        psi_k = d2k * (z + bk2) + ek
+        """(phi^[k], psi^[k]) in the lattice constants, one formula for every lattice."""
+        con = self.lattice.constants
+        a, b, c, d, e = self.a, self.b, self.c, self.d, self.e
+        u1 = self.lattice.u1()
+        u10, a2m1 = u1.coeff(0), u1.coeff(1)
+        delta = con.delta
+        alpha_k, gamma_k, beta_k = con.alpha_n(k), con.gamma_n(k), con.beta_n(k)
+        gamma_2k = con.gamma_n(2 * k)
+        phi_k = Polynomial(self.field, (
+            c + b * beta_k + a * (beta_k * beta_k + delta * gamma_k * gamma_k)
+            + d * gamma_k * (u10 * beta_k + delta * alpha_k) + e * u10 * gamma_k,
+            b * alpha_k + e * a2m1 * gamma_k + 2 * a * (con.beta_n(2 * k) - beta_k)
+            + d * u10 * (2 * gamma_2k - gamma_k),
+            a * con.alpha_n(2 * k) + d * a2m1 * gamma_2k,
+        ))
+        psi_k = Polynomial(self.field, (
+            b * gamma_k + e * alpha_k + beta_k * (2 * a * gamma_k + d * (1 + 2 * alpha_k)),
+            self.d_value(2 * k),
+        ))
         return phi_k, psi_k
 
     def moments(self, mu0=1) -> MomentFunctional:
@@ -237,12 +225,10 @@ class RegularityReport:
 
 
 def witness_point(pair: PearsonPair, n: int):
-    """The point where phi^[n] must not vanish for u to stay regular."""
-    lat = pair.lattice
-    ratio = pair.e_value(n) / _checked_d(pair, 2 * n)
-    if lat.is_q_lattice:
-        return lat.c[2] - ratio
-    return -lat.constants.beta * (n * n) - ratio
+    """The point where phi^[n] must not vanish for u to stay regular: the
+    root -psi^[n](0)/d_2n of psi^[n]."""
+    d2n = _checked_d(pair, 2 * n)
+    return -pair._iterated_closed(n)[1].coeff(0) / d2n
 
 
 def regularity(pair: PearsonPair, n_max: int) -> RegularityReport:
@@ -279,7 +265,8 @@ def _checked_d(pair: PearsonPair, n: int):
 
 def b_offset(pair: PearsonPair, n: int):
     """B_n minus its lattice offset (c3 for q-lattices), formed without
-    cancellation so the q^n-scale tail survives finite precision."""
+    cancellation so the q^n-scale tail survives finite precision; per kind,
+    as that c3-offset form is what keeps the tail."""
     lat = pair.lattice
     con = lat.constants
     if lat.is_q_lattice:
@@ -382,7 +369,8 @@ class AsymptoticsReport:
 
 
 def partial_sum_closed(pair: PearsonPair, n: int):
-    """Closed form of S_n = sum_(j<n) (B_j - c3) on a q-lattice."""
+    """Closed form of S_n = sum_(j<n) (B_j - c3) on a q-lattice; per kind, like
+    ``b_offset``, to keep its q^n tail."""
     if not pair.lattice.is_q_lattice:
         raise LatticeError("the telescoped partial sum is a q-lattice statement")
     if n == 0:
@@ -420,27 +408,20 @@ def asymptotics(pair: PearsonPair, n_eval: int, sum_horizon: int = 64) -> Asympt
     field = pair.field
     con = lat.constants
     if lat.is_q_lattice:
-        q = lat.q
-        alpha = con.alpha
-        uval = field.one / (lat.sqrt_q - field.one / lat.sqrt_q)
+        # t -> 1/t leaves every lattice constant unchanged: use the t with |t| < 1
+        s = 1 if field.magnitude(lat.q) < 1 else -1
+        t = lat.t_pow(s)
+        uval = field.one / (t - lat.t_pow(-s))
         phid_c3, psi_c3, _ = pair._at_c3()
         a, d = pair.a, pair.d
         sum_residual = partial_sums(pair, sum_horizon).residual
-        q_below_one = field.magnitude(q) < 1
-        denom = d - 2 * a * uval if q_below_one else d + 2 * a * uval
+        denom = d - 2 * a * uval
         if field.is_zero(denom):
             return AsymptoticsReport(kind=lat.kind, sum_residual=sum_residual)
-        numer = psi_c3 - 4 * alpha * uval * uval * phid_c3
-        if q_below_one:
-            ratio_limit = -(numer / (uval * denom)) / lat.sqrt_q
-            series_value = (psi_c3 - 2 * uval * phid_c3) / ((q - field.one) * denom)
-            scale_pow = lat.q_pow(-n_eval)
-        else:
-            ratio_limit = lat.sqrt_q * numer / (uval * denom)
-            series_value = (psi_c3 + 2 * uval * phid_c3) / (
-                (field.one / q - field.one) * denom
-            )
-            scale_pow = lat.q_pow(n_eval)
+        numer = psi_c3 - 4 * con.alpha * uval * uval * phid_c3
+        ratio_limit = -(numer / (uval * denom)) / t
+        series_value = (psi_c3 - 2 * uval * phid_c3) / ((lat.t_pow(2 * s) - field.one) * denom)
+        scale_pow = lat.q_pow(-s * n_eval)
         ratio_estimate = scale_pow * b_offset(pair, n_eval)
         series_estimate = partial_sum_closed(pair, n_eval)
         return AsymptoticsReport(

@@ -16,7 +16,8 @@ cross-check included), 2 invalid input (a pair whose functional is not
 admissible or not regular where the command needs one included).  Errors
 are one line on stderr.
 
-Lattice specs are JSON (inline or a file path):
+Lattice specs are JSON, inline or a file path (text that parses as JSON,
+or that starts with ``{``, is read inline):
 ``{"kind": "q-quadratic", "q": "1/4", "c": ["1/2", "1/2", "0"]}``;
 Pearson pairs are ``{"phi": [...], "psi": [...]}`` with coefficient
 arrays listed lowest degree first.  Scalars accept "p/q" strings,
@@ -89,14 +90,16 @@ def _load_spec(raw: Optional[str], default=None):
             raise CliError("a JSON spec is required here")
         return default
     text = raw.strip()
-    if not text.startswith("{"):
-        try:
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise CliError(f"cannot read spec file {raw!r}: {exc}") from exc
     try:
         return json.loads(text)
+    except json.JSONDecodeError as exc:
+        if text.startswith("{"):
+            raise CliError(f"invalid JSON spec: {exc}") from exc
+    try:
+        with open(text, "r", encoding="utf-8") as fh:
+            return json.loads(fh.read())
+    except OSError as exc:
+        raise CliError(f"cannot read spec file {raw!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"invalid JSON spec: {exc}") from exc
 

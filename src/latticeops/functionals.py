@@ -446,6 +446,7 @@ def _functional_sides(lat: Lattice, identity: str, f: Optional[Polynomial],
     if identity == "leibniz_deg2":
         if n is None:
             raise ValueError("the degree-2 Leibniz form needs the order n")
+        # per kind: the printed degree-2 form is a q-lattice statement
         if not lat.is_q_lattice:
             raise ValueError("the degree-2 Leibniz form is for q-lattices only")
         if f.degree > 2:

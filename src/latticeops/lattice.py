@@ -6,9 +6,11 @@ A lattice is the mapping
     x(s) = c4*s^2    + c5*s   + c6   (q  = 1)
 
 classified as q-quadratic (c1*c2 != 0), q-linear, quadratic (c4 != 0) or
-linear.  Each lattice owns the constants alpha and beta, the sequences
-alpha_n, beta_n, gamma_n, and the fundamental polynomials U1, U2 driving
-the operator calculus.
+linear.  Each lattice owns the constants alpha, beta and delta, the
+sequences alpha_n, beta_n, gamma_n, and the fundamental polynomials
+U1 = (alpha^2 - 1) z + u10 and U2 = (alpha^2 - 1) z^2 + 2 u10 z + delta,
+u10 = U1(0) = beta (alpha + 1), delta = U2(0), that drive the operator
+calculus.  Only x and the definitions of the constants tell the kinds apart.
 
 Every closed form on a q-lattice is a Laurent polynomial in t = sqrt(q),
 so every power of q or t goes through one helper, ``Lattice.t_pow``: it
@@ -74,7 +76,7 @@ def _as_half_integer(s) -> Fraction:
 
 
 class LatticeConstants:
-    """alpha, beta and the sequences alpha_n, beta_n, gamma_n (n >= -1)."""
+    """alpha, beta, delta = U2(0) and alpha_n, beta_n, gamma_n (n >= -1), defined per kind."""
 
     def __init__(self, lattice: "Lattice"):
         self.lattice = lattice
@@ -84,6 +86,8 @@ class LatticeConstants:
             t = lattice.sqrt_q
             self.alpha = (t + field.one / t) / 2
             self.beta = (field.one - self.alpha) * lattice.c[2]
+            c1, c2, c3 = lattice.c
+            self.delta = (self.alpha * self.alpha - field.one) * (c3 * c3 - 4 * c1 * c2)
             # alpha_n, gamma_n and beta_n use integer powers of t only
             t_pow = lattice.t_pow
             self._gamma_den = t_pow(1) - t_pow(-1)
@@ -91,6 +95,8 @@ class LatticeConstants:
         else:
             self.alpha = field.one
             self.beta = lattice.c[0] / 4
+            c4, c5, c6 = lattice.c
+            self.delta = c5 * c5 / 4 - c4 * c6
 
     def _check_index(self, n: int) -> None:
         if n < -1:
@@ -176,7 +182,7 @@ class Lattice:
         return self.c[0] == zero and self.c[1] == zero
 
     def x(self, s):
-        """Evaluate x(s) for s on the half-integer grid."""
+        """x(s) for s on the half-integer grid; per kind, as the definition itself."""
         f = _as_half_integer(s)
         if self.is_q_lattice:
             # q^s = t^(2s); 2s is an integer, so the exact backend stays
@@ -218,25 +224,13 @@ class Lattice:
 
     @memoized
     def u1(self) -> Polynomial:
-        field = self.field
-        if self.is_q_lattice:
-            a = self.constants.alpha
-            f = a * a - field.one
-            return Polynomial(field, (-f * self.c[2], f))
-        return Polynomial(field, (self.c[0] / 2,))
+        con = self.constants
+        return Polynomial(self.field, (con.beta * (con.alpha + 1), con.alpha * con.alpha - 1))
 
     @memoized
     def u2(self) -> Polynomial:
-        field = self.field
-        if self.is_q_lattice:
-            a = self.constants.alpha
-            f = a * a - field.one
-            c3 = self.c[2]
-            return Polynomial(
-                field, (f * (c3 * c3 - 4 * self.c[0] * self.c[1]), -2 * f * c3, f)
-            )
-        c4, c5, c6 = self.c
-        return Polynomial(field, (c5 * c5 / 4 - c4 * c6, c4))
+        u1 = self.u1()
+        return Polynomial(self.field, (self.constants.delta, 2 * u1.coeff(0), u1.coeff(1)))
 
     def to_json(self):
         return {

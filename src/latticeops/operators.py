@@ -84,14 +84,10 @@ def sx_interp(lat: Lattice, f: Polynomial) -> Polynomial:
 @memoized
 def _monomial_tables(lat: Lattice) -> tuple:
     """The packed rows of D_x z^n and S_x z^n so far, and the recurrences'
-    multipliers S_x z and U2."""
+    multipliers S_x z = alpha z + beta and U2."""
     field = lat.field
-    if lat.is_q_lattice:
-        alpha = lat.constants.alpha
-        sz = Polynomial(field, ((field.one - alpha) * lat.c[2], alpha))
-    else:
-        sz = Polynomial(field, (lat.constants.beta, field.one))
-    one, szrow = field.pack((field.one,)), field.pack(sz.coeffs)
+    con = lat.constants
+    one, szrow = field.pack((field.one,)), field.pack((con.beta, con.alpha))
     return [field.pack(()), one], [one, szrow], szrow, field.pack(lat.u2().coeffs)
 
 
@@ -161,6 +157,7 @@ class MonomialAction:
 
 
 def monomial_action(lat: Lattice, n: int) -> MonomialAction:
+    """The printed top coefficients of D_x z^n and S_x z^n, a q-lattice statement."""
     if not lat.is_q_lattice:
         raise LatticeError("monomial_action closed forms require a q-lattice")
     if n < 0:

@@ -65,6 +65,16 @@ class TestCounterexample:
         rep = check_structure(lat, None, "counterexample4term", 4)
         assert rep.to_json()["name"] == "counterexample4term"
 
+    def test_quarter_root_taken_once_per_lattice(self, monkeypatch):
+        field = make_field("exact")
+        lat = sym_lattice_at(field, Fraction(1, 16))
+        roots = []
+        sqrt = field.sqrt
+        monkeypatch.setattr(field, "sqrt", lambda v: roots.append(v) or sqrt(v))
+        assert check_structure(lat, None, "counterexample4term", 4).passed
+        counterexample_ttrr(lat)
+        assert roots == [lat.sqrt_q]
+
 
 class TestLowerRelation:
     def test_q_hermite_passes(self, sym_lattice, exact):
@@ -285,6 +295,29 @@ class TestRaisingConstruction:
         ttrr = ttrr_from_pearson(forced)
         for n in range(11):
             assert (ttrr.b(n), ttrr.c(n)) == (fc.ttrr.b(n), fc.ttrr.c(n))
+
+    @pytest.mark.parametrize("q, c", [
+        (Fraction(1, 4), (Fraction(1, 2), Fraction(1, 2), 0)),
+        (4, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))),
+        (Fraction(1, 9), (0, Fraction(1, 3), Fraction(2, 7))),
+        (1, (2, Fraction(1, 3), Fraction(-1, 4))),
+        (1, (0, 1, 0)),
+    ])
+    def test_forced_pair_matches_the_per_kind_formula(self, exact, q, c):
+        """(U1 (z - B_0) + C_1)/alpha against its per-kind forms:
+        (alpha - 1/alpha)(z - c3)(z - B_0) + C_1/alpha on q-lattices and
+        2 beta (z - B_0) + C_1 when q = 1."""
+        lat = Lattice(exact, q, c)
+        b0, c1 = Fraction(2, 7), Fraction(-3, 5)
+        alpha, beta = lat.constants.alpha, lat.constants.beta
+        z = Polynomial(exact, (0, 1))
+        if lat.is_q_lattice:
+            expected = (alpha - 1 / alpha) * ((z - lat.c[2]) * (z - b0)) + c1 / alpha
+        else:
+            expected = 2 * beta * (z - b0) + c1
+        pair = pearson_from_ttrr(lat, "sx_raise", b0, c1)
+        assert pair.phi == expected
+        assert pair.psi == Polynomial(exact, (b0, -1))
 
     def test_forced_pair_returns_b0_and_c1(self, exact):
         lat = Lattice(exact, 4, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))

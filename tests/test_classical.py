@@ -26,6 +26,16 @@ from latticeops.functionals import InternalCheckError
 from latticeops.lattice import LatticeError
 
 
+# the lattice kinds the fixtures leave out: q-linear with c2 = 0 and with
+# c1 = 0, linear, and constant
+EVERY_KIND = {
+    "qlin_c2": (4, (Fraction(1, 2), 0, 3)),
+    "qlin_c1": (Fraction(1, 9), (0, Fraction(1, 3), Fraction(2, 7))),
+    "lin": (1, (0, 1, 0)),
+    "const": (1, (0, 0, Fraction(3, 7))),
+}
+
+
 class TestPearsonPair:
     def test_degree_validation(self, gen_lattice, exact):
         cubic = Polynomial(exact, (0, 0, 0, 1))
@@ -56,10 +66,11 @@ class TestIterated:
         phi0, psi0 = pair.iterated(0)
         assert phi0 == pair.phi and psi0 == pair.psi
 
-    def test_validated_equals_fast_path(self, gen_lattice, quad_lattice):
-        for lat in (gen_lattice, quad_lattice):
+    def test_validated_equals_fast_path(self, exact, gen_lattice, quad_lattice):
+        extra = [Lattice(exact, q, c) for q, c in EVERY_KIND.values()]
+        for lat in (gen_lattice, quad_lattice, *extra):
             pair = sample_pair(lat)
-            for k in range(6):
+            for k in range(7):
                 assert pair.iterated(k) == pair._iterated_closed(k)
 
     def test_semigroup_property(self, gen_lattice):
@@ -78,17 +89,16 @@ class TestIterated:
 
 
 class TestClosedFormTTRR:
-    @pytest.mark.parametrize("lattice_name", ["gen", "sym", "quad"])
-    def test_matches_moment_oracle_exactly(self, request, lattice_name):
-        lat = {
-            "gen": request.getfixturevalue("gen_lattice"),
-            "sym": request.getfixturevalue("sym_lattice"),
-            "quad": request.getfixturevalue("quad_lattice"),
-        }[lattice_name]
+    @pytest.mark.parametrize("lattice_name", ["gen", "sym", "quad", *EVERY_KIND])
+    def test_matches_moment_oracle_exactly(self, request, exact, lattice_name):
+        if lattice_name in EVERY_KIND:
+            lat = Lattice(exact, *EVERY_KIND[lattice_name])
+        else:
+            lat = request.getfixturevalue(f"{lattice_name}_lattice")
         pair = sample_pair(lat)
         closed = ttrr_from_pearson(pair)
-        oracle = ttrr_oracle(pair.moments(), 8)
-        for n in range(9):
+        oracle = ttrr_oracle(pair.moments(), 10)
+        for n in range(11):
             assert closed.b(n) == oracle.b(n)
             assert closed.c(n) == oracle.c(n)
 
@@ -158,6 +168,14 @@ class TestRegularity:
         c3 = gen_lattice.c[2]
         for n in range(5):
             expected = c3 - pair.e_value(n) / pair.d_value(2 * n)
+            assert witness_point(pair, n) == expected
+
+    def test_witness_point_formula_quadratic(self, quad_lattice):
+        """The witness point against its q = 1 form -beta n^2 - e_n/d_2n."""
+        pair = sample_pair(quad_lattice)
+        beta = quad_lattice.constants.beta
+        for n in range(5):
+            expected = -beta * (n * n) - pair.e_value(n) / pair.d_value(2 * n)
             assert witness_point(pair, n) == expected
 
     def test_witness_is_phi_k_root_detector(self, sym_lattice):
@@ -264,6 +282,21 @@ class TestAsymptotics:
         rep = asymptotics(sample_pair(lat), 300, sum_horizon=48)
         assert rep.ratio_error < 1e-6
         assert big.magnitude(rep.series_estimate - rep.series_value) < 1e-6
+
+    def test_q_above_one_limits_match_the_per_kind_formula(self, exact):
+        """On the exact q = 4 lattice, the limits stated for |q| < 1 and read at
+        t -> 1/t equal their q > 1 forms, written in t."""
+        lat = Lattice(exact, 4, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))
+        pair = sample_pair(lat)
+        t, q = lat.sqrt_q, lat.q
+        c3 = lat.c[2]
+        phid_c3, psi_c3 = pair.phi.derivative()(c3), pair.psi(c3)
+        uval = 1 / (t - 1 / t)
+        denom = pair.d + 2 * pair.a * uval
+        numer = psi_c3 - 4 * lat.constants.alpha * uval * uval * phid_c3
+        rep = asymptotics(pair, 6, sum_horizon=8)
+        assert rep.ratio_limit == t * numer / (uval * denom)
+        assert rep.series_value == (psi_c3 + 2 * uval * phid_c3) / ((1 / q - 1) * denom)
 
     def test_quadratic_growth_constants(self, big):
         lat = Lattice(big, 1, (2, Fraction(1, 3), Fraction(-1, 4)))

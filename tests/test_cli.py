@@ -346,6 +346,12 @@ CHARACTERIZE = ["characterize", "-N", "-1"]
     (["family", "--name", "q_hermite", "-N", "abc"], "argument -N/--n-max: invalid int value: 'abc'"),
     (["moments"], "the following arguments are required: --pair"),
     ([], "the following arguments are required: command"),
+    # a spec that parses as JSON is read inline, whatever its shape
+    (["moments", "--pair", '["1", "2"]'], "pair spec must be an object with 'phi' and 'psi'"),
+    (CLASSIFY + ["--lattice", "5"], "lattice spec must be an object with 'q' and 'c'"),
+    (["moments", "--pair", "no_such_spec.json"],
+     "cannot read spec file 'no_such_spec.json': "
+     "[Errno 2] No such file or directory: 'no_such_spec.json'"),
 ])
 def test_negative_order_is_a_one_line_input_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)

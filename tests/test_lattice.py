@@ -135,6 +135,18 @@ def test_u2_closed_form(gen_lattice, exact):
     assert lat.u2() == expected
 
 
+@pytest.mark.parametrize("q, c", [
+    (4, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))),
+    (Fraction(1, 9), (0, Fraction(1, 3), Fraction(2, 7))),
+    (Fraction(25, 4), (Fraction(1, 2), 0, -3)),
+])
+def test_u1_q_lattice_closed_form(exact, q, c):
+    lat = Lattice(exact, q, c)
+    alpha = lat.constants.alpha
+    z = Polynomial(exact, (0, 1))
+    assert lat.u1() == (alpha * alpha - exact.one) * (z - lat.c[2])
+
+
 def test_u1_u2_quadratic(quad_lattice, exact):
     c4, c5, c6 = quad_lattice.c
     assert quad_lattice.u1() == Polynomial(exact, (c4 / exact(2),))
