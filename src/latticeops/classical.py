@@ -22,11 +22,17 @@ e_n at every index, phi'(c3), psi(c3) and phi(c3) on q-lattices, the
 closed form (phi^[n], psi^[n]) and the witness phi^[n](witness_point(n))
 at every level; ``regularity`` and the C_(n+1) of ``ttrr_from_pearson``
 read the same witness, and the witness reads only the closed form, which
-keeps deep levels cheap.  ``iterated`` keeps the pairs it has validated
-apart: a level is stored there only once the recursion from the level
-below agrees with the closed form, so the recursion check still runs at
-every level that ``iterated`` reaches, whatever the witness read first.
-The lattice memoizes alpha_n, gamma_n, U1 and U2 (see ``lattice``).
+keeps deep levels cheap.  Per lattice, ``_recursion_map``: the recursion
+R(phi, psi) = (S phi + U1 S psi + alpha U2 D psi, D phi + alpha S psi + U1 D psi)
+is linear and keeps degrees (2, 1), so it is one 5x5 map on the
+coefficients (c, b, a, e, d), built once from ``dx``, ``sx``, U1 and U2
+and packed as one row of ints over one denominator (``scalars.pack``).
+``iterated`` keeps the pairs it has validated apart, each beside its
+packed row: a level is stored there only once the map applied to the
+row of the level below agrees with the closed form, so the recursion
+check still runs at every level that ``iterated`` reaches, whatever the
+witness read first.  The lattice memoizes alpha_n, gamma_n, U1 and U2
+(see ``lattice``).
 """
 
 from __future__ import annotations
@@ -67,7 +73,10 @@ class PearsonPair:
         self.field = lattice.field
         self.phi = phi
         self.psi = psi
-        self._iterated: List[Tuple[Polynomial, Polynomial]] = [(phi, psi)]
+        # each validated level (phi^[k], psi^[k]) beside its packed (c, b, a, e, d) row
+        self._iterated: List[Tuple[Polynomial, Polynomial, tuple]] = [
+            (phi, psi, self.field.pack(_pair_values(phi, psi)))
+        ]
 
     @property
     def a(self):
@@ -117,30 +126,28 @@ class PearsonPair:
         return self._iterated_closed(n)[0](witness_point(self, n))
 
     def iterated(self, k: int) -> Tuple[Polynomial, Polynomial]:
-        """(phi^[k], psi^[k]); recursion and closed form must agree at every level."""
-        lat = self.lattice
+        """(phi^[k], psi^[k]); recursion and closed form must agree at every level.
+
+        The recursion is the lattice's map ``_recursion_map`` applied to the
+        packed row of the level below, compared with the packed closed form
+        by cross-multiplying their denominators.
+        """
         field = self.field
-        u1 = lat.u1()
-        u2 = lat.u2()
-        alpha = lat.constants.alpha
         while len(self._iterated) <= k:
-            phi_j, psi_j = self._iterated[-1]
             j = len(self._iterated)
-            sx_psi = sx(lat, psi_j)
-            dx_psi = dx(lat, psi_j)
-            phi_next = sx(lat, phi_j) + u1 * sx_psi + alpha * (u2 * dx_psi)
-            psi_next = dx(lat, phi_j) + alpha * sx_psi + u1 * dx_psi
+            m, mden = _recursion_map(self.lattice)
+            v, vden = self._iterated[-1][2]
             phi_closed, psi_closed = self._iterated_closed(j)
-            for name, rec, closed in (
-                ("phi", phi_next, phi_closed),
-                ("psi", psi_next, psi_closed),
-            ):
-                if not field.report(f"{name}^[{j}]", [(rec.coeffs, closed.coeffs)]).passed:
-                    raise InternalCheckError(
-                        f"{name}^[{j}] closed form disagrees with the recursion"
-                    )
-            self._iterated.append((phi_closed, psi_closed))
-        return self._iterated[k]
+            row = field.pack(_pair_values(phi_closed, psi_closed))
+            closed, cden = row
+            lhs = [sum(m[5 * col + i] * x for col, x in enumerate(v)) * cden for i in range(5)]
+            rhs = [x * (mden * vden) for x in closed]
+            rep = field.report(f"iterated^[{j}]", [(lhs[:3], rhs[:3]), (lhs[3:], rhs[3:])])
+            if not rep.passed:
+                name = ("phi", "psi")[rep.first_fail]
+                raise InternalCheckError(f"{name}^[{j}] closed form disagrees with the recursion")
+            self._iterated.append((phi_closed, psi_closed, row))
+        return self._iterated[k][:2]
 
     @memoized
     def _iterated_closed(self, k: int) -> Tuple[Polynomial, Polynomial]:
@@ -187,6 +194,45 @@ class PearsonPair:
 
     def __repr__(self):
         return f"PearsonPair(phi={self.phi!r}, psi={self.psi!r})"
+
+
+def _pair_values(phi: Polynomial, psi: Polynomial) -> list:
+    """(c, b, a, e, d): the coefficients of phi and psi, lowest degree first."""
+    return [phi.coeff(0), phi.coeff(1), phi.coeff(2), psi.coeff(0), psi.coeff(1)]
+
+
+def _recursion(lat: Lattice, phi: Polynomial, psi: Polynomial) -> Tuple[Polynomial, Polynomial]:
+    """R(phi, psi) = (S phi + U1 S psi + alpha U2 D psi, D phi + alpha S psi + U1 D psi),
+    the step from (phi^[k], psi^[k]) to (phi^[k+1], psi^[k+1])."""
+    u1 = lat.u1()
+    alpha = lat.constants.alpha
+    sx_psi = sx(lat, psi)
+    dx_psi = dx(lat, psi)
+    return (sx(lat, phi) + u1 * sx_psi + alpha * (lat.u2() * dx_psi),
+            dx(lat, phi) + alpha * sx_psi + u1 * dx_psi)
+
+
+@memoized
+def _recursion_map(lat: Lattice) -> tuple:
+    """R as one 5x5 map on (c, b, a, e, d), packed as one row of 25 entries.
+
+    R is linear and keeps degrees (2, 1), so entry 5 j + i is coordinate i
+    of R applied to the j-th unit pair (1, 0), (z, 0), (z^2, 0), (0, 1), (0, z).
+    """
+    field = lat.field
+    zero = Polynomial.zero(field)
+    units = [(Polynomial.monomial(field, k), zero) for k in range(3)]
+    units += [(zero, Polynomial.monomial(field, k)) for k in range(2)]
+    entries = []
+    for unit in units:
+        phi, psi = _recursion(lat, *unit)
+        if phi.degree > 2 or psi.degree > 1:
+            raise InternalCheckError(
+                f"the recursion takes a unit pair to degrees ({phi.degree}, {psi.degree}),"
+                " beyond (2, 1)"
+            )
+        entries += _pair_values(phi, psi)
+    return field.pack(entries)
 
 
 @dataclass

@@ -180,7 +180,8 @@ def pearson_moments(pair, mu0=1) -> MomentFunctional:
     Pairing the equation with z^n gives <u, phi*D_x z^n + psi*S_x z^n> = 0,
     a linear recursion for mu_(n+1) whose leading coefficient is the
     admissibility value d_n = a*gamma_n + d*alpha_n; it is cross-checked
-    against that closed form on every step.
+    on every step against that closed form, read from the pair's memo
+    (``PearsonPair.d_value``, which ``regularity`` fills too).
 
     The recursion runs on packed rows (`scalars.pack`): g is the product of
     the packed pair with the packed monomial images, and mu_0..mu_n are
@@ -189,9 +190,6 @@ def pearson_moments(pair, mu0=1) -> MomentFunctional:
     """
     lat, phi, psi = pair.lattice, pair.phi, pair.psi
     field = lat.field
-    con = lat.constants
-    a = phi.coeff(2)
-    d = psi.coeff(1)
     u = MomentFunctional(field, [field(mu0)])
     phi_row, psi_row = field.pack(phi.coeffs), field.pack(psi.coeffs)
     moments = field.pack((u.moment(0),))
@@ -204,8 +202,7 @@ def pearson_moments(pair, mu0=1) -> MomentFunctional:
         gs, gden = add_rows(mul_rows(phi_row, dxrow), mul_rows(psi_row, sxrow))
         lead = gs[n + 1] if len(gs) > n + 1 else field.zero
         dn = field.unpack(([lead], gden))[0]
-        dn_closed = a * con.gamma_n(n) + d * con.alpha_n(n)
-        if not field.approx_eq(dn, dn_closed):
+        if not field.approx_eq(dn, pair.d_value(n)):
             raise InternalCheckError(
                 f"leading Pearson coefficient disagrees with d_{n} closed form"
             )

@@ -126,14 +126,10 @@ def _expand(lat: Lattice, f: Polynomial, kind: int) -> Polynomial:
 
 
 def dx(lat: Lattice, f: Polynomial) -> Polynomial:
-    if lat.is_constant:
-        return f.derivative()
     return _expand(lat, f, 0)
 
 
 def sx(lat: Lattice, f: Polynomial) -> Polynomial:
-    if lat.is_constant:
-        return f
     return _expand(lat, f, 1)
 
 

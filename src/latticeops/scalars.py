@@ -420,6 +420,8 @@ class BigFloatField(_Comparator):
         ctx.prec = precision
         self.ctx = ctx
         self.eps = self.real(DEFAULT_EPS if eps is None else eps)
+        if not self.eps > 0:
+            raise ValueError(f"eps must be > 0, got {eps}")
 
     def real(self, v):
         """Convert a rational-like value to a real mpf of this context."""

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from latticeops import Lattice, make_field
+from latticeops import Lattice, PearsonPair, Polynomial, make_field
 from latticeops.checks import reference_lattices, run
 
 # every @given test draws the same examples on every run of one commit;
@@ -54,6 +54,14 @@ def gaussian_lattices(field):
         Lattice(field, 1, (2, field(Fraction(1, 3), 1), Fraction(-1, 4))),
         Lattice(field, Fraction(1, 4), (Fraction(1, 2), Fraction(1, 2), 0)),
     ]
+
+
+def readme_pair(lat):
+    """The README example's Pearson pair, on any lattice and backend; every coefficient is nonzero."""
+    field = lat.field
+    phi = Polynomial(field, (Fraction(7, 10), Fraction(-1, 3), Fraction(2, 7)))
+    psi = Polynomial(field, (Fraction(1, 2), Fraction(3, 4)))
+    return PearsonPair(lat, phi, psi)
 
 
 def identity_lattices(field):

@@ -19,11 +19,14 @@ from latticeops import (
     ttrr_oracle,
     witness_point,
 )
+from conftest import gaussian_lattices, readme_pair
+from latticeops import classical
 from latticeops.characterize import solve_first_characterization
-from latticeops.checks import random_regular_pair, sample_pair
+from latticeops.checks import random_poly, random_regular_pair, reference_lattices, sample_pair
 from latticeops.classical import b_offset, partial_sum_closed, partial_sums
 from latticeops.functionals import InternalCheckError
 from latticeops.lattice import LatticeError
+from latticeops.operators import dx, sx
 
 
 # the lattice kinds the fixtures leave out: q-linear with c2 = 0 and with
@@ -86,6 +89,60 @@ class TestIterated:
             phik, psik = pair.iterated(k)
             assert phik.degree <= 2
             assert psik.degree <= 1
+
+
+class TestRecursionMap:
+    @staticmethod
+    def longhand(lat, phi, psi):
+        """R(phi, psi) = (S phi + U1 S psi + alpha U2 D psi, D phi + alpha S psi + U1 D psi)."""
+        alpha, u1, u2 = lat.constants.alpha, lat.u1(), lat.u2()
+        return (sx(lat, phi) + u1 * sx(lat, psi) + alpha * u2 * dx(lat, psi),
+                dx(lat, phi) + alpha * sx(lat, psi) + u1 * dx(lat, psi))
+
+    def test_map_equals_the_recursion(self, exact):
+        """The packed 5x5 map applied to (c, b, a, e, d) gives R written out longhand."""
+        extra = [Lattice(exact, *EVERY_KIND[name]) for name in ("qlin_c1", "lin", "const")]
+        rng = random.Random(18)
+        for lat in (*reference_lattices(exact), *gaussian_lattices(exact), *extra):
+            m = exact.unpack(classical._recursion_map(lat))
+            for _ in range(3):
+                phi, psi = random_poly(exact, rng, degree=2), random_poly(exact, rng, degree=1)
+                v = [phi.coeff(0), phi.coeff(1), phi.coeff(2), psi.coeff(0), psi.coeff(1)]
+                image = [sum(m[5 * j + i] * v[j] for j in range(5)) for i in range(5)]
+                phi_r, psi_r = self.longhand(lat, phi, psi)
+                assert Polynomial(exact, image[:3]) == phi_r, lat
+                assert Polynomial(exact, image[3:]) == psi_r, lat
+
+    @pytest.mark.parametrize("entry", range(25))
+    def test_a_corrupted_entry_fails_regularity(self, exact, big, monkeypatch, entry):
+        """Each entry of the map is read: one changed entry fails the first level."""
+        original = classical._recursion_map
+
+        def corrupted(lat):
+            values, den = original(lat)
+            values = list(values)
+            values[entry] += 1
+            return values, den
+
+        monkeypatch.setattr(classical, "_recursion_map", corrupted)
+        slot = "phi" if entry % 5 < 3 else "psi"
+        for field in (exact, big):
+            for q, c in ((4, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))),
+                         (1, (2, Fraction(1, 3), Fraction(-1, 4)))):
+                with pytest.raises(InternalCheckError, match=rf"{slot}\^\[1\]"):
+                    regularity(readme_pair(Lattice(field, q, c)), 3)
+
+    def test_an_image_beyond_degrees_two_and_one_is_refused(self, exact, monkeypatch):
+        lat = Lattice(exact, 4, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))
+        original = classical._recursion
+
+        def cubic(lat, phi, psi):
+            phi_r, psi_r = original(lat, phi, psi)
+            return phi_r * Polynomial(exact, (0, 1)), psi_r
+
+        monkeypatch.setattr(classical, "_recursion", cubic)
+        with pytest.raises(InternalCheckError, match=r"degrees \(3, 1\)"):
+            regularity(readme_pair(lat), 2)
 
 
 class TestClosedFormTTRR:

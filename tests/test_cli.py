@@ -352,6 +352,10 @@ CHARACTERIZE = ["characterize", "-N", "-1"]
     (["moments", "--pair", "no_such_spec.json"],
      "cannot read spec file 'no_such_spec.json': "
      "[Errno 2] No such file or directory: 'no_such_spec.json'"),
+    # a bigfloat zero threshold that is not positive
+    (["--backend", "bigfloat", "--eps", "0"] + CLASSIFY + ["-N", "3"], "eps must be > 0, got 0"),
+    (["--backend", "bigfloat", "--eps", "-1"] + CLASSIFY + ["-N", "3"],
+     "eps must be > 0, got -1"),
 ])
 def test_negative_order_is_a_one_line_input_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)

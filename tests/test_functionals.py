@@ -31,7 +31,7 @@ from latticeops.checks import random_functional
 from latticeops.functionals import dual_dx_pow, pearson_moments
 from latticeops.operators import dx_interp, sx_interp
 
-from conftest import PEARSON_LATTICES, gaussian_lattices, identity_lattices
+from conftest import PEARSON_LATTICES, gaussian_lattices, identity_lattices, readme_pair
 
 small_fracs = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6
@@ -257,14 +257,6 @@ class TestTTRR:
             lhs = seq.p(n + 1)
             rhs = (z - ttrr.b(n)) * seq.p(n) - ttrr.c(n) * seq.p(n - 1)
             assert lhs == rhs
-
-
-def readme_pair(lat):
-    """The README example's Pearson pair, on any lattice and backend."""
-    field = lat.field
-    phi = Polynomial(field, (Fraction(7, 10), Fraction(-1, 3), Fraction(2, 7)))
-    psi = Polynomial(field, (Fraction(1, 2), Fraction(3, 4)))
-    return PearsonPair(lat, phi, psi)
 
 
 def recording(moment):

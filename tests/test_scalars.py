@@ -176,6 +176,11 @@ class TestBigFloatField:
         # the scale never drops below 1
         assert one_slot(field, [field(Fraction(1, 10**21))], []) == (1e-21, True)
 
+    @pytest.mark.parametrize("eps", [0, -1])
+    def test_eps_must_be_positive(self, eps):
+        with pytest.raises(ValueError, match=f"eps must be > 0, got {eps}"):
+            make_field("bigfloat", precision=128, eps=Fraction(eps))
+
     def test_vanish_measures_against_scale(self):
         field = make_field("bigfloat", precision=128, eps=Fraction(1, 10**20))
         assert not field.vanish([field(Fraction(1, 10**10))])[1]
