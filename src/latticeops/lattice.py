@@ -15,12 +15,25 @@ calculus.  Only x and the definitions of the constants tell the kinds apart.
 Every closed form on a q-lattice is a Laurent polynomial in t = sqrt(q),
 so every power of q or t goes through one helper, ``Lattice.t_pow``: it
 keeps the tables t^k and t^(-k), grown by one multiplication per index.
+On the exact backend t = p/r in lowest terms, so t^k is p^k/r^k.
+
+The closed route reads the level k through five level functions, the
+q-analogues of 1, k, k^2, k^3, k^4: the level row
+(1, gamma_k, s_k, gamma_k s_k, s_k^2), with s_k = (t^k - 2 + t^-k)/bd on
+q-lattices and k^2 when q = 1.  Two constants close their products with
+no per-kind branch: bd = t - 2 + 1/t (0 when q = 1) and
+rho = 1/(t + 2 + 1/t) (1/4 when q = 1), so that
+
+    alpha_k = 1 + bd s_k / 2,   gamma_k^2 = rho (4 s_k + bd s_k^2),
+    beta_k = beta s_k,          s_2k = 4 s_k + bd s_k^2,
+    gamma_2k = 2 gamma_k + bd gamma_k s_k.
+
 What is memoized, per lattice, through the ``memoized`` decorator: every
-index of alpha_n and gamma_n, computed once from the closed form on first
-use, and U1 and U2.  beta_n is recomputed from the power tables.  The
-test suite checks the sequences against the defining recurrences.
-Exact-backend lattices require sqrt(q) to be rational, because the
-operators evaluate x at half-integer s.
+index of alpha_n, gamma_n and s_n, computed once from the closed form on
+first use, the packed level row of every level, and U1 and U2; beta_n is
+beta s_n.  The test suite checks the sequences against the defining
+recurrences and the identities above.  Exact-backend lattices require
+sqrt(q) to be rational, because the operators evaluate x at half-integer s.
 """
 
 from __future__ import annotations
@@ -75,12 +88,39 @@ def _as_half_integer(s) -> Fraction:
     return f
 
 
+class _PowerTable:
+    """t^k for t = sqrt(q) and any integer k: ``Lattice.t_pow``.
+
+    Both tables grow by one multiplication per index, by t for k >= 0 and
+    by 1/t for k < 0, so a bigfloat value does not depend on how mpmath
+    rounds a power.  The table refers to neither the lattice nor its
+    constants, so a lattice and the values memoized on it are freed as
+    soon as the lattice is dropped, with no reference cycle to collect.
+    """
+
+    __slots__ = ("_pos", "_neg", "_t", "_one")
+
+    def __init__(self, field: Field, t):
+        self._t, self._one = t, field.one
+        self._pos, self._neg = [field.one], [field.one]
+
+    def __call__(self, k: int):
+        table = self._pos if k >= 0 else self._neg
+        k = abs(k)
+        if k >= len(table):
+            step = self._t if table is self._pos else self._one / self._t
+            while len(table) <= k:
+                table.append(table[-1] * step)
+        return table[k]
+
+
 class LatticeConstants:
-    """alpha, beta, delta = U2(0) and alpha_n, beta_n, gamma_n (n >= -1), defined per kind."""
+    """alpha, beta, delta = U2(0), the level constants bd and rho, and alpha_n,
+    beta_n, gamma_n, s_n (n >= -1), defined per kind."""
 
     def __init__(self, lattice: "Lattice"):
-        self.lattice = lattice
-        field = lattice.field
+        field = self.field = lattice.field
+        self.t_pow = lattice.t_pow
         self._is_q = lattice.is_q_lattice
         if self._is_q:
             t = lattice.sqrt_q
@@ -88,15 +128,19 @@ class LatticeConstants:
             self.beta = (field.one - self.alpha) * lattice.c[2]
             c1, c2, c3 = lattice.c
             self.delta = (self.alpha * self.alpha - field.one) * (c3 * c3 - 4 * c1 * c2)
-            # alpha_n, gamma_n and beta_n use integer powers of t only
+            # alpha_n, gamma_n and s_n use integer powers of t only
             t_pow = lattice.t_pow
             self._gamma_den = t_pow(1) - t_pow(-1)
-            self._beta_den = t_pow(1) - 2 + t_pow(-1)
+            self.bd = t_pow(1) - 2 + t_pow(-1)
+            self.rho = field.one / (t_pow(1) + 2 + t_pow(-1))
+            self._t_row = field.pack((t_pow(1), t_pow(-1)))
         else:
             self.alpha = field.one
             self.beta = lattice.c[0] / 4
             c4, c5, c6 = lattice.c
             self.delta = c5 * c5 / 4 - c4 * c6
+            self.bd = field.zero
+            self.rho = field(Fraction(1, 4))
 
     def _check_index(self, n: int) -> None:
         if n < -1:
@@ -110,29 +154,58 @@ class LatticeConstants:
     def alpha_n(self, n: int):
         self._check_index(n)
         if not self._is_q:
-            return self.lattice.field.one
-        t_pow = self.lattice.t_pow
+            return self.field.one
+        t_pow = self.t_pow
         return (t_pow(n) + t_pow(-n)) / 2
 
     @memoized
     def gamma_n(self, n: int):
         self._check_index(n)
         if not self._is_q:
-            return self.lattice.field(n)
-        t_pow = self.lattice.t_pow
+            return self.field(n)
+        t_pow = self.t_pow
         return (t_pow(n) - t_pow(-n)) / self._gamma_den
+
+    @memoized
+    def s_n(self, n: int):
+        """The level function s_n: n^2 when q = 1, else the q-number
+        ((q^(n/4)-q^(-n/4))/(q^(1/4)-q^(-1/4)))^2, written with integer powers
+        of sqrt(q) so the exact backend never needs quarter powers."""
+        self._check_index(n)
+        if not self._is_q:
+            return self.field(n * n)
+        t_pow = self.t_pow
+        return (t_pow(n) - 2 + t_pow(-n)) / self.bd
 
     def beta_n(self, n: int):
         if n < 0:
             raise LatticeError("beta_n is defined for n >= 0 only")
-        field = self.lattice.field
+        return self.beta * self.s_n(n)
+
+    @memoized
+    def level_row(self, k: int) -> tuple:
+        """The level row (1, gamma_k, s_k, gamma_k s_k, s_k^2) as a packed row
+        (``scalars.pack``) of products of integers on the exact backend.
+
+        When q = 1 it is (1, k, k^2, k^3, k^4) over 1.  On a q-lattice, with
+        (t^k, t^-k) = (x, y)/d and (t, 1/t) = (u, v)/e as packed rows, so
+        (p^2k, r^2k)/(p r)^k and (p^2, r^2)/(p r) on exact for t = p/r,
+        gamma_k = g/w and s_k = s/w for g = (x - y) e (u - 2 e + v),
+        s = (x - 2 d + y) e (u - v) and w = d (u - v) (u - 2 e + v); the row
+        is (w^2, g w, s w, g s, s^2) / w^2.  Both power tables are read, as
+        gamma_n and s_n read them, so on bigfloat t^-k does not inherit the
+        rounding of t^k.
+        """
+        self._check_index(k)
         if not self._is_q:
-            return self.beta * field(n * n)
-        self._check_index(n)
-        t_pow = self.lattice.t_pow
-        # ((q^(n/4)-q^(-n/4))/(q^(1/4)-q^(-1/4)))^2 written with integer
-        # powers of sqrt(q) so the exact backend never needs quarter powers
-        return self.beta * (t_pow(n) - 2 + t_pow(-n)) / self._beta_den
+            return [k ** j for j in range(5)], 1
+        t_pow = self.t_pow
+        (x, y), d = self.field.pack((t_pow(k), t_pow(-k)))
+        (u, v), e = self._t_row
+        g = (x - y) * e * (u - 2 * e + v)
+        s = (x - 2 * d + y) * e * (u - v)
+        w = d * (u - v) * (u - 2 * e + v)
+        return [w * w, g * w, s * w, g * s, s * s], w * w
 
 
 class Lattice:
@@ -168,9 +241,8 @@ class Lattice:
                 raise LatticeError("a q=1 lattice needs (c4, c5, c6) != (0, 0, 0)")
             self.sqrt_q = field.one
             self.kind = "quadratic" if self.c[0] != field.zero else "linear"
-        # t^k and t^(-k) for t = sqrt(q), index k; see t_pow
-        self._t_pos = [field.one]
-        self._t_neg = [field.one]
+        # t_pow(k) = t^k for t = sqrt(q), shared with the constants
+        self.t_pow = _PowerTable(field, self.sqrt_q)
         self.constants = LatticeConstants(self)
 
     @property
@@ -191,21 +263,6 @@ class Lattice:
             return self.c[0] * self.t_pow(-k) + self.c[1] * self.t_pow(k) + self.c[2]
         sv = self.field(f)
         return (self.c[0] * sv + self.c[1]) * sv + self.c[2]
-
-    def t_pow(self, k: int):
-        """t^k for t = sqrt(q) and any integer k.
-
-        Both tables grow by one multiplication per index, by t for k >= 0
-        and by 1/t for k < 0, so a bigfloat value does not depend on how
-        mpmath rounds a power.
-        """
-        table = self._t_pos if k >= 0 else self._t_neg
-        k = abs(k)
-        if k >= len(table):
-            step = self.sqrt_q if table is self._t_pos else self.field.one / self.sqrt_q
-            while len(table) <= k:
-                table.append(table[-1] * step)
-        return table[k]
 
     def q_pow(self, k: int):
         """q^k = t^(2k) for any integer k."""

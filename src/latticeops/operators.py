@@ -116,12 +116,14 @@ def _expand(lat: Lattice, f: Polynomial, kind: int) -> Polynomial:
 
     Each term is image row times coefficient and the sum runs in
     increasing k, the order of the plain-scalar sum, so bigfloat values
-    round alike; the sum is unpacked once.
+    round alike; the sum is unpacked once.  A zero coefficient adds a row
+    of zeros, exactly, on both backends, so it is skipped.
     """
     field = lat.field
     acc = field.pack(())
     for k, c in enumerate(f.coeffs):
-        acc = add_rows(acc, mul_rows(monomial_rows(lat, k)[kind], field.pack((c,))))
+        if c != 0:
+            acc = add_rows(acc, mul_rows(monomial_rows(lat, k)[kind], field.pack((c,))))
     return Polynomial(field, field.unpack(acc))
 
 

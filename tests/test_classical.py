@@ -145,6 +145,134 @@ class TestRecursionMap:
             regularity(readme_pair(lat), 2)
 
 
+class TestClosedBasis:
+    @staticmethod
+    def longhand(pair, k):
+        """(phi^[k], psi^[k]) as scalars, one formula for every lattice."""
+        con = pair.lattice.constants
+        a, b, c, d, e = pair.a, pair.b, pair.c, pair.d, pair.e
+        u1 = pair.lattice.u1()
+        u10, a2m1 = u1.coeff(0), u1.coeff(1)
+        delta = con.delta
+        alpha_k, gamma_k, beta_k = con.alpha_n(k), con.gamma_n(k), con.beta_n(k)
+        gamma_2k = con.gamma_n(2 * k)
+        phi_k = Polynomial(pair.field, (
+            c + b * beta_k + a * (beta_k * beta_k + delta * gamma_k * gamma_k)
+            + d * gamma_k * (u10 * beta_k + delta * alpha_k) + e * u10 * gamma_k,
+            b * alpha_k + e * a2m1 * gamma_k + 2 * a * (con.beta_n(2 * k) - beta_k)
+            + d * u10 * (2 * gamma_2k - gamma_k),
+            a * con.alpha_n(2 * k) + d * a2m1 * gamma_2k,
+        ))
+        psi_k = Polynomial(pair.field, (
+            b * gamma_k + e * alpha_k + beta_k * (2 * a * gamma_k + d * (1 + 2 * alpha_k)),
+            a * con.gamma_n(2 * k) + d * con.alpha_n(2 * k),
+        ))
+        return phi_k, psi_k
+
+    @staticmethod
+    def lattices(field):
+        every = [Lattice(field, *spec) for spec in EVERY_KIND.values()]
+        return [*reference_lattices(field), *gaussian_lattices(field), *every]
+
+    @staticmethod
+    def pairs(lat, rng):
+        field = lat.field
+        drawn = [PearsonPair(lat, random_poly(field, rng, degree=2), random_poly(field, rng, degree=1))
+                 for _ in range(2)]
+        return [readme_pair(lat), *drawn]
+
+    def test_the_matrix_has_five_columns(self, exact):
+        """The degree bound as data: five level functions per level, so M is 5 x 5."""
+        for lat in self.lattices(exact):
+            pair = readme_pair(lat)
+            values, _ = pair._closed_matrix()
+            assert len(values) == 25
+            assert len(classical._closed_tensor(lat)[0]) == 125
+            assert all(len(lat.constants.level_row(k)[0]) == 5 for k in range(-1, 6))
+
+    def test_matrix_times_row_is_the_longhand_formula(self, exact):
+        rng = random.Random(19)
+        for lat in self.lattices(exact):
+            for pair in self.pairs(lat, rng):
+                for k in range(41):
+                    assert pair._iterated_closed(k) == self.longhand(pair, k), (lat, k)
+
+    @pytest.mark.parametrize("precision", [128, 256])
+    def test_matrix_times_row_on_bigfloat(self, precision):
+        big = make_field("bigfloat", precision=precision)
+        rng = random.Random(19)
+        for lat in self.lattices(big):
+            for pair in self.pairs(lat, rng):
+                for k in range(41):
+                    closed, longhand = pair._iterated_closed(k), self.longhand(pair, k)
+                    rep = big.report("closed", [(closed[0].coeffs, longhand[0].coeffs),
+                                                (closed[1].coeffs, longhand[1].coeffs)])
+                    assert rep.passed, (lat, k, rep)
+
+    def test_level_algebra_identities(self, exact):
+        """alpha_k, gamma_k^2, beta_k, s_2k and gamma_2k in s_k, gamma_k, bd and rho."""
+        for lat in self.lattices(exact):
+            con = lat.constants
+            bd, rho = con.bd, con.rho
+            if not lat.is_q_lattice:
+                assert (bd, rho) == (0, Fraction(1, 4))
+            for k in range(-1, 21):
+                g, s = con.gamma_n(k), con.s_n(k)
+                assert con.alpha_n(k) == 1 + bd * s / 2
+                assert g * g == rho * (4 * s + bd * s * s)
+                assert exact.unpack(con.level_row(k)) == [1, g, s, g * s, s * s]
+                if k >= 0:
+                    assert con.beta_n(k) == con.beta * s
+                    assert con.s_n(2 * k) == 4 * s + bd * s * s
+                    assert con.gamma_n(2 * k) == 2 * g + bd * g * s
+
+    def test_d_and_e_read_the_first_three_level_functions(self, exact):
+        n_max = 12
+        for lat in self.lattices(exact):
+            con = lat.constants
+            pair = readme_pair(lat)
+            a, b, d, e = pair.a, pair.b, pair.d, pair.e
+            c3 = lat.c[2]
+            for n in range(-1, 2 * n_max + 1):
+                assert pair.d_value(n) == a * con.gamma_n(n) + d * con.alpha_n(n)
+                if lat.is_q_lattice:
+                    e_n = pair.phi.derivative()(c3) * con.gamma_n(n) + pair.psi(c3) * con.alpha_n(n)
+                else:
+                    e_n = b * n + e + 2 * con.beta * d * (n * n)
+                assert pair.e_value(n) == e_n
+
+    def test_a_term_beyond_the_level_functions_is_refused(self, gen_lattice):
+        con = gen_lattice.constants
+        one = gen_lattice.field.one
+        s_k = classical._Level(con, {(0, 1, classical._PAIR_FREE): one})
+        a = classical._Level(con, {(0, 0, 2): one})
+        with pytest.raises(InternalCheckError, match="beyond the level functions"):
+            (a * s_k * s_k * s_k).weights()
+        with pytest.raises(InternalCheckError, match="free of the pair"):
+            (a + s_k).weights()
+        with pytest.raises(InternalCheckError, match="not linear in the pair"):
+            a * a
+
+    @pytest.mark.parametrize("entry", range(25))
+    def test_a_corrupted_entry_fails_regularity(self, exact, big, monkeypatch, entry):
+        """Each entry of M is read: one changed entry fails the first level."""
+        original = PearsonPair._closed_matrix
+
+        def corrupted(self):
+            values, den = original(self)
+            values = list(values)
+            values[entry] += 1
+            return values, den
+
+        monkeypatch.setattr(PearsonPair, "_closed_matrix", corrupted)
+        slot = "phi" if entry // 5 < 3 else "psi"
+        for field in (exact, big):
+            for q, c in ((4, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))),
+                         (1, (2, Fraction(1, 3), Fraction(-1, 4)))):
+                with pytest.raises(InternalCheckError, match=rf"{slot}\^\[1\]"):
+                    regularity(readme_pair(Lattice(field, q, c)), 3)
+
+
 class TestClosedFormTTRR:
     @pytest.mark.parametrize("lattice_name", ["gen", "sym", "quad", *EVERY_KIND])
     def test_matches_moment_oracle_exactly(self, request, exact, lattice_name):

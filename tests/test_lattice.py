@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -185,3 +187,18 @@ def test_table_horizon_is_enforced(exact):
 def test_default_horizon_allows_deep_indices(exact):
     lat = Lattice(exact, 4, (1, 1, 0))
     assert lat.constants.gamma_n(40) == exact(Fraction(2**80 - 1, 3 * 2**39))
+
+
+def test_a_dropped_lattice_is_freed_without_the_cycle_collector(exact):
+    """The lattice, its constants and their memos form no reference cycle, so
+    dropping the lattice frees them at once, not at the next collection."""
+    lat = Lattice(exact, 4, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))
+    con = lat.constants
+    con.gamma_n(6), con.s_n(6), con.level_row(6), lat.u2()
+    dropped = weakref.ref(lat), weakref.ref(con)
+    gc.disable()
+    try:
+        del lat, con
+        assert all(ref() is None for ref in dropped)
+    finally:
+        gc.enable()
