@@ -18,30 +18,33 @@ pairs, the witness point (the root of psi^[n]) and through them C_(n+1).
 Each of its values at level k is a combination of the lattice's five level
 functions (1, gamma_k, s_k, gamma_k s_k, s_k^2), the packed ``level_row(k)``:
 on q-lattices a Laurent polynomial in t^k with exponents in [-2, 2], when
-q = 1 a polynomial of degree <= 4 in k.  ``_closed_tensor`` evaluates the
-closed formula once per lattice over those level functions, with the pair's
-coefficients as symbols, so that (c, b, a, e, d)^[k] = M row(k) with one 5x5
-matrix M per pair; on the exact backend each level is then one product of
-an integer matrix and an integer row.  d_n and e_n read the first three
-level functions with weights per pair (e_n's per kind, as ``classify``
-prints it); ``b_offset`` and the partial sums keep a per-kind c3-offset form.
+q = 1 a polynomial of degree <= 4 in k.  ``PearsonPair._closed_matrix``
+writes the closed formula out once per pair as the 5x5 matrix M of those
+weights, each entry a product of the pair's (c, b, a, e, d) and the lattice
+constants beta, delta, bd, rho, U1(0) and alpha^2 - 1, so that
+(c, b, a, e, d)^[k] = M row(k); no formula is evaluated over the level
+functions.  On the exact backend each level is one product of an integer
+matrix and an integer row.  d_n and e_n read the first three level
+functions with weights per pair (e_n's per kind, as ``classify`` prints
+it); ``b_offset`` and the partial sums keep a per-kind c3-offset form.
 
 What is memoized, per PearsonPair, through ``lattice.memoized``: d_n and
 e_n at every index, phi'(c3), psi(c3) and phi(c3) on q-lattices, M, and the
 closed row M row(k) and the witness phi^[n](witness_point(n)) at every
 level; the witness reads the closed row alone (one quotient per level),
 and ``regularity`` and the C_(n+1) of ``ttrr_from_pearson`` read the same
-witness.  Per lattice, ``_closed_tensor`` and ``_recursion_map``: the recursion
+witness.  Per lattice, ``_recursion_map``: the recursion
 R(phi, psi) = (S phi + U1 S psi + alpha U2 D psi, D phi + alpha S psi + U1 D psi)
 is linear and keeps degrees (2, 1), so it is one 5x5 map on the
 coefficients (c, b, a, e, d), built once from ``dx``, ``sx``, U1 and U2
 and packed as one row of ints over one denominator (``scalars.pack``).
-``iterated`` keeps the pairs it has validated apart, each beside its
-packed row: a level is stored there only once the map applied to the
-row of the level below agrees with the closed form, so the recursion
-check still runs at every level that ``iterated`` reaches, whatever the
-witness read first.  The lattice memoizes alpha_n, gamma_n, s_n, the
-level rows, U1 and U2 (see ``lattice``).
+``iterated`` keeps the packed rows of the levels it has validated apart:
+a level's closed row is stored there only once the map applied to the
+row of the level below agrees with it, so the recursion check still runs
+at every level that ``iterated`` reaches, whatever the witness read
+first; (phi^[k], psi^[k]) are unpacked from the row on return.  The
+lattice memoizes alpha_n, gamma_n, s_n, the level rows, U1 and U2 (see
+``lattice``).
 """
 
 from __future__ import annotations
@@ -82,10 +85,8 @@ class PearsonPair:
         self.field = lattice.field
         self.phi = phi
         self.psi = psi
-        # each validated level (phi^[k], psi^[k]) beside its packed (c, b, a, e, d) row
-        self._iterated: List[Tuple[Polynomial, Polynomial, tuple]] = [
-            (phi, psi, self.field.pack(_pair_values(phi, psi)))
-        ]
+        # the packed (c, b, a, e, d) row of each validated level (phi^[k], psi^[k])
+        self._iterated: List[tuple] = [self.field.pack(_pair_values(phi, psi))]
 
     @property
     def a(self):
@@ -161,29 +162,30 @@ class PearsonPair:
         """(phi^[k], psi^[k]); recursion and closed form must agree at every level.
 
         The recursion is the lattice's map ``_recursion_map`` applied to the
-        packed row of the level below, compared with the packed closed form
-        by cross-multiplying their denominators.
+        packed row of the level below, compared with the packed closed row
+        ``_closed_row`` by cross-multiplying their denominators.
         """
-        field = self.field
         while len(self._iterated) <= k:
             j = len(self._iterated)
             m, mden = _recursion_map(self.lattice)
-            v, vden = self._iterated[-1][2]
-            phi_closed, psi_closed = self._iterated_closed(j)
-            row = field.pack(_pair_values(phi_closed, psi_closed))
-            closed, cden = row
+            v, vden = self._iterated[-1]
+            row = closed, cden = self._closed_row(j)
             lhs = [sum(m[5 * col + i] * x for col, x in enumerate(v)) * cden for i in range(5)]
             rhs = [x * (mden * vden) for x in closed]
-            rep = field.report(f"iterated^[{j}]", [(lhs[:3], rhs[:3]), (lhs[3:], rhs[3:])])
+            rep = self.field.report(f"iterated^[{j}]", [(lhs[:3], rhs[:3]), (lhs[3:], rhs[3:])])
             if not rep.passed:
                 name = ("phi", "psi")[rep.first_fail]
                 raise InternalCheckError(f"{name}^[{j}] closed form disagrees with the recursion")
-            self._iterated.append((phi_closed, psi_closed, row))
-        return self._iterated[k][:2]
+            self._iterated.append(row)
+        return self._pair_of(self._iterated[k])
 
     def _iterated_closed(self, k: int) -> Tuple[Polynomial, Polynomial]:
         """(phi^[k], psi^[k]), unpacked from ``_closed_row(k)``."""
-        c, b, a, e, d = self.field.unpack(self._closed_row(k))
+        return self._pair_of(self._closed_row(k))
+
+    def _pair_of(self, row: tuple) -> Tuple[Polynomial, Polynomial]:
+        """(phi, psi) from a packed (c, b, a, e, d) row."""
+        c, b, a, e, d = self.field.unpack(row)
         return Polynomial(self.field, (c, b, a)), Polynomial(self.field, (e, d))
 
     @memoized
@@ -196,12 +198,38 @@ class PearsonPair:
 
     @memoized
     def _closed_matrix(self) -> tuple:
-        """M with (c, b, a, e, d)^[k] = M row(k): the lattice's ``_closed_tensor``
-        contracted with the pair's packed (c, b, a, e, d), one packed row of 25
-        entries, entry 5 i + j the weight of level function j in coordinate i."""
-        t, tden = _closed_tensor(self.lattice)
-        v, vden = self._iterated[0][2]  # level 0: the pair's own packed row
-        return [sum(v[j] * t[25 * j + i] for j in range(5)) for i in range(25)], vden * tden
+        """M with (c, b, a, e, d)^[k] = M row(k), one packed row of 25 entries,
+        entry 5 i + j the weight of level function j in coordinate i.
+
+        The closed form of (phi^[k], psi^[k]), one formula for every lattice, is
+
+            c^[k] = c + b beta_k + a (beta_k^2 + delta gamma_k^2)
+                    + d gamma_k (u10 beta_k + delta alpha_k) + e u10 gamma_k,
+            b^[k] = b alpha_k + e a2m1 gamma_k + 2 a (beta_2k - beta_k)
+                    + d u10 (2 gamma_2k - gamma_k),
+            a^[k] = a alpha_2k + d a2m1 gamma_2k,
+            e^[k] = b gamma_k + e alpha_k + beta_k (2 a gamma_k + d (1 + 2 alpha_k)),
+            d^[k] = a gamma_2k + d alpha_2k,
+
+        with u10 = U1(0), a2m1 = alpha^2 - 1 and delta = U2(0), written out in
+        the level functions through alpha_k = 1 + h s_k (h = bd / 2),
+        beta_k = beta s_k, gamma_k^2 = rho (4 s_k + bd s_k^2),
+        s_2k = 4 s_k + bd s_k^2 and gamma_2k = 2 gamma_k + bd gamma_k s_k.
+        """
+        con = self.lattice.constants
+        u1 = self.lattice.u1()
+        u10, a2m1 = u1.coeff(0), u1.coeff(1)
+        beta, delta, bd, rho = con.beta, con.delta, con.bd, con.rho
+        h = bd / 2
+        c, b, a, e, d = self.c, self.b, self.a, self.e, self.d
+        return self.field.pack((
+            c, e * u10 + d * delta, b * beta + 4 * a * delta * rho,
+            d * (u10 * beta + delta * h), a * (beta * beta + delta * rho * bd),
+            b, e * a2m1 + 3 * d * u10, b * h + 6 * a * beta, 2 * d * u10 * bd, 2 * a * beta * bd,
+            a, 2 * d * a2m1, 2 * a * bd, d * a2m1 * bd, a * bd * h,
+            e, b, e * h + 3 * d * beta, 2 * a * beta, d * beta * bd,
+            d, 2 * a, 2 * d * bd, a * bd, d * bd * h,
+        ))
 
     def moments(self, mu0=1) -> MomentFunctional:
         return pearson_moments(self, mu0)
@@ -264,119 +292,6 @@ def _recursion_map(lat: Lattice) -> tuple:
             )
         entries += _pair_values(phi, psi)
     return field.pack(entries)
-
-
-# the level functions (1, gamma_k, s_k, gamma_k s_k, s_k^2) of ``level_row``,
-# as exponents of (gamma_k, s_k)
-_LEVEL_BASIS = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2))
-# the pair index of a term that no coefficient of (c, b, a, e, d) multiplies
-_PAIR_FREE = 5
-
-
-class _Level:
-    """A closed-route value as a function of the level k and of the pair: a
-    sum of scalars times powers of gamma_k and s_k, each term linear in one
-    pair coefficient or free of the pair, kept as {(exponent of gamma_k,
-    exponent of s_k, index in (c, b, a, e, d) or ``_PAIR_FREE``): scalar}.
-    A product reduces gamma_k^2 = rho (4 s_k + bd s_k^2), so a value the
-    closed form builds is a combination of the five level functions, and
-    ``weights`` refuses any other."""
-
-    __slots__ = ("con", "terms")
-
-    def __init__(self, con, terms: dict):
-        self.con = con
-        self.terms = terms
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        if isinstance(other, _Level):
-            items = other.terms.items()
-        else:
-            items = (((0, 0, _PAIR_FREE), other),)
-        for key, x in items:
-            terms[key] = terms[key] + x if key in terms else x
-        return _Level(self.con, terms)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __mul__(self, other):
-        if not isinstance(other, _Level):
-            return _Level(self.con, {k: x * other for k, x in self.terms.items()} if other else {})
-        rho, bd = self.con.rho, self.con.bd
-        terms = {}
-
-        def add(key, x):
-            terms[key] = terms[key] + x if key in terms else x
-
-        for (g1, s1, j1), x in self.terms.items():
-            for (g2, s2, j2), y in other.terms.items():
-                if j1 != _PAIR_FREE and j2 != _PAIR_FREE:
-                    raise InternalCheckError("a closed form is not linear in the pair")
-                # the pair index of the product is the one factor's that has one
-                g, s, j = g1 + g2, s1 + s2, min(j1, j2)
-                if g < 2:
-                    add((g, s, j), x * y)
-                else:
-                    xy = rho * (x * y)
-                    add((0, s + 1, j), 4 * xy)
-                    if bd:
-                        add((0, s + 2, j), bd * xy)
-        return _Level(self.con, terms)
-
-    __rmul__ = __mul__
-
-    def weights(self) -> list:
-        """The weights of the level functions, ``_LEVEL_BASIS`` in turn, for
-        each pair coefficient in turn: 25 scalars."""
-        for (g, s, j), x in self.terms.items():
-            if x != 0 and ((g, s) not in _LEVEL_BASIS or j == _PAIR_FREE):
-                raise InternalCheckError(
-                    f"a closed form has a term gamma_k^{g} s_k^{s} that is"
-                    f" {'free of the pair' if j == _PAIR_FREE else 'beyond the level functions'}"
-                )
-        zero = self.con.field.zero
-        return [self.terms.get((g, s, j), zero) for j in range(5) for g, s in _LEVEL_BASIS]
-
-
-@memoized
-def _closed_tensor(lat: Lattice) -> tuple:
-    """The closed form of (phi^[k], psi^[k]), one formula for every lattice, in
-    alpha, beta, delta = U2(0), u10 = U1(0) and alpha_n, beta_n, gamma_n at k
-    and 2k, evaluated over the level functions with the pair's (c, b, a, e, d)
-    as symbols (``_Level``), packed as one row of 125 entries: entry
-    25 p + 5 i + j is the weight of level function j in coordinate i of the
-    iterated pair of the unit pair p.
-
-    alpha_k = 1 + bd s_k / 2, beta_k = beta s_k, s_2k = 4 s_k + bd s_k^2 and
-    gamma_2k = 2 gamma_k + bd gamma_k s_k.
-    """
-    con = lat.constants
-    one = lat.field.one
-    c, b, a, e, d = (_Level(con, {(0, 0, j): one}) for j in range(5))
-    u1 = lat.u1()
-    u10, a2m1 = u1.coeff(0), u1.coeff(1)
-    delta = con.delta
-    gamma_k = _Level(con, {(1, 0, _PAIR_FREE): one})
-    s_k = _Level(con, {(0, 1, _PAIR_FREE): one})
-    alpha_k, beta_k = 1 + con.bd / 2 * s_k, con.beta * s_k
-    s_2k = 4 * s_k + con.bd * (s_k * s_k)
-    gamma_2k = 2 * gamma_k + con.bd * (gamma_k * s_k)
-    alpha_2k, beta_2k = 1 + con.bd / 2 * s_2k, con.beta * s_2k
-    pair_k = (
-        c + b * beta_k + a * (beta_k * beta_k + delta * (gamma_k * gamma_k))
-        + d * (gamma_k * (u10 * beta_k + delta * alpha_k)) + e * u10 * gamma_k,
-        b * alpha_k + e * a2m1 * gamma_k + 2 * a * (beta_2k - beta_k)
-        + d * u10 * (2 * gamma_2k - gamma_k),
-        a * alpha_2k + d * a2m1 * gamma_2k,
-        b * gamma_k + e * alpha_k + beta_k * (2 * a * gamma_k + d * (1 + 2 * alpha_k)),
-        a * gamma_2k + d * alpha_2k,
-    )
-    w = [value.weights() for value in pair_k]
-    return lat.field.pack([w[i][5 * p + j] for p in range(5) for i in range(5) for j in range(5)])
 
 
 @dataclass

@@ -32,7 +32,6 @@ import io
 import json
 import random
 import sys
-from fractions import Fraction
 from typing import List, Optional
 
 from . import checks, families
@@ -62,7 +61,7 @@ from .functionals import (
 )
 from .lattice import Lattice
 from .operators import OPERATOR_IDENTITIES, verify_operator_identity
-from .scalars import ScalarDomainError, make_field
+from .scalars import ScalarDomainError, _parse_fraction, make_field
 
 DEFAULT_LATTICE = {"kind": "q-quadratic", "q": "1/4", "c": ["1/2", "1/2", "0"]}
 
@@ -106,7 +105,7 @@ def _load_spec(raw: Optional[str], default=None):
 
 def _field_from_args(args):
     return make_field(args.backend, precision=args.precision,
-                      eps=None if args.eps is None else Fraction(args.eps))
+                      eps=None if args.eps is None else _parse_fraction(args.eps))
 
 
 def _lattice_from_args(args, field) -> Lattice:
@@ -258,7 +257,7 @@ def cmd_characterize(args) -> int:
     field = _field_from_args(args)
     lat = _lattice_from_args(args, field)
     if args.solve_c1 is not None:
-        fc = solve_first_characterization(lat, Fraction(args.solve_c1),
+        fc = solve_first_characterization(lat, _parse_fraction(args.solve_c1),
                                           branch=args.branch)
         seq = OPSequence(field, fc.ttrr)
         rep = check_structure(lat, seq, "sx_raise", args.n_max)

@@ -18,7 +18,9 @@ recurrence step is an integer convolution and one gcd.  `monomial_rows`
 hands the rows to the Pearson moment recursion and to the dual
 functionals; `dx` and `sx` sum f_k times row k of their table as packed
 rows and unpack the sum once.  `dx_monomial` and `sx_monomial` unpack
-one row into a `Polynomial`, uncached, for callers that want one image.
+one row into a `Polynomial`, uncached; no library code calls them: only
+the benchmark's span wrappers (``perfbench/spans.py``, by name) and the
+operator tests read them.
 
 A second, fully independent route (`dx_interp`, `sx_interp`) evaluates
 the argument at x(s +- 1/2) over interpolation nodes and interpolates

@@ -497,10 +497,14 @@ class BigFloatField(_Comparator):
         if isinstance(obj, list):
             if len(obj) != 2:
                 raise ValueError("complex scalar must be a two-element array")
-            return self.ctx.mpc(self.ctx.mpf(str(obj[0])), self.ctx.mpf(str(obj[1])))
-        if isinstance(obj, str) and "/" in obj:
-            return self(_parse_fraction(obj))
-        return self.ctx.mpc(self.ctx.mpf(str(obj)))
+            value = self.ctx.mpc(self.ctx.mpf(str(obj[0])), self.ctx.mpf(str(obj[1])))
+        elif isinstance(obj, str) and "/" in obj:
+            value = self(_parse_fraction(obj))
+        else:
+            value = self.ctx.mpc(self.ctx.mpf(str(obj)))
+        if not self.ctx.isfinite(value):
+            raise ValueError(f"the scalar {obj!r} is not finite")
+        return value
 
     def to_str(self, a) -> str:
         a = self(a)

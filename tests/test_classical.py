@@ -187,7 +187,6 @@ class TestClosedBasis:
             pair = readme_pair(lat)
             values, _ = pair._closed_matrix()
             assert len(values) == 25
-            assert len(classical._closed_tensor(lat)[0]) == 125
             assert all(len(lat.constants.level_row(k)[0]) == 5 for k in range(-1, 6))
 
     def test_matrix_times_row_is_the_longhand_formula(self, exact):
@@ -240,18 +239,6 @@ class TestClosedBasis:
                 else:
                     e_n = b * n + e + 2 * con.beta * d * (n * n)
                 assert pair.e_value(n) == e_n
-
-    def test_a_term_beyond_the_level_functions_is_refused(self, gen_lattice):
-        con = gen_lattice.constants
-        one = gen_lattice.field.one
-        s_k = classical._Level(con, {(0, 1, classical._PAIR_FREE): one})
-        a = classical._Level(con, {(0, 0, 2): one})
-        with pytest.raises(InternalCheckError, match="beyond the level functions"):
-            (a * s_k * s_k * s_k).weights()
-        with pytest.raises(InternalCheckError, match="free of the pair"):
-            (a + s_k).weights()
-        with pytest.raises(InternalCheckError, match="not linear in the pair"):
-            a * a
 
     @pytest.mark.parametrize("entry", range(25))
     def test_a_corrupted_entry_fails_regularity(self, exact, big, monkeypatch, entry):
@@ -381,13 +368,13 @@ class TestMemo:
         closed = ttrr_from_pearson(pair)
         for m in range(n_max + 2):
             closed.c(m)
-        original = PearsonPair._iterated_closed
+        original = PearsonPair._closed_row
 
         def corrupted(self, k):
-            phi_k, psi_k = original(self, k)
-            return (phi_k + 1, psi_k) if k == bad else (phi_k, psi_k)
+            (c, *rest), den = original(self, k)
+            return ([c + den, *rest] if k == bad else [c, *rest]), den
 
-        monkeypatch.setattr(PearsonPair, "_iterated_closed", corrupted)
+        monkeypatch.setattr(PearsonPair, "_closed_row", corrupted)
         with pytest.raises(InternalCheckError, match=rf"phi\^\[{bad}\]"):
             regularity(pair, n_max)
 

@@ -356,6 +356,15 @@ CHARACTERIZE = ["characterize", "-N", "-1"]
     (["--backend", "bigfloat", "--eps", "0"] + CLASSIFY + ["-N", "3"], "eps must be > 0, got 0"),
     (["--backend", "bigfloat", "--eps", "-1"] + CLASSIFY + ["-N", "3"],
      "eps must be > 0, got -1"),
+    # a zero denominator in an option's scalar
+    (["--backend", "bigfloat", "--eps", "1/0"] + CLASSIFY + ["-N", "3"],
+     "zero denominator in the scalar '1/0'"),
+    (["characterize", "--solve-c1=1/0"], "zero denominator in the scalar '1/0'"),
+    # a non-finite bigfloat scalar in a spec
+    (["--backend", "bigfloat"] + CLASSIFY + ["--lattice", '{"q": "4", "c": ["inf", "1", "0"]}'],
+     "the scalar 'inf' is not finite"),
+    (["--backend", "bigfloat", "family", "--name", "al_salam", "--params", '["nan", "1"]'],
+     "the scalar 'nan' is not finite"),
 ])
 def test_negative_order_is_a_one_line_input_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
