@@ -43,7 +43,8 @@ a level's closed row is stored there only once the map applied to the
 row of the level below agrees with it, so the recursion check still runs
 at every level that ``iterated`` reaches, whatever the witness read
 first; (phi^[k], psi^[k]) are unpacked from the row on return.  The
-lattice memoizes alpha_n, gamma_n, s_n, the level rows, U1 and U2 (see
+lattice memoizes alpha_n, gamma_n, s_n, the level rows and the packed
+powers (t^k, t^-k) that gamma_n and the level rows share, U1 and U2 (see
 ``lattice``).
 """
 

@@ -26,9 +26,15 @@ scale * u, scale the least common denominator of the moments read so far.
 B_n and C_(n+1) are ratios of entries of one sigma table, and multiplying
 u by a constant multiplies every entry by it, so they are unchanged; the
 entries then carry only the denominators of the B_k and C_k, which are
-far smaller than the moments' own.  The oracle reads the moments through
-`MomentFunctional.moment` only, never the Pearson recursion's packed row,
-so the two routes stay independent.
+far smaller than the moments' own.  Each entry is a packed scalar
+(`scalars`): a reduced int pair (num, den) on exact, combined by
+`mul_scalars`, `sub_scalars` and `div_scalars`, which reduce by the gcd
+steps of `Fraction`, so the entries keep the sizes `Fraction` would give
+them without a `Fraction` object per operation.  Gaussian-rational and
+bigfloat values travel over 1 and combine as plain scalars, so on bigfloat
+the oracle makes the operations of the plain recurrence.  The oracle reads
+the moments through `MomentFunctional.moment` only, never the Pearson
+recursion's packed row, so the two routes stay independent.
 """
 
 from __future__ import annotations
@@ -40,7 +46,16 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from .lattice import Lattice, memoized
 from .operators import dx, monomial_rows, sx, tnk
 from .polynomials import Polynomial
-from .scalars import Field, Report, add_rows, join_rows, mul_rows
+from .scalars import (
+    Field,
+    Report,
+    add_rows,
+    div_scalars,
+    join_rows,
+    mul_rows,
+    mul_scalars,
+    sub_scalars,
+)
 
 
 class InternalCheckError(RuntimeError):
@@ -322,43 +337,59 @@ def ttrr_oracle(u: MomentFunctional, n_max: int) -> TTRRCoeffs:
     when mu_m widens the denominator by g, the two anti-diagonals kept are
     multiplied by g too, so every entry is on one scale.  Bigfloat and
     Gaussian-rational moments pack over 1 and run unscaled.
+
+    Every table entry, B_k and C_k is a packed scalar, combined by
+    `mul_scalars`, `sub_scalars` and `div_scalars`: on exact the reduced
+    (num, den) pair a `Fraction` would hold, found by the same gcd steps.
+    Only the zero verdicts, on h_n against h_(n-1), and the returned B_n
+    and C_(n+1) unpack to field scalars.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     field = u.field
-    bs: List = []
-    cs: List = []  # cs[k-1] = C_k
-    ratio_prev = field.zero  # sigma_(n-1,n)/h_(n-1); zero for n = 0
+
+    def packed(v):
+        (num,), den = field.pack((v,))
+        return num, den
+
+    def value(x):
+        return field.unpack(([x[0]], x[1]))[0]
+
+    bs: List = []  # packed B_k
+    cs: List = []  # packed C_k; cs[k-1] = C_k
+    ratio_prev = packed(field.zero)  # sigma_(n-1,n)/h_(n-1); zero for n = 0
     older: List = []  # older[k] = scale * sigma_(k, m-2-k)
     old: List = []  # old[k] = scale * sigma_(k, m-1-k)
     scale = 1  # lcm of the denominators of mu_0..mu_m
     for m in range(2 * n_max + 3):
-        (num,), den = field.pack((u.moment(m),))
+        num, den = packed(u.moment(m))
         g = den // gcd(scale, den)
         if g > 1:
             scale *= g
-            old = [v * g for v in old]
-            older = [v * g for v in older]
+            old = [mul_scalars(v, (g, 1)) for v in old]
+            older = [mul_scalars(v, (g, 1)) for v in older]
         # diag[k] = scale * sigma_(k, m-k), down to k = m // 2
-        diag = [field(num * (scale // den))]
+        diag = [(num * (scale // den), 1)]
         for k in range(1, m // 2 + 1):
-            s = diag[k - 1] - bs[k - 1] * old[k - 1]
+            s = sub_scalars(diag[k - 1], mul_scalars(bs[k - 1], old[k - 1]))
             if k >= 2:
-                s = s - cs[k - 2] * older[k - 2]
+                s = sub_scalars(s, mul_scalars(cs[k - 2], older[k - 2]))
             diag.append(s)
         n, odd = divmod(m, 2)
         if odd:
-            ratio = diag[n] / old[n]
-            bs.append(ratio - ratio_prev)
+            ratio = div_scalars(diag[n], old[n])
+            bs.append(sub_scalars(ratio, ratio_prev))
             ratio_prev = ratio
         else:
             h = diag[n]
             if n >= 1:
-                cs.append(h / older[n - 1])
-            if n <= n_max and field.is_zero(h, scale=() if n == 0 else (older[n - 1],)):
+                cs.append(div_scalars(h, older[n - 1]))
+            if n <= n_max and field.is_zero(
+                value(h), scale=() if n == 0 else (value(older[n - 1]),)
+            ):
                 raise NotRegularError(n, f"<u, P_{n}^2> = 0: u is not regular at level {n}")
         older, old = old, diag
-    return TTRRCoeffs.from_lists(field, bs, cs)
+    return TTRRCoeffs.from_lists(field, [value(b) for b in bs], [value(c) for c in cs])
 
 
 def hankel_det(u: MomentFunctional, n: int):

@@ -130,7 +130,6 @@ class LatticeConstants:
             self.delta = (self.alpha * self.alpha - field.one) * (c3 * c3 - 4 * c1 * c2)
             # alpha_n, gamma_n and s_n use integer powers of t only
             t_pow = lattice.t_pow
-            self._gamma_den = t_pow(1) - t_pow(-1)
             self.bd = t_pow(1) - 2 + t_pow(-1)
             self.rho = field.one / (t_pow(1) + 2 + t_pow(-1))
             self._t_row = field.pack((t_pow(1), t_pow(-1)))
@@ -163,8 +162,12 @@ class LatticeConstants:
         self._check_index(n)
         if not self._is_q:
             return self.field(n)
-        t_pow = self.t_pow
-        return (t_pow(n) - t_pow(-n)) / self._gamma_den
+        # (t^n - t^-n) / (t - 1/t) from the packed powers level_row reads:
+        # one quotient of ints on exact; on bigfloat d = e = 1, so the
+        # value is rounded as the quotient written out
+        (x, y), d = self._powers(n)
+        (u, v), e = self._t_row
+        return self.field.unpack(([(x - y) * e], d * (u - v)))[0]
 
     @memoized
     def s_n(self, n: int):
@@ -183,6 +186,11 @@ class LatticeConstants:
         return self.beta * self.s_n(n)
 
     @memoized
+    def _powers(self, k: int) -> tuple:
+        """(t^k, t^-k) as one packed row, read by gamma_n and level_row."""
+        return self.field.pack((self.t_pow(k), self.t_pow(-k)))
+
+    @memoized
     def level_row(self, k: int) -> tuple:
         """The level row (1, gamma_k, s_k, gamma_k s_k, s_k^2) as a packed row
         (``scalars.pack``) of products of integers on the exact backend.
@@ -199,8 +207,7 @@ class LatticeConstants:
         self._check_index(k)
         if not self._is_q:
             return [k ** j for j in range(5)], 1
-        t_pow = self.t_pow
-        (x, y), d = self.field.pack((t_pow(k), t_pow(-k)))
+        (x, y), d = self._powers(k)
         (u, v), e = self._t_row
         g = (x - y) * e * (u - 2 * e + v)
         s = (x - 2 * d + y) * e * (u - v)

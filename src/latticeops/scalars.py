@@ -51,6 +51,14 @@ under ``mul_rows``, is also the product of two ``Polynomial``s.  So the
 code that runs the recurrences is the same on both backends, and on
 bigfloat it makes the same operations in the same order as on plain
 scalars.
+
+A packed *scalar* is one such pair ``(v, den)``.  ``mul_scalars``,
+``sub_scalars`` and ``div_scalars`` combine two of them: int pairs in
+lowest terms give the pair ``Fraction`` would hold, reduced by the gcd
+steps of ``Fraction._mul``, ``_sub`` and ``_div``, without a ``Fraction``
+object per operation; a pair whose value is not an int (a ``QRational``,
+a bigfloat value) combines as a scalar over 1.  The moment oracle runs
+its table of mixed moments on them.
 """
 
 from __future__ import annotations
@@ -518,7 +526,7 @@ class BigFloatField(_Comparator):
 
     def unpack(self, row) -> list:
         values, den = row
-        return [v / den for v in values]
+        return list(values) if den == 1 else [v / den for v in values]
 
     def __repr__(self):
         return f"BigFloatField(precision={self.precision})"
@@ -596,6 +604,72 @@ def join_rows(a, b) -> Tuple[list, int]:
     """
     x, y, den = _over(a, b)
     return x + y, den
+
+
+def _value(v, den):
+    """The scalar of the packed scalar (v, den), without a division over 1."""
+    return v if den == 1 else _quotient(v, den)
+
+
+def mul_scalars(a, b) -> Tuple[object, int]:
+    """The packed scalar a * b, reduced by the gcd steps of ``Fraction._mul``.
+
+    A packed scalar is a pair (v, den) standing for v / den; two int pairs in
+    lowest terms give the numerator and denominator ``Fraction`` would hold.
+    A pair whose numerator is not an int multiplies as a scalar, over 1.
+    """
+    (na, da), (nb, db) = a, b
+    if da == 1 == db:
+        return na * nb, 1
+    if type(na) is not int or type(nb) is not int:
+        return _value(na, da) * _value(nb, db), 1
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return na * nb, db * da
+
+
+def sub_scalars(a, b) -> Tuple[object, int]:
+    """The packed scalar a - b, reduced by the gcd steps of ``Fraction._sub``."""
+    (na, da), (nb, db) = a, b
+    if da == 1 == db:
+        return na - nb, 1
+    if type(na) is not int or type(nb) is not int:
+        return _value(na, da) - _value(nb, db), 1
+    g = gcd(da, db)
+    if g == 1:
+        return na * db - da * nb, da * db
+    s = da // g
+    t = na * (db // g) - nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return t, s * db
+    return t // g2, s * (db // g2)
+
+
+def div_scalars(a, b) -> Tuple[object, int]:
+    """The packed scalar a / b, reduced by the gcd steps of ``Fraction._div``;
+    the denominator keeps a positive sign."""
+    (na, da), (nb, db) = a, b
+    if type(na) is not int or type(nb) is not int:
+        return _value(na, da) / _value(nb, db), 1
+    if nb == 0:
+        raise ZeroDivisionError("division by zero scalar")
+    g1 = gcd(na, nb)
+    if g1 > 1:
+        na //= g1
+        nb //= g1
+    g2 = gcd(db, da)
+    if g2 > 1:
+        da //= g2
+        db //= g2
+    n, d = na * db, nb * da
+    return (-n, -d) if d < 0 else (n, d)
 
 
 def same_field(a: Field, b: Field) -> None:

@@ -23,7 +23,9 @@ from latticeops import (
     hankel_dets,
     left_mul,
     make_field,
+    QRational,
     sx,
+    ttrr_from_pearson,
     ttrr_oracle,
     verify_functional_identity,
 )
@@ -270,6 +272,27 @@ def recording(moment):
     return MomentFunctional(make_field("exact"), extender=ext), seen
 
 
+def chebyshev_reference(u: MomentFunctional, n_max: int):
+    """([B_0..B_n_max], [C_1..C_(n_max+1)]) by the Chebyshev algorithm as
+    Gautschi 2004, section 2.1.7 writes it, in plain field scalars on the
+    unscaled moments, one row sigma_(k, .) of the mixed moments at a time:
+
+        sigma_(k+1,l) = sigma_(k,l+1) - B_k sigma_(k,l) - C_k sigma_(k-1,l).
+    """
+    field = u.field
+    row = [u.moment(l) for l in range(2 * n_max + 3)]  # sigma_(0, l) = mu_l
+    prev = [field.zero] * len(row)  # sigma_(-1, l)
+    bs, cs = [row[1] / row[0]], []
+    for k in range(n_max + 1):
+        c_k = cs[-1] if cs else field.zero
+        nxt = [row[l + 1] - bs[k] * row[l] - c_k * prev[l] for l in range(len(row) - 1)]
+        cs.append(nxt[k + 1] / row[k])  # h_(k+1) / h_k
+        if k < n_max:
+            bs.append(nxt[k + 2] / nxt[k + 1] - row[k + 1] / row[k])
+        prev, row = row, nxt
+    return bs, cs
+
+
 class TestOracle:
     def sample_functional(self, exact):
         phi = Polynomial(exact, (Fraction(7, 10), Fraction(-1, 3), Fraction(2, 7)))
@@ -410,6 +433,37 @@ class TestOracle:
         assert ttrr.c(13) != exact.zero
         with pytest.raises(HorizonError):
             ttrr.b(13)
+
+    @pytest.mark.parametrize("spec", PEARSON_LATTICES)
+    def test_matches_the_textbook_recurrence(self, exact, big, spec):
+        """The oracle against ``chebyshev_reference``, which shares neither its
+        scaling nor its packed scalars: through N = 20 the exact values are
+        equal and of one type, and the bigfloat ones are identical mpc values,
+        since on bigfloat the oracle makes the same operations."""
+        for field in (exact, big):
+            u = pearson_moments(readme_pair(Lattice.from_json(field, spec)))
+            ttrr = ttrr_oracle(u, 20)
+            bs, cs = chebyshev_reference(u, 20)
+            got = [ttrr.b(n) for n in range(21)], [ttrr.c(n + 1) for n in range(21)]
+            assert got == (bs, cs)
+            assert [type(v) for v in got[0] + got[1]] == [type(v) for v in bs + cs]
+
+    @pytest.mark.parametrize("idx", range(3))
+    def test_gaussian_moments_match_the_closed_route(self, exact, idx):
+        """The README pair on the Gaussian lattices: moments mix Fraction and
+        QRational, so the oracle's sigma table mixes int pairs and values over
+        1.  Oracle, closed route and textbook recurrence agree exactly through
+        N = 10; on the quadratic lattice every B_n is real and C_2.. complex."""
+        pair = readme_pair(gaussian_lattices(exact)[idx])
+        u = pair.moments()
+        oracle, closed = ttrr_oracle(u, 10), ttrr_from_pearson(pair)
+        bs, cs = chebyshev_reference(u, 10)
+        for n in range(11):
+            assert oracle.b(n) == closed.b(n) == bs[n]
+            assert oracle.c(n + 1) == closed.c(n + 1) == cs[n]
+        if idx == 1:
+            assert all(type(oracle.b(n)) is Fraction for n in range(11))
+            assert all(type(oracle.c(n + 1)) is QRational for n in range(1, 11))
 
     @pytest.mark.parametrize("n_max", [12, 16])
     @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import operator
 import os
+import random
 import re
 import subprocess
 import sys
@@ -19,7 +21,7 @@ from latticeops import (
     ScalarDomainError,
     make_field,
 )
-from latticeops.scalars import add_rows, join_rows
+from latticeops.scalars import add_rows, div_scalars, join_rows, mul_scalars, sub_scalars
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -147,6 +149,68 @@ class TestExactField:
         assert exact.from_json(["1/2", "-2/3"]) == QRational(
             Fraction(1, 2), Fraction(-2, 3)
         )
+
+
+class TestPackedScalars:
+    """mul_scalars, sub_scalars and div_scalars against ``Fraction``.
+
+    The helpers must give the very (numerator, denominator) that the
+    ``Fraction`` operation holds, so each gcd step they skip leaves a
+    tuple that is not in lowest terms, and the comparison fails.
+    """
+
+    OPS = ((mul_scalars, operator.mul), (sub_scalars, operator.sub), (div_scalars, operator.truediv))
+
+    @staticmethod
+    def operands(seed: int, count: int = 300):
+        """Rationals of up to about 200 digits with small shared factors in
+        numerators and denominators, so every gcd step of the helpers has
+        something to cancel; zero, equal operands and negative values too."""
+        rng = random.Random(seed)
+        smooth = (1, 2, 3, 6, 12, 30, 210, 2**20 * 3**5)
+
+        def part(low: int):
+            return rng.choice(smooth) * rng.randint(low, 10 ** rng.randint(0, 190))
+
+        values = [Fraction(rng.choice((-1, 1)) * part(0), part(1)) for _ in range(count)]
+        pairs = list(zip(values, values[1:]))
+        pairs += [(a, a) for a in values[:20]]  # zero differences, unit quotients
+        pairs += [(a, -a) for a in values[20:40]]  # negative divisors
+        pairs += [(Fraction(0), a) for a in values[40:50] if a]
+        pairs += [(a, Fraction(1)) for a in values[50:60]]
+        # equal denominators: the difference reduces by the second gcd only
+        pairs += [(Fraction(k * 5 + 1, 30), Fraction(k, 30)) for k in range(30)]
+        return pairs
+
+    @staticmethod
+    def packed(v: Fraction):
+        return v.numerator, v.denominator
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tuples_equal_fraction_arithmetic(self, seed):
+        checked = 0
+        for a, b in self.operands(seed):
+            for helper, op in self.OPS:
+                if helper is div_scalars and b == 0:
+                    with pytest.raises(ZeroDivisionError):
+                        helper(self.packed(a), self.packed(b))
+                    continue
+                want = op(a, b)
+                assert helper(self.packed(a), self.packed(b)) == self.packed(want), (helper, a, b)
+                checked += 1
+        assert checked > 1000
+
+    def test_non_int_numerators_travel_over_one(self, exact, big):
+        """A QRational or mpc numerator makes the result a plain scalar over 1,
+        also when the other operand is an int pair over a denominator."""
+        z = qr(1, 2)
+        for helper, op in self.OPS:
+            got = helper((z, 1), (3, 4))
+            assert got == (op(z, Fraction(3, 4)), 1) and type(got[0]) is QRational
+            assert helper((-5, 6), (z, 1)) == (op(Fraction(-5, 6), z), 1)
+        x, y = big(Fraction(1, 3), 2), big(Fraction(-2, 7))
+        for helper, op in self.OPS:
+            assert helper((x, 1), (y, 1)) == (op(x, y), 1)
 
 
 class TestBigFloatField:
