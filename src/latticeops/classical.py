@@ -26,18 +26,21 @@ constants beta, delta, bd, rho, U1(0) and alpha^2 - 1, so that
 functions.  On the exact backend each level is one product of an integer
 matrix and an integer row.  d_n and e_n read the first three level
 functions with weights per pair (e_n's per kind, as ``classify`` prints
-it); ``b_offset`` and the partial sums keep a per-kind c3-offset form.
+it); ``b_offset``, B_n less its lattice offset, is one formula in gamma_n,
+e_n and d_n on both kinds, and ``partial_sum_closed`` is written apart
+from it, so the partial-sum check compares two separately written sides.
 
 What is memoized, per PearsonPair, through ``lattice.memoized``: d_n and
-e_n at every index, phi'(c3), psi(c3) and phi(c3) on q-lattices, M, and the
+e_n at every index, phi'(c3) and psi(c3) on q-lattices, M, and the
 closed row M row(k) and the witness phi^[n](witness_point(n)) at every
 level; the witness reads the closed row alone (one quotient per level),
 and ``regularity`` and the C_(n+1) of ``ttrr_from_pearson`` read the same
 witness.  Per lattice, ``_recursion_map``: the recursion
 R(phi, psi) = (S phi + U1 S psi + alpha U2 D psi, D phi + alpha S psi + U1 D psi)
 is linear and keeps degrees (2, 1), so it is one 5x5 map on the
-coefficients (c, b, a, e, d), built once from ``dx``, ``sx``, U1 and U2
-and packed as one row of ints over one denominator (``scalars.pack``).
+coefficients (c, b, a, e, d), summed once from the packed rows of the
+D_x and S_x tables (``operators.monomial_rows``), U1 and U2 and packed as
+one row of ints over one denominator (``scalars.pack``).
 ``iterated`` keeps the packed rows of the levels it has validated apart:
 a level's closed row is stored there only once the map applied to the
 row of the level below agrees with it, so the recursion check still runs
@@ -67,9 +70,9 @@ from .functionals import (
     pearson_moments,
 )
 from .lattice import Lattice, LatticeError, memoized
-from .operators import dx, sx
+from .operators import monomial_rows
 from .polynomials import Polynomial
-from .scalars import Field, Report, encode_fields
+from .scalars import Field, Report, add_rows, encode_fields, mul_rows
 
 
 class PearsonPair:
@@ -87,7 +90,7 @@ class PearsonPair:
         self.phi = phi
         self.psi = psi
         # the packed (c, b, a, e, d) row of each validated level (phi^[k], psi^[k])
-        self._iterated: List[tuple] = [self.field.pack(_pair_values(phi, psi))]
+        self._iterated: List[tuple] = [self.field.pack((self.c, self.b, self.a, self.e, self.d))]
 
     @property
     def a(self):
@@ -110,10 +113,10 @@ class PearsonPair:
         return self.psi.coeff(0)
 
     @memoized
-    def _at_c3(self) -> Tuple[object, object, object]:
-        """(phi'(c3), psi(c3), phi(c3)) on a q-lattice, for the c3-offset forms."""
+    def _at_c3(self) -> Tuple[object, object]:
+        """(phi'(c3), psi(c3)) on a q-lattice, for the c3-offset forms."""
         c3 = self.lattice.c[2]
-        return self.phi.derivative()(c3), self.psi(c3), self.phi(c3)
+        return self.phi.derivative()(c3), self.psi(c3)
 
     @memoized
     def d_value(self, n: int):
@@ -134,7 +137,7 @@ class PearsonPair:
         (e, b, 2 beta d) when q = 1, from b n + e + 2 beta d n^2."""
         con = self.lattice.constants
         if self.lattice.is_q_lattice:
-            phid_c3, psi_c3, _ = self._at_c3()
+            phid_c3, psi_c3 = self._at_c3()
             e_weights = (psi_c3, phid_c3, psi_c3 * con.bd / 2)
         else:
             e_weights = (self.e, self.b, 2 * con.beta * self.d)
@@ -179,10 +182,6 @@ class PearsonPair:
                 raise InternalCheckError(f"{name}^[{j}] closed form disagrees with the recursion")
             self._iterated.append(row)
         return self._pair_of(self._iterated[k])
-
-    def _iterated_closed(self, k: int) -> Tuple[Polynomial, Polynomial]:
-        """(phi^[k], psi^[k]), unpacked from ``_closed_row(k)``."""
-        return self._pair_of(self._closed_row(k))
 
     def _pair_of(self, row: tuple) -> Tuple[Polynomial, Polynomial]:
         """(phi, psi) from a packed (c, b, a, e, d) row."""
@@ -256,42 +255,34 @@ class PearsonPair:
         return f"PearsonPair(phi={self.phi!r}, psi={self.psi!r})"
 
 
-def _pair_values(phi: Polynomial, psi: Polynomial) -> list:
-    """(c, b, a, e, d): the coefficients of phi and psi, lowest degree first."""
-    return [phi.coeff(0), phi.coeff(1), phi.coeff(2), psi.coeff(0), psi.coeff(1)]
-
-
-def _recursion(lat: Lattice, phi: Polynomial, psi: Polynomial) -> Tuple[Polynomial, Polynomial]:
-    """R(phi, psi) = (S phi + U1 S psi + alpha U2 D psi, D phi + alpha S psi + U1 D psi),
-    the step from (phi^[k], psi^[k]) to (phi^[k+1], psi^[k+1])."""
-    u1 = lat.u1()
-    alpha = lat.constants.alpha
-    sx_psi = sx(lat, psi)
-    dx_psi = dx(lat, psi)
-    return (sx(lat, phi) + u1 * sx_psi + alpha * (lat.u2() * dx_psi),
-            dx(lat, phi) + alpha * sx_psi + u1 * dx_psi)
-
-
 @memoized
 def _recursion_map(lat: Lattice) -> tuple:
-    """R as one 5x5 map on (c, b, a, e, d), packed as one row of 25 entries.
+    """R(phi, psi) = (S phi + U1 S psi + alpha U2 D psi, D phi + alpha S psi + U1 D psi),
+    the step from (phi^[k], psi^[k]) to (phi^[k+1], psi^[k+1]), as one 5x5 map
+    on (c, b, a, e, d), packed as one row of 25 entries.
 
     R is linear and keeps degrees (2, 1), so entry 5 j + i is coordinate i
     of R applied to the j-th unit pair (1, 0), (z, 0), (z^2, 0), (0, 1), (0, z).
+    The images are sums of the packed rows of the D_x and S_x tables
+    (``operators.monomial_rows``), U1, U2 and alpha: R(z^k, 0) = (S z^k, D z^k)
+    and R(0, z^k) = (U1 S z^k + alpha U2 D z^k, alpha S z^k + U1 D z^k).
     """
     field = lat.field
-    zero = Polynomial.zero(field)
-    units = [(Polynomial.monomial(field, k), zero) for k in range(3)]
-    units += [(zero, Polynomial.monomial(field, k)) for k in range(2)]
+    u1, u2 = field.pack(lat.u1().coeffs), field.pack(lat.u2().coeffs)
+    alpha = field.pack((lat.constants.alpha,))
+    rows = [monomial_rows(lat, k) for k in range(3)]
+    images = [(s, d) for d, s in rows]
+    images += [(add_rows(mul_rows(u1, s), mul_rows(mul_rows(u2, d), alpha)),
+                add_rows(mul_rows(s, alpha), mul_rows(u1, d))) for d, s in rows[:2]]
     entries = []
-    for unit in units:
-        phi, psi = _recursion(lat, *unit)
-        if phi.degree > 2 or psi.degree > 1:
+    for phi, psi in images:
+        phi, psi = field.unpack(phi), field.unpack(psi)
+        if len(phi) > 3 or len(psi) > 2:
             raise InternalCheckError(
-                f"the recursion takes a unit pair to degrees ({phi.degree}, {psi.degree}),"
+                f"the recursion takes a unit pair to degrees ({len(phi) - 1}, {len(psi) - 1}),"
                 " beyond (2, 1)"
             )
-        entries += _pair_values(phi, psi)
+        entries += phi + [field.zero] * (3 - len(phi)) + psi + [field.zero] * (2 - len(psi))
     return field.pack(entries)
 
 
@@ -334,7 +325,7 @@ def witness_point(pair: PearsonPair, n: int):
     """The point where phi^[n] must not vanish for u to stay regular: the
     root -psi^[n](0)/d_2n of psi^[n]."""
     d2n = _checked_d(pair, 2 * n)
-    return -pair._iterated_closed(n)[1].coeff(0) / d2n
+    return -pair.field.unpack(pair._closed_row(n))[3] / d2n
 
 
 def regularity(pair: PearsonPair, n_max: int) -> RegularityReport:
@@ -370,29 +361,21 @@ def _checked_d(pair: PearsonPair, n: int):
 
 
 def b_offset(pair: PearsonPair, n: int):
-    """B_n minus its lattice offset (c3 for q-lattices), formed without
-    cancellation so the q^n-scale tail survives finite precision; per kind,
-    as that c3-offset form is what keeps the tail."""
+    """B_n minus its lattice offset (c3 for q-lattices, 0 when q = 1), formed
+    without cancellation so the q^n-scale tail survives finite precision:
+    gamma_n e_(n-1) / d_(2n-2) - gamma_(n+1) e_n / d_(2n), less 2 beta n (n - 1)
+    when q = 1."""
     lat = pair.lattice
     con = lat.constants
-    if lat.is_q_lattice:
-        first = (
-            con.gamma_n(n) * pair.e_value(n - 1) / _checked_d(pair, 2 * n - 2)
-            if n >= 1
-            else pair.field.zero
-        )
-        return first - con.gamma_n(n + 1) * pair.e_value(n) / _checked_d(pair, 2 * n)
-    beta = con.beta
     first = (
-        n * pair.e_value(n - 1) / _checked_d(pair, 2 * n - 2)
+        con.gamma_n(n) * pair.e_value(n - 1) / _checked_d(pair, 2 * n - 2)
         if n >= 1
         else pair.field.zero
     )
-    return (
-        first
-        - (n + 1) * pair.e_value(n) / _checked_d(pair, 2 * n)
-        - 2 * beta * (n * (n - 1))
-    )
+    value = first - con.gamma_n(n + 1) * pair.e_value(n) / _checked_d(pair, 2 * n)
+    if lat.is_q_lattice:
+        return value
+    return value - 2 * con.beta * (n * (n - 1))
 
 
 def ttrr_from_pearson(pair: PearsonPair) -> TTRRCoeffs:
@@ -475,8 +458,8 @@ class AsymptoticsReport:
 
 
 def partial_sum_closed(pair: PearsonPair, n: int):
-    """Closed form of S_n = sum_(j<n) (B_j - c3) on a q-lattice; per kind, like
-    ``b_offset``, to keep its q^n tail."""
+    """Closed form of S_n = sum_(j<n) (B_j - c3) on a q-lattice, in the
+    c3-offset form that keeps its q^n tail; written apart from ``b_offset``."""
     if not pair.lattice.is_q_lattice:
         raise LatticeError("the telescoped partial sum is a q-lattice statement")
     if n == 0:
@@ -518,7 +501,7 @@ def asymptotics(pair: PearsonPair, n_eval: int, sum_horizon: int = 64) -> Asympt
         s = 1 if field.magnitude(lat.q) < 1 else -1
         t = lat.t_pow(s)
         uval = field.one / (t - lat.t_pow(-s))
-        phid_c3, psi_c3, _ = pair._at_c3()
+        phid_c3, psi_c3 = pair._at_c3()
         a, d = pair.a, pair.d
         sum_residual = partial_sums(pair, sum_horizon).residual
         denom = d - 2 * a * uval

@@ -195,18 +195,18 @@ class LatticeConstants:
         """The level row (1, gamma_k, s_k, gamma_k s_k, s_k^2) as a packed row
         (``scalars.pack``) of products of integers on the exact backend.
 
-        When q = 1 it is (1, k, k^2, k^3, k^4) over 1.  On a q-lattice, with
-        (t^k, t^-k) = (x, y)/d and (t, 1/t) = (u, v)/e as packed rows, so
-        (p^2k, r^2k)/(p r)^k and (p^2, r^2)/(p r) on exact for t = p/r,
-        gamma_k = g/w and s_k = s/w for g = (x - y) e (u - 2 e + v),
-        s = (x - 2 d + y) e (u - v) and w = d (u - v) (u - 2 e + v); the row
-        is (w^2, g w, s w, g s, s^2) / w^2.  Both power tables are read, as
-        gamma_n and s_n read them, so on bigfloat t^-k does not inherit the
-        rounding of t^k.
+        When q = 1 it is (1, k, k^2, k^3, k^4) over 1, as field scalars.  On
+        a q-lattice, with (t^k, t^-k) = (x, y)/d and (t, 1/t) = (u, v)/e as
+        packed rows, so (p^2k, r^2k)/(p r)^k and (p^2, r^2)/(p r) on exact
+        for t = p/r, gamma_k = g/w and s_k = s/w for
+        g = (x - y) e (u - 2 e + v), s = (x - 2 d + y) e (u - v) and
+        w = d (u - v) (u - 2 e + v); the row is (w^2, g w, s w, g s, s^2) / w^2.
+        Both power tables are read, as gamma_n and s_n read them, so on
+        bigfloat t^-k does not inherit the rounding of t^k.
         """
         self._check_index(k)
         if not self._is_q:
-            return [k ** j for j in range(5)], 1
+            return self.field.pack([k ** j for j in range(5)])
         (x, y), d = self._powers(k)
         (u, v), e = self._t_row
         g = (x - y) * e * (u - 2 * e + v)

@@ -15,8 +15,9 @@ Each lattice keeps both tables as packed rows (`scalars.pack`), and the
 packed row is the only form of the images: on the exact backend a row of
 real coefficients is a list of Python ints over one denominator, so a
 recurrence step is an integer convolution and one gcd.  `monomial_rows`
-hands the rows to the Pearson moment recursion and to the dual
-functionals; `dx` and `sx` sum f_k times row k of their table as packed
+hands the rows to the Pearson moment recursion, to the dual functionals
+and to the iterated-pair recursion map (`classical._recursion_map`);
+`dx` and `sx` sum f_k times row k of their table as packed
 rows and unpack the sum once.  `dx_monomial` and `sx_monomial` unpack
 one row into a `Polynomial`, uncached; no library code calls them: only
 the benchmark's span wrappers (``perfbench/spans.py``, by name) and the

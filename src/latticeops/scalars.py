@@ -25,7 +25,9 @@ Every "zero or not" verdict is decided here, by one method per backend,
   ``eps * max(1, |s| for s in scale)``, where ``scale`` holds the scalars
   the values are measured against; all of it is computed in the field's
   own mpmath context, so magnitudes beyond the range of a Python float
-  are decided like any others.
+  are decided like any others.  A field refuses an ``eps`` below its unit
+  roundoff 2^-precision, under which every rounded residual would read
+  as nonzero.
 
 The verdict methods are shared code on top of it: ``is_zero`` decides one
 scalar, ``approx_eq`` the difference of two scalars measured against both,
@@ -430,6 +432,12 @@ class BigFloatField(_Comparator):
         self.eps = self.real(DEFAULT_EPS if eps is None else eps)
         if not self.eps > 0:
             raise ValueError(f"eps must be > 0, got {eps}")
+        unit = ctx.ldexp(1, -precision)
+        if self.eps < unit:
+            raise ValueError(
+                f"eps = {ctx.nstr(self.eps, 3)} is below the unit roundoff 2^-{precision}"
+                f" = {ctx.nstr(unit, 3)}; pass a larger --eps or more --precision"
+            )
 
     def real(self, v):
         """Convert a rational-like value to a real mpf of this context."""

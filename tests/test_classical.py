@@ -27,6 +27,7 @@ from latticeops.classical import b_offset, partial_sum_closed, partial_sums
 from latticeops.functionals import InternalCheckError
 from latticeops.lattice import LatticeError
 from latticeops.operators import dx, sx
+from latticeops.scalars import add_rows
 
 
 # the lattice kinds the fixtures leave out: q-linear with c2 = 0 and with
@@ -74,7 +75,7 @@ class TestIterated:
         for lat in (gen_lattice, quad_lattice, *extra):
             pair = sample_pair(lat)
             for k in range(7):
-                assert pair.iterated(k) == pair._iterated_closed(k)
+                assert pair.iterated(k) == pair._pair_of(pair._closed_row(k))
 
     def test_semigroup_property(self, gen_lattice):
         """Iterating twice = iterating once from the once-iterated pair."""
@@ -134,13 +135,14 @@ class TestRecursionMap:
 
     def test_an_image_beyond_degrees_two_and_one_is_refused(self, exact, monkeypatch):
         lat = Lattice(exact, 4, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))
-        original = classical._recursion
+        original = classical.monomial_rows
 
-        def cubic(lat, phi, psi):
-            phi_r, psi_r = original(lat, phi, psi)
-            return phi_r * Polynomial(exact, (0, 1)), psi_r
+        def cubic(lat, n):
+            """S_x z^2 gains a z^3 term."""
+            d, s = original(lat, n)
+            return (d, add_rows(s, exact.pack((0, 0, 0, 1)))) if n == 2 else (d, s)
 
-        monkeypatch.setattr(classical, "_recursion", cubic)
+        monkeypatch.setattr(classical, "monomial_rows", cubic)
         with pytest.raises(InternalCheckError, match=r"degrees \(3, 1\)"):
             regularity(readme_pair(lat), 2)
 
@@ -194,7 +196,7 @@ class TestClosedBasis:
         for lat in self.lattices(exact):
             for pair in self.pairs(lat, rng):
                 for k in range(41):
-                    assert pair._iterated_closed(k) == self.longhand(pair, k), (lat, k)
+                    assert pair._pair_of(pair._closed_row(k)) == self.longhand(pair, k), (lat, k)
 
     @pytest.mark.parametrize("precision", [128, 256])
     def test_matrix_times_row_on_bigfloat(self, precision):
@@ -203,7 +205,7 @@ class TestClosedBasis:
         for lat in self.lattices(big):
             for pair in self.pairs(lat, rng):
                 for k in range(41):
-                    closed, longhand = pair._iterated_closed(k), self.longhand(pair, k)
+                    closed, longhand = pair._pair_of(pair._closed_row(k)), self.longhand(pair, k)
                     rep = big.report("closed", [(closed[0].coeffs, longhand[0].coeffs),
                                                 (closed[1].coeffs, longhand[1].coeffs)])
                     assert rep.passed, (lat, k, rep)

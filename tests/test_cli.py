@@ -365,6 +365,10 @@ CHARACTERIZE = ["characterize", "-N", "-1"]
      "the scalar 'inf' is not finite"),
     (["--backend", "bigfloat", "family", "--name", "al_salam", "--params", '["nan", "1"]'],
      "the scalar 'nan' is not finite"),
+    # a bigfloat zero threshold below the unit roundoff of the precision
+    (["--backend", "bigfloat", "--precision", "64"] + CLASSIFY + ["-N", "2"],
+     "eps = 1.0e-25 is below the unit roundoff 2^-64 = 5.42e-20;"
+     " pass a larger --eps or more --precision"),
 ])
 def test_negative_order_is_a_one_line_input_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)

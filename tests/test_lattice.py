@@ -189,6 +189,16 @@ def test_default_horizon_allows_deep_indices(exact):
     assert lat.constants.gamma_n(40) == exact(Fraction(2**80 - 1, 3 * 2**39))
 
 
+def test_the_q_one_level_row_holds_field_scalars(exact, big):
+    """When q = 1 the level row (1, k, k^2, k^3, k^4) unpacks to scalars of
+    the lattice's field on both backends."""
+    for field in (exact, big):
+        lat = Lattice(field, 1, (2, Fraction(1, 3), Fraction(-1, 4)))
+        values = field.unpack(lat.constants.level_row(3))
+        assert values == [field(v) for v in (1, 3, 9, 27, 81)]
+        assert all(type(v) is type(field.one) for v in values)
+
+
 def test_a_dropped_lattice_is_freed_without_the_cycle_collector(exact):
     """The lattice, its constants and their memos form no reference cycle, so
     dropping the lattice frees them at once, not at the next collection."""

@@ -215,7 +215,7 @@ class TestPackedScalars:
 
 class TestBigFloatField:
     def test_precision_is_per_instance(self):
-        low = make_field("bigfloat", precision=64)
+        low = make_field("bigfloat", precision=64, eps=Fraction(1, 10**15))
         high = make_field("bigfloat", precision=256)
         third_low = low(1) / low(3)
         third_high = high(1) / high(3)
