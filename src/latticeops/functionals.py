@@ -15,11 +15,13 @@ Every pairing of a functional with a polynomial goes through one method,
 `MomentFunctional.pair`, on the polynomial's packed row (format in
 `scalars`): `apply`, `left_mul` and the two duals, which read the
 monomial images straight from `operators.monomial_rows`.  The Pearson
-moment recursion reads the same rows and keeps mu_0..mu_n as one packed
-row too.  On the exact backend a step is an integer convolution, one
-integer dot product and one `Fraction` for the new moment (plus one for
-the cross-check of d_n), instead of a `Fraction` operation per
-coefficient.
+moment recursion reads no table: it steps its own pair of packed rows,
+G_n = phi D_x z^n + psi S_x z^n and H_n = phi S_x z^n + psi U2 D_x z^n,
+by the tables' product-rule step (`operators.product_rule_step`) seeded
+with (psi, phi), and keeps mu_0..mu_n as one packed row too.  On the
+exact backend a step is that product-rule step on two rows, one integer
+dot product and one `Fraction` for the new moment (plus one for the
+cross-check of d_n), instead of a `Fraction` operation per coefficient.
 
 The moment oracle `ttrr_oracle` runs on the integer-scaled functional
 scale * u, scale the least common denominator of the moments read so far.
@@ -44,15 +46,13 @@ from math import gcd
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .lattice import Lattice, memoized
-from .operators import dx, monomial_rows, sx, tnk
+from .operators import dx, monomial_rows, product_rule_step, sx, tnk
 from .polynomials import Polynomial
 from .scalars import (
     Field,
     Report,
-    add_rows,
     div_scalars,
     join_rows,
-    mul_rows,
     mul_scalars,
     sub_scalars,
 )
@@ -198,23 +198,26 @@ def pearson_moments(pair, mu0=1) -> MomentFunctional:
     on every step against that closed form, read from the pair's memo
     (``PearsonPair.d_value``, which ``regularity`` fills too).
 
-    The recursion runs on packed rows (`scalars.pack`): g is the product of
-    the packed pair with the packed monomial images, and mu_0..mu_n are
-    kept as one packed row too, so mu_(n+1) is one dot product of the two
-    rows' values divided once; g's denominator cancels from that quotient.
+    The recursion runs on packed rows (`scalars.pack`) and reads no table:
+    G_n = phi*D_x z^n + psi*S_x z^n travels with its partner
+    H_n = phi*S_x z^n + psi*U2*D_x z^n; the pair starts at (G_0, H_0) =
+    (psi, phi) and advances by `operators.product_rule_step`, the step that
+    builds the monomial tables from (0, 1).  mu_0..mu_n are kept as one
+    packed row too, so mu_(n+1) is one dot product of G_n's and the moment
+    row's values divided once; G_n's denominator cancels from that quotient.
     """
     lat, phi, psi = pair.lattice, pair.phi, pair.psi
     field = lat.field
     u = MomentFunctional(field, [field(mu0)])
-    phi_row, psi_row = field.pack(phi.coeffs), field.pack(psi.coeffs)
+    rows = field.pack(psi.coeffs), field.pack(phi.coeffs)
     moments = field.pack((u.moment(0),))
 
     def ext(k: int):
-        nonlocal moments
+        nonlocal rows, moments
         n = k - 1
-        # g = phi*D_x z^n + psi*S_x z^n, of degree <= n+1, as gs / gden
-        dxrow, sxrow = monomial_rows(lat, n)
-        gs, gden = add_rows(mul_rows(phi_row, dxrow), mul_rows(psi_row, sxrow))
+        # (G_n, H_n); G_n, of degree <= n+1, as gs / gden
+        gh = rows if n == 0 else product_rule_step(lat, rows)
+        gs, gden = gh[0]
         lead = gs[n + 1] if len(gs) > n + 1 else field.zero
         dn = field.unpack(([lead], gden))[0]
         if not field.approx_eq(dn, pair.d_value(n)):
@@ -230,6 +233,8 @@ def pearson_moments(pair, mu0=1) -> MomentFunctional:
             acc = acc + gs[j] * ms[j]
         mu = field.unpack(([-acc], mden * lead))[0]
         moments = join_rows(moments, field.pack((mu,)))
+        # kept only now, so a retry after AdmissibilityError rebuilds G_n
+        rows = gh
         return mu
 
     u._extender = ext

@@ -14,14 +14,17 @@ on lattices whose nodes spread exponentially.
 Each lattice keeps both tables as packed rows (`scalars.pack`), and the
 packed row is the only form of the images: on the exact backend a row of
 real coefficients is a list of Python ints over one denominator, so a
-recurrence step is an integer convolution and one gcd.  `monomial_rows`
-hands the rows to the Pearson moment recursion, to the dual functionals
-and to the iterated-pair recursion map (`classical._recursion_map`);
-`dx` and `sx` sum f_k times row k of their table as packed
-rows and unpack the sum once.  `dx_monomial` and `sx_monomial` unpack
-one row into a `Polynomial`, uncached; no library code calls them: only
-the benchmark's span wrappers (``perfbench/spans.py``, by name) and the
-operator tests read them.
+recurrence step is an integer convolution and one gcd.  The step is one
+function, `product_rule_step`: `monomial_rows` runs it from the seed
+(D_x 1, S_x 1) = (0, 1), and the Pearson moment recursion
+(`functionals.pearson_moments`) runs it from (psi, phi) on rows of its
+own, so it reads no table.  `monomial_rows` hands the rows to the dual
+functionals and to the iterated-pair recursion map
+(`classical._recursion_map`, degrees 0 to 2); `dx` and `sx` sum f_k
+times row k of their table as packed rows and unpack the sum once.
+`dx_monomial` and `sx_monomial` unpack one row into a `Polynomial`,
+uncached; no library code calls them: only the benchmark's span wrappers
+(``perfbench/spans.py``, by name) and the operator tests read them.
 
 A second, fully independent route (`dx_interp`, `sx_interp`) evaluates
 the argument at x(s +- 1/2) over interpolation nodes and interpolates
@@ -94,13 +97,26 @@ def _monomial_tables(lat: Lattice) -> tuple:
     return [field.pack(()), one], [one, szrow], szrow, field.pack(lat.u2().coeffs)
 
 
+def product_rule_step(lat: Lattice, rows: tuple) -> tuple:
+    """The product-rule step (d, s) -> (s + (S_x z) d, U2 d + (S_x z) s) on packed rows.
+
+    From (D_x z^n, S_x z^n) it gives the rows of degree n + 1.  The step is
+    linear over polynomials, so from (phi D_x z^n + psi S_x z^n,
+    phi S_x z^n + psi U2 D_x z^n), seeded at n = 0 with (psi, phi), it
+    gives the same pair at n + 1: the Pearson moment recursion's rows.
+    """
+    _, _, sz, u2 = _monomial_tables(lat)
+    d, s = rows
+    return add_rows(s, mul_rows(sz, d)), add_rows(mul_rows(u2, d), mul_rows(sz, s))
+
+
 def monomial_rows(lat: Lattice, n: int) -> tuple:
     """The packed rows of D_x z^n and S_x z^n, extending both tables through degree n."""
-    dxrows, sxrows, sz, u2 = _monomial_tables(lat)
+    dxrows, sxrows, _, _ = _monomial_tables(lat)
     while len(dxrows) <= n:
-        d, s = dxrows[-1], sxrows[-1]
-        dxrows.append(add_rows(s, mul_rows(sz, d)))
-        sxrows.append(add_rows(mul_rows(u2, d), mul_rows(sz, s)))
+        d, s = product_rule_step(lat, (dxrows[-1], sxrows[-1]))
+        dxrows.append(d)
+        sxrows.append(s)
     return dxrows[n], sxrows[n]
 
 

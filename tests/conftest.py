@@ -36,6 +36,16 @@ EXTRA_LATTICES = [
 ]
 
 
+# the lattice kinds the fixtures leave out: q-linear with c2 = 0 and with
+# c1 = 0, linear, and constant
+EVERY_KIND = {
+    "qlin_c2": (4, (Fraction(1, 2), 0, 3)),
+    "qlin_c1": (Fraction(1, 9), (0, Fraction(1, 3), Fraction(2, 7))),
+    "lin": (1, (0, 1, 0)),
+    "const": (1, (0, 0, Fraction(3, 7))),
+}
+
+
 # the six lattices of the pearson-exact benchmark workload, every sqrt(q) rational
 PEARSON_LATTICES = (
     {"q": "1/4", "c": ["1/2", "1/2", "0"]},

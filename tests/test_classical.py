@@ -19,7 +19,7 @@ from latticeops import (
     ttrr_oracle,
     witness_point,
 )
-from conftest import gaussian_lattices, readme_pair
+from conftest import EVERY_KIND, gaussian_lattices, readme_pair
 from latticeops import classical
 from latticeops.characterize import solve_first_characterization
 from latticeops.checks import random_poly, random_regular_pair, reference_lattices, sample_pair
@@ -28,16 +28,6 @@ from latticeops.functionals import InternalCheckError
 from latticeops.lattice import LatticeError
 from latticeops.operators import dx, sx
 from latticeops.scalars import add_rows
-
-
-# the lattice kinds the fixtures leave out: q-linear with c2 = 0 and with
-# c1 = 0, linear, and constant
-EVERY_KIND = {
-    "qlin_c2": (4, (Fraction(1, 2), 0, 3)),
-    "qlin_c1": (Fraction(1, 9), (0, Fraction(1, 3), Fraction(2, 7))),
-    "lin": (1, (0, 1, 0)),
-    "const": (1, (0, 0, Fraction(3, 7))),
-}
 
 
 class TestPearsonPair:

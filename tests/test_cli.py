@@ -431,20 +431,21 @@ def test_internal_check_failure_exits_one(capsys, monkeypatch):
 def test_moment_cross_check_failure_exits_one(capsys, monkeypatch):
     from latticeops import functionals
 
-    rows = functionals.monomial_rows
+    step = functionals.product_rule_step
 
-    def doubled_sx(lat, n):
-        dxrow, (sx, den) = rows(lat, n)
-        return dxrow, ([2 * v for v in sx], den)
+    def doubled_g(lat, rows):
+        (g, den), h = step(lat, rows)
+        return ([2 * v for v in g], den), h
 
-    monkeypatch.setattr(functionals, "monomial_rows", doubled_sx)
+    # G_0 is the seed psi, so the first doubled lead is G_1's
+    monkeypatch.setattr(functionals, "product_rule_step", doubled_g)
     code, out, err = run(
         capsys, "moments", "--lattice", GEN_LATTICE, "--pair", SAMPLE_PAIR, "-N", "3"
     )
     assert code == 1
     assert out == ""
     assert err == ("internal check failed: leading Pearson coefficient "
-                   "disagrees with d_0 closed form\n")
+                   "disagrees with d_1 closed form\n")
 
 
 def test_invalid_json_spec(capsys):

@@ -24,6 +24,7 @@ from latticeops import (
     left_mul,
     make_field,
     QRational,
+    regularity,
     sx,
     ttrr_from_pearson,
     ttrr_oracle,
@@ -31,7 +32,7 @@ from latticeops import (
 )
 from latticeops.checks import random_functional
 from latticeops.functionals import dual_dx_pow, pearson_moments
-from latticeops.operators import dx_interp, sx_interp
+from latticeops.operators import _monomial_tables, dx_interp, sx_interp
 
 from conftest import PEARSON_LATTICES, gaussian_lattices, identity_lattices, readme_pair
 
@@ -218,6 +219,24 @@ class TestPearsonMoments:
                     u.moments(12)
                 assert exc.value.n == 5
             assert len(u.moments(5)) == 6
+
+    def test_a_pearson_job_builds_table_rows_through_degree_two(self, exact):
+        """regularity, moments(2N+2), the closed TTRR and the oracle leave the
+        lattice's D_x/S_x tables at their three rows: the moment recursion
+        steps its own pair of rows and only the recursion map reads the tables."""
+        n = 10
+        for spec in PEARSON_LATTICES:
+            lat = Lattice.from_json(exact, spec)
+            pair = readme_pair(lat)
+            regularity(pair, n)
+            u = pearson_moments(pair)
+            u.moments(2 * n + 2)
+            closed = ttrr_from_pearson(pair)
+            oracle = ttrr_oracle(u, n)
+            assert [(closed.b(k), closed.c(k + 1)) for k in range(n)] == [
+                (oracle.b(k), oracle.c(k + 1)) for k in range(n)]
+            dxrows, sxrows, _, _ = _monomial_tables(lat)
+            assert len(dxrows) == len(sxrows) == 3
 
 
 class TestTTRR:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,9 +22,16 @@ from latticeops import (
 )
 from latticeops.checks import random_poly, reference_lattices
 from latticeops.lattice import LatticeError
-from latticeops.operators import dx_interp, dx_monomial, sx_interp, sx_monomial
+from latticeops.operators import (
+    dx_interp,
+    dx_monomial,
+    monomial_rows,
+    product_rule_step,
+    sx_interp,
+    sx_monomial,
+)
 
-from conftest import PEARSON_LATTICES, gaussian_lattices, identity_lattices
+from conftest import EVERY_KIND, PEARSON_LATTICES, gaussian_lattices, identity_lattices, readme_pair
 
 coeff_lists = st.lists(
     st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=9),
@@ -124,6 +133,80 @@ def test_monomial_images_match_interpolation(exact, idx):
         zn = Polynomial.monomial(exact, n)
         assert dx_monomial(lat, n) == dx_interp(lat, zn)
         assert sx_monomial(lat, n) == sx_interp(lat, zn)
+
+
+def seeded_lattices(field):
+    return (reference_lattices(field) + gaussian_lattices(field)
+            + [Lattice(field, q, c) for q, c in EVERY_KIND.values()])
+
+
+def seeded_rows(lat, phi, psi, top):
+    """(G_n, H_n) for n = 0..top, stepped by product_rule_step from the seed (psi, phi)."""
+    field = lat.field
+    rows = field.pack(psi.coeffs), field.pack(phi.coeffs)
+    out = []
+    for n in range(top + 1):
+        if n:
+            rows = product_rule_step(lat, rows)
+        out.append(tuple(Polynomial(field, field.unpack(r)) for r in rows))
+    return out
+
+
+def pearson_images(lat, phi, psi, d, s):
+    """phi D + psi S and phi S + psi U2 D, for the images D, S of one monomial."""
+    return phi * d + psi * s, phi * s + psi * (lat.u2() * d)
+
+
+@functools.cache
+def exact_pearson_images(idx):
+    """The coefficients of pearson_images of the README pair for n = 0..40 on
+    seeded lattice idx, from the unpacked rows of the exact tables."""
+    field = make_field("exact")
+    lat = seeded_lattices(field)[idx]
+    pair = readme_pair(lat)
+    out = []
+    for n in range(41):
+        d, s = (Polynomial(field, field.unpack(r)) for r in monomial_rows(lat, n))
+        out.append(tuple(p.coeffs for p in pearson_images(lat, pair.phi, pair.psi, d, s)))
+    return out
+
+
+@pytest.mark.parametrize("idx", range(11))
+def test_seeded_step_gives_the_pearson_rows(exact, idx):
+    """G_n = phi D_x z^n + psi S_x z^n and H_n = phi S_x z^n + psi U2 D_x z^n through n = 40."""
+    pair = readme_pair(seeded_lattices(exact)[idx])
+    got = seeded_rows(pair.lattice, pair.phi, pair.psi, 40)
+    assert [(g.coeffs, h.coeffs) for g, h in got] == exact_pearson_images(idx)
+
+
+@pytest.mark.parametrize("precision", [128, 256])
+@pytest.mark.parametrize("idx", range(11))
+def test_seeded_step_gives_the_pearson_rows_bigfloat(precision, idx):
+    """The bigfloat G_n and H_n through n = 40 against the exact images,
+    by approx_eq on every coefficient."""
+    field = make_field("bigfloat", precision=precision)
+    pair = readme_pair(seeded_lattices(field)[idx])
+    got = seeded_rows(pair.lattice, pair.phi, pair.psi, 40)
+    for n, (rows, want) in enumerate(zip(got, exact_pearson_images(idx))):
+        for a, b in zip(rows, want):
+            assert all(field.approx_eq(x, y) for x, y in
+                       zip_longest(a.coeffs, b, fillvalue=0)), n
+
+
+@pytest.mark.parametrize("idx", range(11))
+def test_seeded_step_matches_interpolation(exact, idx):
+    """The same G_n and H_n against the divided-difference images of z^n.
+
+    Interpolation costs about n^3 big-integer steps per degree, so this
+    route samples n; the table route above covers every n <= 40.
+    """
+    lat = seeded_lattices(exact)[idx]
+    pair = readme_pair(lat)
+    rows = seeded_rows(lat, pair.phi, pair.psi, 13)
+    for n in (0, 1, 2, 3, 5, 8, 13):
+        zn = Polynomial.monomial(exact, n)
+        d, s = dx_interp(lat, zn), sx_interp(lat, zn)
+        assert rows[n] == pearson_images(lat, pair.phi, pair.psi, d, s), n
 
 
 def test_bigfloat_dx_sx_never_format_polynomials(big, monkeypatch):
