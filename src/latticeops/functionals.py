@@ -224,8 +224,7 @@ def pearson_moments(pair, mu0=1) -> MomentFunctional:
             raise InternalCheckError(
                 f"leading Pearson coefficient disagrees with d_{n} closed form"
             )
-        # the scale is read by the bigfloat rule only, whose rows are over 1
-        if field.is_zero(dn, scale=gs):
+        if field.is_zero(dn):
             raise AdmissibilityError(n)
         ms, mden = moments
         acc = gs[0] * ms[0]
@@ -331,7 +330,8 @@ def ttrr_oracle(u: MomentFunctional, n_max: int) -> TTRRCoeffs:
     O(n_max^2) field operations.  The table is filled one anti-diagonal
     k + l = m per moment mu_m, and each one needs only the two before it,
     so level n is decided from mu_0..mu_(2n) alone and a full run reads up
-    to mu_(2 n_max + 2).  Raises NotRegularError when some h_n vanishes.
+    to mu_(2 n_max + 2).  Raises NotRegularError at level n when h_0 = mu_0
+    (n = 0) or C_n = h_n/h_(n-1) (n >= 1) vanishes, tested on its own value.
 
     The recurrence runs on scale * u, where scale is the least common
     denominator of mu_0..mu_m read so far (`field.pack`), so the scaled
@@ -346,8 +346,8 @@ def ttrr_oracle(u: MomentFunctional, n_max: int) -> TTRRCoeffs:
     Every table entry, B_k and C_k is a packed scalar, combined by
     `mul_scalars`, `sub_scalars` and `div_scalars`: on exact the reduced
     (num, den) pair a `Fraction` would hold, found by the same gcd steps.
-    Only the zero verdicts, on h_n against h_(n-1), and the returned B_n
-    and C_(n+1) unpack to field scalars.
+    Only the zero verdicts and the returned B_n and C_(n+1) unpack to
+    field scalars.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -386,13 +386,11 @@ def ttrr_oracle(u: MomentFunctional, n_max: int) -> TTRRCoeffs:
             bs.append(sub_scalars(ratio, ratio_prev))
             ratio_prev = ratio
         else:
-            h = diag[n]
             if n >= 1:
-                cs.append(div_scalars(h, older[n - 1]))
-            if n <= n_max and field.is_zero(
-                value(h), scale=() if n == 0 else (value(older[n - 1]),)
-            ):
-                raise NotRegularError(n, f"<u, P_{n}^2> = 0: u is not regular at level {n}")
+                cs.append(div_scalars(diag[n], older[n - 1]))
+            if n <= n_max and field.is_zero(value(cs[-1] if n else diag[0])):
+                what = f"C_{n} = h_{n}/h_{n - 1}" if n else "h_0 = mu_0"
+                raise NotRegularError(n, f"{what} = 0: u is not regular at level {n}")
         older, old = old, diag
     return TTRRCoeffs.from_lists(field, [value(b) for b in bs], [value(c) for c in cs])
 

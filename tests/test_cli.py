@@ -297,6 +297,18 @@ def test_inadmissible_pair_is_a_one_line_input_error(capsys):
     assert err == "error: d_0 = 0: the Pearson pair is not admissible\n"
 
 
+def test_small_d_n_in_a_large_moment_row_is_not_an_input_error(capsys):
+    # d_57 = 95.3 while G_57's entries reach 1e27: d_57 is decided on its own value
+    code, out, err = run(
+        capsys, "--backend", "bigfloat", "--precision", "256", "moments",
+        "--lattice", '{"kind": "quadratic", "q": "1", "c": ["2", "1/3", "-1/4"]}',
+        "--pair", '{"phi": ["7/3", "1/3", "5/3"], "psi": ["1/3", "1/3"]}', "-N", "58",
+    )
+    assert code == 0
+    assert err == ""
+    assert len(json.loads(out)["moments"]) == 59
+
+
 FAMILY_NAMES = "'al_salam', 'askey_wilson', 'cdq_hahn', 'chebyshev_u', 'meixner2', 'q_hermite'"
 CLASSIFY = ["classify", "--pair", SAMPLE_PAIR]
 CHARACTERIZE = ["characterize", "-N", "-1"]

@@ -362,7 +362,7 @@ class TestOracle:
         ttrr_oracle(u, n_max)
         assert seen[0] == 2 * n_max + 2
 
-    @pytest.mark.parametrize("level", [1, 2, 3, 5])
+    @pytest.mark.parametrize("level", [0, 1, 2, 3, 5])
     def test_singular_level_reads_nothing_past_mu_2n(self, exact, level):
         """Shift mu_(2n) by h_n = Delta_(n+1)/Delta_n: u stays regular below
         level n and <u, P_n^2> becomes exactly zero."""
@@ -496,3 +496,104 @@ class TestOracle:
         for n in range(n_max + 1):
             assert big.approx_eq(got.b(n), want.b(n))
             assert big.approx_eq(got.c(n + 1), want.c(n + 1))
+
+
+def _pair(field, q, c, phi, psi):
+    lat = Lattice(field, q, c)
+    return PearsonPair(lat, Polynomial(field, phi), Polynomial(field, psi))
+
+
+class TestZeroVerdicts:
+    """Each zero test of the moment route reads the value it decides: d_n in
+    the moment recursion, h_0 and then C_n = h_n/h_(n-1) in the oracle."""
+
+    QUAD = (1, (2, Fraction(1, 3), Fraction(-1, 4)))
+    GEN = (4, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))
+    SYM9 = (Fraction(1, 9), (Fraction(1, 2), Fraction(1, 2), 0))
+
+    @pytest.fixture(scope="class")
+    def big256(self):
+        return make_field("bigfloat", precision=256)
+
+    def test_a_small_d_n_beside_a_large_g_row_is_not_zero(self, exact, big256):
+        """d_57 = 95.3 while G_57's largest entry is about 1e27: d_57 is not zero."""
+        phi, psi = (Fraction(7, 3), Fraction(1, 3), Fraction(5, 3)), (Fraction(1, 3),) * 2
+        want = _pair(exact, *self.QUAD, phi, psi).moments().moments(58)
+        got = _pair(big256, *self.QUAD, phi, psi).moments().moments(58)
+        assert all(big256.approx_eq(g, w) for g, w in zip(got, want))
+
+    def test_a_small_h_n_with_a_nonzero_c_n_is_regular(self, exact, big256):
+        """h_33 = 8.7e-26 on this pair, but C_33 = h_33/h_32 is about 1/6."""
+        phi, psi = (Fraction(-5, 3), Fraction(-2, 3), Fraction(4, 3)), (Fraction(1, 3), Fraction(8, 3))
+        want = ttrr_oracle(_pair(exact, *self.GEN, phi, psi).moments(), 34)
+        got = ttrr_oracle(_pair(big256, *self.GEN, phi, psi).moments(), 34)
+        for n in range(35):
+            assert big256.approx_eq(got.b(n), want.b(n))
+            assert big256.approx_eq(got.c(n + 1), want.c(n + 1))
+
+    def test_a_true_zero_of_d_n_stops_at_its_own_index(self, exact, big256):
+        """d = -(2/3) gamma_31/alpha_31 makes d_31 = 0 exactly; no earlier d_n vanishes."""
+        con = Lattice(exact, *self.SYM9).constants
+        d = -Fraction(2, 3) * con.gamma_n(31) / con.alpha_n(31)
+        u = _pair(big256, *self.SYM9, (Fraction(1, 3), Fraction(-1, 3), Fraction(2, 3)),
+                  (Fraction(1, 3), d)).moments()
+        with pytest.raises(AdmissibilityError) as exc:
+            u.moments(40)
+        assert exc.value.n == 31
+
+    @staticmethod
+    def witness_zero_pairs(lat, rng):
+        """Three pairs per level k = 1..4 whose witness vanishes first at k.
+        The e and d rows of the closed matrix do not read c, and c^[k] is c plus
+        terms free of c, so the witness at level k is c plus its value at c = 0."""
+        field = lat.field
+        for k in range(1, 5):
+            found = 0
+            while found < 3:
+                b, a, e, d = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+                              for _ in range(4))
+                free = PearsonPair(lat, Polynomial(field, (0, b, a)), Polynomial(field, (e, d)))
+                if not all(free.d_value(n) for n in range(2 * k + 4)):
+                    continue
+                coeffs = (-free.witness(k), b, a, e, d)
+                pair = PearsonPair(lat, Polynomial(field, coeffs[:3]), Polynomial(field, coeffs[3:]))
+                if regularity(pair, k + 1).verdict == f"zero-witness-at-{k}":
+                    found += 1
+                    yield k, coeffs
+
+    @staticmethod
+    def verdicts(field, spec, coeffs, n_max):
+        """The regularity verdict and the oracle's stop level of one pair."""
+        lat = Lattice.from_json(field, spec)
+        pair = PearsonPair(lat, Polynomial(field, coeffs[:3]), Polynomial(field, coeffs[3:]))
+        verdict = regularity(pair, n_max).verdict
+        try:
+            ttrr_oracle(pair.moments(), n_max)
+        except NotRegularError as exc:
+            return verdict, exc.level
+        return verdict, None
+
+    # (lattice index, precision) -> the (k, draw) pairs whose oracle misses the
+    # zero for want of digits, under the old zero rules too: on q = 1/4 the
+    # second level-4 draw has c = 102480.25, and at 128 bits the oracle reads
+    # C_5 = 2.92 where it is exactly 0
+    PRECISION_MISSES = {(0, 128): [(4, 1)]}
+
+    @pytest.mark.parametrize("precision", [128, 256])
+    @pytest.mark.parametrize("spec", PEARSON_LATTICES)
+    def test_true_witness_zeros_match_exact(self, exact, spec, precision):
+        """A zero witness at level k makes h_(k+1), and so C_(k+1), exactly zero.
+        Bigfloat sees that zero where exact does, in the regularity verdict and
+        in the oracle's stop level, whatever the size of h_k."""
+        big = make_field("bigfloat", precision=precision)
+        index = PEARSON_LATTICES.index(spec)
+        misses = []
+        pairs = self.witness_zero_pairs(Lattice.from_json(exact, spec), random.Random(index))
+        for i, (k, coeffs) in enumerate(pairs):
+            want = self.verdicts(exact, spec, coeffs, k + 1)
+            assert want == (f"zero-witness-at-{k}", k + 1)
+            got = self.verdicts(big, spec, coeffs, k + 1)
+            assert got[0] == want[0]
+            if got != want:
+                misses.append((k, i % 3))
+        assert misses == self.PRECISION_MISSES.get((index, precision), [])
