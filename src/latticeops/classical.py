@@ -23,24 +23,25 @@ writes the closed formula out once per pair as the 5x5 matrix M of those
 weights, each entry a product of the pair's (c, b, a, e, d) and the lattice
 constants beta, delta, bd, rho, U1(0) and alpha^2 - 1, so that
 (c, b, a, e, d)^[k] = M row(k); no formula is evaluated over the level
-functions.  On the exact backend each level is one product of an integer
-matrix and an integer row.  d_n and e_n read the first three level
-functions with weights per pair (e_n's per kind, as ``classify`` prints
-it); ``b_offset``, B_n less its lattice offset, is one formula in gamma_n,
+functions.  Likewise (d_n, e_n) = W row(n) for a 2x5 matrix W per pair
+that weighs only (1, gamma_n, s_n) (e_n per kind, as ``classify`` prints
+it).  M, W and the recursion map R share one layout, entry 5 i + j the
+weight of input j in coordinate i, and one product, ``scalars.mat_row``:
+on the exact backend an integer matrix times an integer row.
+``b_offset``, B_n less its lattice offset, is one formula in gamma_n,
 e_n and d_n on both kinds, and ``partial_sum_closed`` is written apart
 from it, so the partial-sum check compares two separately written sides.
 
-What is memoized, per PearsonPair, through ``lattice.memoized``: d_n and
-e_n at every index, phi'(c3) and psi(c3) on q-lattices, M, and the
-closed row M row(k) and the witness phi^[n](witness_point(n)) at every
-level; the witness reads the closed row alone (one quotient per level),
-and ``regularity`` and the C_(n+1) of ``ttrr_from_pearson`` read the same
-witness.  Per lattice, ``_recursion_map``: the recursion
+What is memoized, per PearsonPair, through ``lattice.memoized``: W and
+W row(n) at every index, M, and the closed row M row(k) and the witness
+phi^[n](witness_point(n)) at every level; the witness reads the closed
+row alone (one quotient per level), and ``regularity`` and the C_(n+1) of
+``ttrr_from_pearson`` read the same witness.  Per lattice,
+``_recursion_map``: the recursion
 R(phi, psi) = (S phi + U1 S psi + alpha U2 D psi, D phi + alpha S psi + U1 D psi)
-is linear and keeps degrees (2, 1), so it is one 5x5 map on the
+is linear and keeps degrees (2, 1), so it is one 5x5 map R on the
 coefficients (c, b, a, e, d), summed once from the packed rows of the
-D_x and S_x tables (``operators.monomial_rows``), U1 and U2 and packed as
-one row of ints over one denominator (``scalars.pack``).
+D_x and S_x tables (``operators.monomial_rows``), U1 and U2.
 ``iterated`` keeps the packed rows of the levels it has validated apart:
 a level's closed row is stored there only once the map applied to the
 row of the level below agrees with it, so the recursion check still runs
@@ -72,7 +73,7 @@ from .functionals import (
 from .lattice import Lattice, LatticeError, memoized
 from .operators import monomial_rows
 from .polynomials import Polynomial
-from .scalars import Field, Report, add_rows, encode_fields, mul_rows
+from .scalars import Field, Report, add_rows, encode_fields, mat_row, mul_rows
 
 
 class PearsonPair:
@@ -112,44 +113,41 @@ class PearsonPair:
     def e(self):
         return self.psi.coeff(0)
 
-    @memoized
     def _at_c3(self) -> Tuple[object, object]:
         """(phi'(c3), psi(c3)) on a q-lattice, for the c3-offset forms."""
         c3 = self.lattice.c[2]
         return self.phi.derivative()(c3), self.psi(c3)
 
-    @memoized
     def d_value(self, n: int):
         """d_n = a gamma_n + d alpha_n, the admissibility sequence."""
-        return self._first_three(n, 0)
+        return self._first_row(n)[0]
 
-    @memoized
     def e_value(self, n: int):
         """e_n, the companion sequence entering B_n; per kind, as ``classify`` prints it."""
-        return self._first_three(n, 3)
+        return self._first_row(n)[1]
+
+    @memoized
+    def _first_row(self, n: int) -> list:
+        """(d_n, e_n) = W row(n)."""
+        row = self.lattice.constants.level_row(n)
+        return self.field.unpack(mat_row(self._first_weights(), row))
 
     @memoized
     def _first_weights(self) -> tuple:
-        """The weights of d_n and e_n on the level functions (1, gamma_n, s_n),
-        packed as one row of six.  alpha_n = 1 + bd s_n / 2 makes them
-        (d, a, d bd/2) for d_n, and for e_n (psi(c3), phi'(c3), psi(c3) bd/2)
-        on q-lattices, from phi'(c3) gamma_n + psi(c3) alpha_n, and
-        (e, b, 2 beta d) when q = 1, from b n + e + 2 beta d n^2."""
+        """W, the 2x5 matrix of (d_n, e_n) = W row(n), packed like M.  Its
+        weights on gamma_n s_n and s_n^2 are 0; on (1, gamma_n, s_n),
+        alpha_n = 1 + bd s_n / 2 makes them (d, a, d bd/2) for d_n, and for
+        e_n (psi(c3), phi'(c3), psi(c3) bd/2) on q-lattices, from
+        phi'(c3) gamma_n + psi(c3) alpha_n, and (e, b, 2 beta d) when q = 1,
+        from b n + e + 2 beta d n^2."""
         con = self.lattice.constants
         if self.lattice.is_q_lattice:
             phid_c3, psi_c3 = self._at_c3()
             e_weights = (psi_c3, phid_c3, psi_c3 * con.bd / 2)
         else:
             e_weights = (self.e, self.b, 2 * con.beta * self.d)
-        return self.field.pack((self.d, self.a, self.d * con.bd / 2, *e_weights))
-
-    def _first_three(self, n: int, at: int):
-        """Weights at, at+1, at+2 of ``_first_weights`` against the first three
-        entries of ``level_row(n)``, as one scalar."""
-        w, wden = self._first_weights()
-        r, rden = self.lattice.constants.level_row(n)
-        value = w[at] * r[0] + w[at + 1] * r[1] + w[at + 2] * r[2]
-        return self.field.unpack(([value], wden * rden))[0]
+        zeros = (self.field.zero,) * 2
+        return self.field.pack((self.d, self.a, self.d * con.bd / 2, *zeros, *e_weights, *zeros))
 
     @memoized
     def witness(self, n: int):
@@ -171,11 +169,10 @@ class PearsonPair:
         """
         while len(self._iterated) <= k:
             j = len(self._iterated)
-            m, mden = _recursion_map(self.lattice)
-            v, vden = self._iterated[-1]
+            image, iden = mat_row(_recursion_map(self.lattice), self._iterated[-1])
             row = closed, cden = self._closed_row(j)
-            lhs = [sum(m[5 * col + i] * x for col, x in enumerate(v)) * cden for i in range(5)]
-            rhs = [x * (mden * vden) for x in closed]
+            lhs = [x * cden for x in image]
+            rhs = [x * iden for x in closed]
             rep = self.field.report(f"iterated^[{j}]", [(lhs[:3], rhs[:3]), (lhs[3:], rhs[3:])])
             if not rep.passed:
                 name = ("phi", "psi")[rep.first_fail]
@@ -192,9 +189,7 @@ class PearsonPair:
     def _closed_row(self, k: int) -> tuple:
         """(c, b, a, e, d)^[k] = M row(k), packed: M from ``_closed_matrix`` and
         row(k) the lattice's ``level_row(k)``, so 25 products of ints on exact."""
-        m, mden = self._closed_matrix()
-        r, rden = self.lattice.constants.level_row(k)
-        return [sum(m[5 * i + j] * x for j, x in enumerate(r)) for i in range(5)], mden * rden
+        return mat_row(self._closed_matrix(), self.lattice.constants.level_row(k))
 
     @memoized
     def _closed_matrix(self) -> tuple:
@@ -261,8 +256,8 @@ def _recursion_map(lat: Lattice) -> tuple:
     the step from (phi^[k], psi^[k]) to (phi^[k+1], psi^[k+1]), as one 5x5 map
     on (c, b, a, e, d), packed as one row of 25 entries.
 
-    R is linear and keeps degrees (2, 1), so entry 5 j + i is coordinate i
-    of R applied to the j-th unit pair (1, 0), (z, 0), (z^2, 0), (0, 1), (0, z).
+    R is linear and keeps degrees (2, 1): entry 5 i + j, as in M, is coordinate i
+    of R on the j-th unit pair (1, 0), (z, 0), (z^2, 0), (0, 1), (0, z).
     The images are sums of the packed rows of the D_x and S_x tables
     (``operators.monomial_rows``), U1, U2 and alpha: R(z^k, 0) = (S z^k, D z^k)
     and R(0, z^k) = (U1 S z^k + alpha U2 D z^k, alpha S z^k + U1 D z^k).
@@ -274,7 +269,7 @@ def _recursion_map(lat: Lattice) -> tuple:
     images = [(s, d) for d, s in rows]
     images += [(add_rows(mul_rows(u1, s), mul_rows(mul_rows(u2, d), alpha)),
                 add_rows(mul_rows(s, alpha), mul_rows(u1, d))) for d, s in rows[:2]]
-    entries = []
+    columns = []
     for phi, psi in images:
         phi, psi = field.unpack(phi), field.unpack(psi)
         if len(phi) > 3 or len(psi) > 2:
@@ -282,8 +277,8 @@ def _recursion_map(lat: Lattice) -> tuple:
                 f"the recursion takes a unit pair to degrees ({len(phi) - 1}, {len(psi) - 1}),"
                 " beyond (2, 1)"
             )
-        entries += phi + [field.zero] * (3 - len(phi)) + psi + [field.zero] * (2 - len(psi))
-    return field.pack(entries)
+        columns.append(phi + [field.zero] * (3 - len(phi)) + psi + [field.zero] * (2 - len(psi)))
+    return field.pack([x for row in zip(*columns) for x in row])
 
 
 @dataclass

@@ -53,6 +53,7 @@ from .scalars import (
     Report,
     div_scalars,
     join_rows,
+    mat_row,
     mul_scalars,
     sub_scalars,
 )
@@ -122,13 +123,12 @@ class MomentFunctional:
     def pair(self, row, shift: int = 0):
         """<u, z^shift g> for the polynomial g with packed row `row`.
 
-        The sum runs in increasing degree, coefficient times moment, and
-        is divided once by the row's denominator.
+        The moments are a one-row matrix against the row (``scalars.mat_row``),
+        summed in increasing degree and divided once by the row's denominator.
         """
-        values, den = row
-        acc = self.field.zero
-        for j, v in enumerate(values):
-            acc = acc + v * self.moment(shift + j)
+        if not row[0]:
+            return self.field.zero
+        (acc,), den = mat_row((self.moments(shift + len(row[0]) - 1)[shift:], 1), row)
         return acc if den == 1 else acc / den
 
     def apply(self, f: Polynomial):
@@ -203,14 +203,13 @@ def pearson_moments(pair, mu0=1) -> MomentFunctional:
     H_n = phi*S_x z^n + psi*U2*D_x z^n; the pair starts at (G_0, H_0) =
     (psi, phi) and advances by `operators.product_rule_step`, the step that
     builds the monomial tables from (0, 1).  mu_0..mu_n are kept as one
-    packed row too, so mu_(n+1) is one dot product of G_n's and the moment
-    row's values divided once; G_n's denominator cancels from that quotient.
+    packed row too, so mu_(n+1) is G_n's values times the moment row
+    (`scalars.mat_row`) divided once; G_n's denominator cancels from it.
     """
     lat, phi, psi = pair.lattice, pair.phi, pair.psi
     field = lat.field
-    u = MomentFunctional(field, [field(mu0)])
     rows = field.pack(psi.coeffs), field.pack(phi.coeffs)
-    moments = field.pack((u.moment(0),))
+    moments = field.pack((mu0,))
 
     def ext(k: int):
         nonlocal rows, moments
@@ -226,18 +225,14 @@ def pearson_moments(pair, mu0=1) -> MomentFunctional:
             )
         if field.is_zero(dn):
             raise AdmissibilityError(n)
-        ms, mden = moments
-        acc = gs[0] * ms[0]
-        for j in range(1, n + 1):
-            acc = acc + gs[j] * ms[j]
+        (acc,), mden = mat_row((gs[:n + 1], 1), moments)
         mu = field.unpack(([-acc], mden * lead))[0]
         moments = join_rows(moments, field.pack((mu,)))
         # kept only now, so a retry after AdmissibilityError rebuilds G_n
         rows = gh
         return mu
 
-    u._extender = ext
-    return u
+    return MomentFunctional(field, [mu0], ext)
 
 
 @dataclass

@@ -132,7 +132,6 @@ class LatticeConstants:
             t_pow = lattice.t_pow
             self.bd = t_pow(1) - 2 + t_pow(-1)
             self.rho = field.one / (t_pow(1) + 2 + t_pow(-1))
-            self._t_row = field.pack((t_pow(1), t_pow(-1)))
         else:
             self.alpha = field.one
             self.beta = lattice.c[0] / 4
@@ -166,7 +165,7 @@ class LatticeConstants:
         # one quotient of ints on exact; on bigfloat d = e = 1, so the
         # value is rounded as the quotient written out
         (x, y), d = self._powers(n)
-        (u, v), e = self._t_row
+        (u, v), e = self._powers(1)
         return self.field.unpack(([(x - y) * e], d * (u - v)))[0]
 
     @memoized
@@ -208,7 +207,7 @@ class LatticeConstants:
         if not self._is_q:
             return self.field.pack([k ** j for j in range(5)])
         (x, y), d = self._powers(k)
-        (u, v), e = self._t_row
+        (u, v), e = self._powers(1)
         g = (x - y) * e * (u - 2 * e + v)
         s = (x - 2 * d + y) * e * (u - v)
         w = d * (u - v) * (u - 2 * e + v)

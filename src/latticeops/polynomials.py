@@ -38,10 +38,10 @@ class Polynomial:
         return cls(field, (1,))
 
     @classmethod
-    def monomial(cls, field: Field, n: int, coeff=1) -> "Polynomial":
+    def monomial(cls, field: Field, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("monomial degree must be >= 0")
-        return cls(field, [0] * n + [coeff])
+        return cls(field, [0] * n + [1])
 
     @property
     def degree(self) -> int:

@@ -41,15 +41,16 @@ hinges on.
 Coefficient rows that are built by long recurrences (the monomial images,
 the sums ``dx`` and ``sx`` make of them, and the Pearson moments) travel
 *packed*: a pair ``(values, den)`` that stands for
-``[v / den for v in values]``.  This module defines the format and every
-operation on it.  ``pack`` makes a row and ``unpack`` turns it back into
-scalars.  The exact backend packs a list of real ``Fraction``s as
-Python-int numerators over their least common denominator, so a
+``[v / den for v in values]``.  This module defines the format and the
+operations that combine rows.  ``pack`` makes a row and ``unpack`` turns
+it back into scalars.  The exact backend packs a list of real ``Fraction``s
+as Python-int numerators over their least common denominator, so a
 recurrence step is integer arithmetic with one gcd per row instead of one
 per coefficient; a list holding a ``QRational``, and every bigfloat list,
 packs as its values over 1.  ``mul_rows``, ``add_rows`` and ``join_rows``
-combine packed rows of either kind, and ``mul_coeffs``, the convolution
-under ``mul_rows``, is also the product of two ``Polynomial``s.  So the
+combine packed rows of either kind, ``mul_coeffs``, the convolution under
+``mul_rows``, is also the product of two ``Polynomial``s, and ``mat_row``
+is the one product of a matrix stored row by row with a row.  So the
 code that runs the recurrences is the same on both backends, and on
 bigfloat it makes the same operations in the same order as on plain
 scalars.
@@ -69,6 +70,7 @@ from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from itertools import chain, zip_longest
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 DEFAULT_PRECISION = 128
@@ -612,6 +614,14 @@ def join_rows(a, b) -> Tuple[list, int]:
     """
     x, y, den = _over(a, b)
     return x + y, den
+
+
+def mat_row(m, r) -> Tuple[list, int]:
+    """The packed row m r, unreduced: m is a packed matrix stored row by row, its
+    rows as long as r, and each entry sums its products in increasing column."""
+    (mv, mden), (rv, rden) = m, r
+    k = len(rv)
+    return [sum(map(mul, mv[i:i + k], rv)) for i in range(0, len(mv), k)], mden * rden
 
 
 def _value(v, den):

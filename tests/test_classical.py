@@ -99,7 +99,7 @@ class TestRecursionMap:
             for _ in range(3):
                 phi, psi = random_poly(exact, rng, degree=2), random_poly(exact, rng, degree=1)
                 v = [phi.coeff(0), phi.coeff(1), phi.coeff(2), psi.coeff(0), psi.coeff(1)]
-                image = [sum(m[5 * j + i] * v[j] for j in range(5)) for i in range(5)]
+                image = [sum(m[5 * i + j] * v[j] for j in range(5)) for i in range(5)]
                 phi_r, psi_r = self.longhand(lat, phi, psi)
                 assert Polynomial(exact, image[:3]) == phi_r, lat
                 assert Polynomial(exact, image[3:]) == psi_r, lat
@@ -116,7 +116,7 @@ class TestRecursionMap:
             return values, den
 
         monkeypatch.setattr(classical, "_recursion_map", corrupted)
-        slot = "phi" if entry % 5 < 3 else "psi"
+        slot = "phi" if entry // 5 < 3 else "psi"
         for field in (exact, big):
             for q, c in ((4, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))),
                          (1, (2, Fraction(1, 3), Fraction(-1, 4)))):

@@ -247,7 +247,7 @@ def test_constant_lattice_reduces_to_derivative(exact):
 def test_degree_and_leading_coefficient_laws(gen_lattice, exact):
     con = gen_lattice.constants
     for n in range(1, 9):
-        f = Polynomial.monomial(exact, n, Fraction(3, 7))
+        f = Fraction(3, 7) * Polynomial.monomial(exact, n)
         df, sf = dx(gen_lattice, f), sx(gen_lattice, f)
         assert df.degree == n - 1
         assert sf.degree == n

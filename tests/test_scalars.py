@@ -21,7 +21,7 @@ from latticeops import (
     ScalarDomainError,
     make_field,
 )
-from latticeops.scalars import add_rows, div_scalars, join_rows, mul_scalars, sub_scalars
+from latticeops.scalars import add_rows, div_scalars, join_rows, mat_row, mul_scalars, sub_scalars
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -211,6 +211,70 @@ class TestPackedScalars:
         x, y = big(Fraction(1, 3), 2), big(Fraction(-2, 7))
         for helper, op in self.OPS:
             assert helper((x, 1), (y, 1)) == (op(x, y), 1)
+
+
+class TestMatRow:
+    """mat_row against the contraction written out: each entry starts from its
+    first product and adds the others in increasing column."""
+
+    @staticmethod
+    def longhand(m, r):
+        (mv, mden), (rv, rden) = m, r
+        k = len(rv)
+        out = []
+        for i in range(len(mv) // k):
+            acc = mv[k * i] * rv[0]
+            for j in range(1, k):
+                acc = acc + mv[k * i + j] * rv[j]
+            out.append(acc)
+        return out, mden * rden
+
+    @staticmethod
+    def shapes(scalar):
+        """(matrix, row) pairs of the shapes the library contracts: 5x5, 2x5,
+        and one row against rows of length 1 to 12."""
+        for rows, k in [(5, 5), (2, 5), *((1, k) for k in range(1, 13))]:
+            yield [scalar() for _ in range(rows * k)], [scalar() for _ in range(k)]
+
+    def test_int_rows(self):
+        rng = random.Random(25)
+        for mv, rv in self.shapes(lambda: rng.randint(-10**40, 10**40)):
+            m, r = (mv, rng.randint(1, 10**20)), (rv, rng.randint(1, 10**20))
+            got = mat_row(m, r)
+            assert got == self.longhand(m, r)
+            assert all(type(v) is int for v in got[0])
+
+    def test_gaussian_rows_over_one(self, exact):
+        rng = random.Random(26)
+
+        def scalar():
+            return exact(Fraction(rng.randint(-99, 99), rng.randint(1, 99)),
+                         rng.choice((0, Fraction(rng.randint(-99, 99), rng.randint(1, 99)))))
+
+        for mv, rv in self.shapes(scalar):
+            got, want = mat_row((mv, 1), (rv, 1)), self.longhand((mv, 1), (rv, 1))
+            assert got == want
+            assert [type(v) for v in got[0]] == [type(v) for v in want[0]]
+
+    def test_mpc_rows_are_bit_identical(self):
+        big = make_field("bigfloat", precision=128)
+        rng = random.Random(27)
+
+        def scalar():
+            return big(Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)),
+                       Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)))
+
+        for mv, rv in self.shapes(scalar):
+            got, want = mat_row((mv, 1), (rv, 1)), self.longhand((mv, 1), (rv, 1))
+            assert [v._mpc_ for v in got[0]] == [v._mpc_ for v in want[0]]
+
+    def test_the_empty_row_pairs_to_zero(self, exact, big):
+        """A matrix with empty rows has no row count, so the empty row of the
+        zero polynomial is paired by ``MomentFunctional.pair`` itself."""
+        for field in (exact, big):
+            u = latticeops.MomentFunctional(field, [field(3), field(5)])
+            got = u.pair(field.pack(()))
+            assert got == field.zero and type(got) is type(field.zero)
 
 
 class TestBigFloatField:

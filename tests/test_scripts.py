@@ -1,4 +1,5 @@
-"""Smoke runs of the scripts under scripts/: each exits 0 and prints its table."""
+"""Smoke runs of the scripts under scripts/: each exits 0 and prints its table
+(the mutation script only lists its mutants)."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ["asymptotics_table.py"],
     ["asymptotics_table.py", "--quadratic"],
     ["raising_construction_scan.py", "--count", "2"],
+    ["mutants.py", "classical", "scalars", "--list"],
 ])
 def test_script_runs(args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
