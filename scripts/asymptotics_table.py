@@ -27,7 +27,7 @@ def q_lattice_table(args) -> None:
     pair = sample_pair(lat)
     print(f"{'n':>5} {'ratio error':>14} {'series error':>14}")
     for n in (10, 25, 50, 100, 200, 300):
-        rep = asymptotics(pair, n, sum_horizon=16)
+        rep = asymptotics(pair, n)
         print(f"{n:>5} {rep.ratio_error:14.3e} {rep.series_error:14.3e}")
 
 

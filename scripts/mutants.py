@@ -9,22 +9,22 @@ Each mutant changes one token of one module of ``src/latticeops``:
 * an integer literal k to k + 1.
 
 Nothing inside an f-string is mutated.  The mutants are written into a
-temporary copy of the package, never into ``src/``.  Each one runs the
-given pytest selection against that copy, stopping at the first failure,
-under a timeout, and counts as
+temporary copy of the package, never into ``src/``.  Each one runs
+against that copy in two stages, stopping at the first failure, under one
+timeout: first the module's own ``tests/test_<module>.py``, if there is
+one, then the rest of the given pytest selection.  A mutant counts as
 
 * killed: the selection fails (an import error included);
 * survived: the selection passes;
 * timed out: the run outlasts ``--timeout``.  A mutant can turn exact
   arithmetic into huge unreduced integers, so a run may never end.
 
-The selection must pass on the unmutated copy first.  ``--sample N`` runs
+Both stages must pass on the unmutated copy first.  ``--sample N`` runs
 N mutants per module, drawn with ``--seed``; ``--list`` prints the mutants
 without running them.
 
     python scripts/mutants.py classical --list
-    python scripts/mutants.py classical scalars --sample 60 --seed 1 \\
-        --tests tests/test_classical.py tests/test_scalars.py
+    python scripts/mutants.py classical characterize --sample 24 --seed 26
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -157,6 +158,23 @@ def run_selection(package: Path, tests: list, timeout: float) -> str:
     return "survived" if code == 0 else "killed"
 
 
+def run_stages(package: Path, module: str, tests: list, timeout: float) -> str:
+    """The module's own test file first, then the selection without it, within one timeout.
+
+    pytest orders a selection by directory, so without the first stage a
+    slow battery elsewhere can run before the tests that read the module.
+    """
+    own = Path("tests") / f"test_{module}.py"
+    if not (ROOT / own).is_file():
+        return run_selection(package, tests, timeout)
+    deadline = time.monotonic() + timeout
+    verdict = run_selection(package, [str(own)], timeout)
+    if verdict != "survived":
+        return verdict
+    return run_selection(package, [*tests, f"--ignore={own}"],
+                         max(deadline - time.monotonic(), 0.0))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("modules", nargs="+", help="module names under src/latticeops")
@@ -183,16 +201,17 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         package = Path(tmp) / "src" / "latticeops"
         shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
-        if run_selection(package, args.tests, args.timeout) != "survived":
-            print("error: the selection does not pass on the unmutated package", file=sys.stderr)
-            return 2
         for module, mutants in chosen.items():
+            if run_stages(package, module, args.tests, args.timeout) != "survived":
+                print(f"error: the selection for {module} does not pass on the unmutated"
+                      " package", file=sys.stderr)
+                return 2
             path = package / f"{module}.py"
             source = path.read_bytes()
             counts = Counter()
             for m in mutants:
                 path.write_bytes(m.apply(source))
-                verdict = run_selection(package, args.tests, args.timeout)
+                verdict = run_stages(package, module, args.tests, args.timeout)
                 path.write_bytes(source)
                 counts[verdict] += 1
                 if verdict != "killed":

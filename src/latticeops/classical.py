@@ -29,8 +29,10 @@ it).  M, W and the recursion map R share one layout, entry 5 i + j the
 weight of input j in coordinate i, and one product, ``scalars.mat_row``:
 on the exact backend an integer matrix times an integer row.
 ``b_offset``, B_n less its lattice offset, is one formula in gamma_n,
-e_n and d_n on both kinds, and ``partial_sum_closed`` is written apart
-from it, so the partial-sum check compares two separately written sides.
+e_n and d_n on both kinds: the difference of consecutive terms
+gamma_n e_(n-1) / d_(2n-2), written once, so the partial sums
+``partial_sum_closed`` telescope by construction and are no second route;
+B_n is checked against the moment oracle.
 
 What is memoized, per PearsonPair, through ``lattice.memoized``: W and
 W row(n) at every index, M, and the closed row M row(k) and the witness
@@ -226,8 +228,8 @@ class PearsonPair:
             d, 2 * a, 2 * d * bd, a * bd, d * bd * h,
         ))
 
-    def moments(self, mu0=1) -> MomentFunctional:
-        return pearson_moments(self, mu0)
+    def moments(self) -> MomentFunctional:
+        return pearson_moments(self)
 
     def to_json(self):
         return {
@@ -355,22 +357,24 @@ def _checked_d(pair: PearsonPair, n: int):
     return v
 
 
+def _telescoped(pair: PearsonPair, n: int):
+    """gamma_n e_(n-1) / d_(2n-2), 0 at n = 0: B_n less its offset is
+    ``_telescoped(n) - _telescoped(n + 1)`` (less 2 beta n (n - 1) when q = 1)."""
+    if n == 0:
+        return pair.field.zero
+    return pair.lattice.constants.gamma_n(n) * pair.e_value(n - 1) / _checked_d(pair, 2 * n - 2)
+
+
 def b_offset(pair: PearsonPair, n: int):
     """B_n minus its lattice offset (c3 for q-lattices, 0 when q = 1), formed
     without cancellation so the q^n-scale tail survives finite precision:
     gamma_n e_(n-1) / d_(2n-2) - gamma_(n+1) e_n / d_(2n), less 2 beta n (n - 1)
     when q = 1."""
     lat = pair.lattice
-    con = lat.constants
-    first = (
-        con.gamma_n(n) * pair.e_value(n - 1) / _checked_d(pair, 2 * n - 2)
-        if n >= 1
-        else pair.field.zero
-    )
-    value = first - con.gamma_n(n + 1) * pair.e_value(n) / _checked_d(pair, 2 * n)
+    value = _telescoped(pair, n) - _telescoped(pair, n + 1)
     if lat.is_q_lattice:
         return value
-    return value - 2 * con.beta * (n * (n - 1))
+    return value - 2 * lat.constants.beta * (n * (n - 1))
 
 
 def ttrr_from_pearson(pair: PearsonPair) -> TTRRCoeffs:
@@ -434,7 +438,6 @@ def rodrigues_verify(pair: PearsonPair, n: int, horizon: int = 10) -> Report:
 @dataclass
 class AsymptoticsReport:
     kind: str
-    sum_residual: Optional[float] = None
     ratio_limit: Optional[object] = None
     ratio_estimate: Optional[object] = None
     ratio_error: Optional[float] = None
@@ -453,35 +456,19 @@ class AsymptoticsReport:
 
 
 def partial_sum_closed(pair: PearsonPair, n: int):
-    """Closed form of S_n = sum_(j<n) (B_j - c3) on a q-lattice, in the
-    c3-offset form that keeps its q^n tail; written apart from ``b_offset``."""
+    """S_n = sum_(j<n) (B_j - c3) on a q-lattice, telescoped from ``b_offset``
+    to -gamma_n e_(n-1) / d_(2n-2), the form that keeps its q^n tail."""
     if not pair.lattice.is_q_lattice:
         raise LatticeError("the telescoped partial sum is a q-lattice statement")
-    if n == 0:
-        return pair.field.zero
-    con = pair.lattice.constants
-    return -con.gamma_n(n) * pair.e_value(n - 1) / _checked_d(pair, 2 * n - 2)
+    return -_telescoped(pair, n)
 
 
-def partial_sums(pair: PearsonPair, horizon: int) -> Report:
-    """S_n = sum_(j<n) (B_j - c3) summed term by term against ``partial_sum_closed``,
-    one slot for each n = 1..horizon."""
-
-    def slots():
-        running = pair.field.zero
-        for j in range(horizon):
-            running = running + b_offset(pair, j)
-            yield [running], [partial_sum_closed(pair, j + 1)]
-
-    return pair.field.report("partial_sums", slots())
-
-
-def asymptotics(pair: PearsonPair, n_eval: int, sum_horizon: int = 64) -> AsymptoticsReport:
+def asymptotics(pair: PearsonPair, n_eval: int) -> AsymptoticsReport:
     """Limit behaviour of the recurrence coefficients, checked numerically.
 
-    q-lattices: the telescoped partial-sum identity, the geometric decay
-    rate of B_n - c3 and the value of the full series.  Quadratic
-    lattices: the n^2 and n^4 growth constants of B_n and C_(n+1).
+    q-lattices: the geometric decay rate of B_n - c3 and the value of the
+    full series.  Quadratic lattices: the n^2 and n^4 growth constants of
+    B_n and C_(n+1).
     """
     lat = pair.lattice
     least = 0 if lat.is_q_lattice else 1  # the quadratic estimates divide by n_eval
@@ -498,10 +485,9 @@ def asymptotics(pair: PearsonPair, n_eval: int, sum_horizon: int = 64) -> Asympt
         uval = field.one / (t - lat.t_pow(-s))
         phid_c3, psi_c3 = pair._at_c3()
         a, d = pair.a, pair.d
-        sum_residual = partial_sums(pair, sum_horizon).residual
         denom = d - 2 * a * uval
         if field.is_zero(denom):
-            return AsymptoticsReport(kind=lat.kind, sum_residual=sum_residual)
+            return AsymptoticsReport(kind=lat.kind)
         numer = psi_c3 - 4 * con.alpha * uval * uval * phid_c3
         ratio_limit = -(numer / (uval * denom)) / t
         series_value = (psi_c3 - 2 * uval * phid_c3) / ((lat.t_pow(2 * s) - field.one) * denom)
@@ -510,7 +496,6 @@ def asymptotics(pair: PearsonPair, n_eval: int, sum_horizon: int = 64) -> Asympt
         series_estimate = partial_sum_closed(pair, n_eval)
         return AsymptoticsReport(
             kind=lat.kind,
-            sum_residual=sum_residual,
             ratio_limit=ratio_limit,
             ratio_estimate=ratio_estimate,
             ratio_error=field.magnitude(ratio_estimate - ratio_limit),

@@ -188,9 +188,9 @@ def dual_sx_pow(lat: Lattice, u: MomentFunctional, n: int) -> MomentFunctional:
     return u
 
 
-def pearson_moments(pair, mu0=1) -> MomentFunctional:
+def pearson_moments(pair) -> MomentFunctional:
     """Moments of the functional solving D(phi*u) = S(psi*u), for a Pearson pair
-    (phi, psi) on the lattice ``pair.lattice``.
+    (phi, psi) on the lattice ``pair.lattice``, normalised by mu_0 = 1.
 
     Pairing the equation with z^n gives <u, phi*D_x z^n + psi*S_x z^n> = 0,
     a linear recursion for mu_(n+1) whose leading coefficient is the
@@ -209,7 +209,7 @@ def pearson_moments(pair, mu0=1) -> MomentFunctional:
     lat, phi, psi = pair.lattice, pair.phi, pair.psi
     field = lat.field
     rows = field.pack(psi.coeffs), field.pack(phi.coeffs)
-    moments = field.pack((mu0,))
+    moments = field.pack((1,))
 
     def ext(k: int):
         nonlocal rows, moments
@@ -232,7 +232,7 @@ def pearson_moments(pair, mu0=1) -> MomentFunctional:
         rows = gh
         return mu
 
-    return MomentFunctional(field, [mu0], ext)
+    return MomentFunctional(field, [1], ext)
 
 
 @dataclass

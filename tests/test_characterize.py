@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from latticeops import (
+    HorizonError,
     Lattice,
     NotRegularError,
     OPSequence,
@@ -196,6 +197,38 @@ class TestSystem:
             assert not rep.passed
             assert exact.from_json(rep.failing["value"]) != exact.zero
 
+    @staticmethod
+    def _q_hermite_c_with_offsets(lat, exact, offsets):
+        """q-Hermite's C_1..C_(N+1) with B_n = c3 + offsets[n], n <= N."""
+        qh = make_family("q_hermite", lat, ()).ttrr
+        return TTRRCoeffs.from_lists(exact, [lat.c[2] + b for b in offsets],
+                                     [qh.c(n) for n in range(1, len(offsets) + 1)])
+
+    def test_b_offsets_solving_eq3_fail_eq4_first(self, sym_lattice, exact):
+        """B_n - c3 != 0, stepped by eq3 from B_0 - c3 = 1/3 and B_1 - c3 = -1/5:
+        eq1 and eq2 hold through q-Hermite's C_n, eq3 through the step, and eq4
+        fails at n = 2 by -t_2 (b_2^2 - 2 alpha b_2 b_1 + b_1^2)."""
+        con = sym_lattice.constants
+        qh = make_family("q_hermite", sym_lattice, ()).ttrr
+        t = [None] + [con.gamma_n(n) / qh.c(n) for n in range(1, 10)]
+        t[0] = 2 * con.alpha * t[1] - t[2]
+        b = [Fraction(1, 3), Fraction(-1, 5)]
+        for n in range(7):
+            b.append(((t[n + 2] + t[n + 1]) * b[n + 1] - t[n] * b[n]) / t[n + 3])
+        rep = check_system(sym_lattice, self._q_hermite_c_with_offsets(sym_lattice, exact, b), 8)
+        eq4 = -t[2] * (b[2] ** 2 - 2 * con.alpha * b[2] * b[1] + b[1] ** 2)
+        assert rep.residuals[:3] == [0.0] * 3
+        assert (rep.first_fail, rep.failing) == (3, {"index": 0, "value": "11/54"})
+        assert exact.from_json(rep.failing["value"]) == eq4
+
+    def test_geometric_b_offsets_fail_only_eq5(self, sym_lattice, exact):
+        """B_n - c3 = q^(n/2)/3 makes eq4's right side vanish (q^(1/2) is a root of
+        x^2 - 2 alpha x + 1) and, with t_n = k2 q^(-n/2), holds eq3: only eq5 fails."""
+        b = [Fraction(1, 3) * sym_lattice.sqrt_q ** n for n in range(9)]
+        rep = check_system(sym_lattice, self._q_hermite_c_with_offsets(sym_lattice, exact, b), 8)
+        assert rep.residuals[:4] == [0.0] * 4
+        assert (rep.first_fail, rep.failing) == (4, {"index": 6, "value": "65149/98304"})
+
     def test_rejected_off_q_lattices(self, quad_lattice, exact):
         ttrr = make_family("meixner2", quad_lattice, (Fraction(1, 2), 3)).ttrr
         with pytest.raises(LatticeError):
@@ -336,6 +369,10 @@ class TestSolveRelation:
         for n in range(13):
             assert sol.ttrr.b(n) == qh.b(n)
             assert sol.ttrr.c(n) == qh.c(n)
+        # a solve that passes stores B_0..B_(n_max) and C_1..C_(n_max), no more
+        for read in (sol.ttrr.b, sol.ttrr.c):
+            with pytest.raises(HorizonError):
+                read(13)
 
     def test_raise_reproduces_meixner_image_on_linear_lattice(self, lin_lattice):
         from latticeops.characterize import meixner_image_ttrr

@@ -23,7 +23,6 @@ from conftest import EVERY_KIND, gaussian_lattices, readme_pair
 from latticeops import classical
 from latticeops.characterize import solve_first_characterization
 from latticeops.checks import random_poly, random_regular_pair, reference_lattices, sample_pair
-from latticeops.classical import b_offset, partial_sum_closed, partial_sums
 from latticeops.functionals import InternalCheckError
 from latticeops.lattice import LatticeError
 from latticeops.operators import dx, sx
@@ -43,11 +42,6 @@ class TestPearsonPair:
         pair = sample_pair(gen_lattice)
         again = PearsonPair.from_json(gen_lattice, pair.to_json())
         assert again.phi == pair.phi and again.psi == pair.psi
-
-    def test_moments_scale_with_mu0(self, gen_lattice):
-        pair = sample_pair(gen_lattice)
-        once, twice = pair.moments(1).moments(10), pair.moments(2).moments(10)
-        assert twice == [2 * m for m in once]
 
     def test_from_json_requires_both_parts(self, gen_lattice):
         with pytest.raises(ValueError):
@@ -303,25 +297,48 @@ class TestRegularity:
             ttrr_oracle(construct.pair.moments(), 6)
         assert err.value.level <= 3
 
+    @staticmethod
+    def _d_zero_pair(lat, exact, k):
+        """a/d = -alpha_k/gamma_k, so d_k = a gamma_k + d alpha_k = 0."""
+        con = lat.constants
+        return PearsonPair(lat, Polynomial(exact, (1, 0, -con.alpha_n(k))),
+                           Polynomial(exact, (0, con.gamma_n(k))))
+
     def test_admissibility_failure_verdict(self, gen_lattice, exact):
-        con = gen_lattice.constants
-        phi = Polynomial(exact, (1, 0, -con.alpha_n(2)))
-        psi = Polynomial(exact, (0, con.gamma_n(2)))
-        rep = regularity(PearsonPair(gen_lattice, phi, psi), 6)
+        rep = regularity(self._d_zero_pair(gen_lattice, exact, 2), 6)
         assert not rep.regular
         assert rep.verdict == "fails-admissibility-at-2"
 
+    def test_c2_of_a_zero_d2_is_an_admissibility_error(self, gen_lattice, exact):
+        """C_2 reads the witness of level 1, whose point divides by d_2."""
+        with pytest.raises(AdmissibilityError) as err:
+            ttrr_from_pearson(self._d_zero_pair(gen_lattice, exact, 2)).c(2)
+        assert err.value.n == 2
+
+    def test_rows_stop_below_half_the_zero_of_d_n(self, gen_lattice, exact):
+        """With d_3 = 0, level n needs d_2n: levels 0 and 1 are rows, level 2 is not."""
+        pair = self._d_zero_pair(gen_lattice, exact, 3)
+        rep = regularity(pair, 4)
+        assert rep.admissibility_first_zero == 3
+        assert [row.n for row in rep.rows] == [0, 1]
+
     @pytest.mark.parametrize("n_max", [2, 3])
     def test_admissibility_zero_at_the_top_of_the_scan(self, exact, n_max):
-        """The first zero of d_n at n0 = 2 N + 1 is the last index the scan reads."""
+        """The first zero of d_n at n0 = 2 N + 1 is the last index the scan reads;
+        one at 2 N + 2 lies beyond it."""
         lat = Lattice(exact, 4, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))
-        n0 = 2 * n_max + 1
         con = lat.constants
         a = Fraction(2, 3)
-        d = -a * con.gamma_n(n0) / con.alpha_n(n0)
-        pair = PearsonPair(lat, Polynomial(exact, (Fraction(1, 3), Fraction(-1, 3), a)),
-                           Polynomial(exact, (Fraction(5, 3), d)))
+
+        def zero_at(n0):
+            d = -a * con.gamma_n(n0) / con.alpha_n(n0)
+            return PearsonPair(lat, Polynomial(exact, (Fraction(1, 3), Fraction(-1, 3), a)),
+                               Polynomial(exact, (Fraction(5, 3), d)))
+
+        n0 = 2 * n_max + 1
+        pair = zero_at(n0)
         assert regularity(pair, n_max).verdict == f"fails-admissibility-at-{n0}"
+        assert regularity(zero_at(n0 + 1), n_max).verdict == "regular-through-horizon"
         # the moment route stops at the same n: moment n0 + 1 needs 1/d_(n0)
         with pytest.raises(AdmissibilityError) as err:
             pair.moments().moments(n0 + 2)
@@ -422,28 +439,17 @@ class TestRodrigues:
 
 
 class TestAsymptotics:
-    def test_partial_sum_identity_exact(self, exact):
-        lat = Lattice(exact, Fraction(1, 4), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))
-        pair = sample_pair(lat)
-        running = exact.zero
-        for j in range(64):
-            running = running + b_offset(pair, j)
-            assert running == partial_sum_closed(pair, j + 1)
-        rep = partial_sums(pair, 64)
-        assert rep.passed and rep.residual == 0.0 and len(rep.residuals) == 64
-
     def test_q_below_one_limits(self):
         big = make_field("bigfloat", precision=512)
         lat = Lattice(big, Fraction(1, 2), (Fraction(1, 2), Fraction(1, 2), 0))
-        rep = asymptotics(sample_pair(lat), 300, sum_horizon=48)
-        assert rep.sum_residual < 1e-30
+        rep = asymptotics(sample_pair(lat), 300)
         assert rep.ratio_error < 1e-6
         assert big.magnitude(rep.series_estimate - rep.series_value) < 1e-6
 
     def test_q_above_one_limits(self):
         big = make_field("bigfloat", precision=512)
         lat = Lattice(big, 2, (Fraction(1, 2), Fraction(1, 2), 0))
-        rep = asymptotics(sample_pair(lat), 300, sum_horizon=48)
+        rep = asymptotics(sample_pair(lat), 300)
         assert rep.ratio_error < 1e-6
         assert big.magnitude(rep.series_estimate - rep.series_value) < 1e-6
 
@@ -458,7 +464,7 @@ class TestAsymptotics:
         uval = 1 / (t - 1 / t)
         denom = pair.d + 2 * pair.a * uval
         numer = psi_c3 - 4 * lat.constants.alpha * uval * uval * phid_c3
-        rep = asymptotics(pair, 6, sum_horizon=8)
+        rep = asymptotics(pair, 6)
         assert rep.ratio_limit == t * numer / (uval * denom)
         assert rep.series_value == (psi_c3 + 2 * uval * phid_c3) / ((1 / q - 1) * denom)
 

@@ -184,14 +184,6 @@ class TestPearsonMoments:
             probe = phi * dx(lat, zn) + psi * sx(lat, zn)
             assert u.apply(probe) == exact.zero
 
-    def test_mu0_scaling(self, gen_lattice, exact):
-        phi = Polynomial(exact, (1, 0, Fraction(1, 4)))
-        psi = Polynomial(exact, (0, 1))
-        pair = PearsonPair(gen_lattice, phi, psi)
-        u1 = pearson_moments(pair, mu0=1)
-        u3 = pearson_moments(pair, mu0=Fraction(3, 2))
-        assert u3.moments(5) == [exact(Fraction(3, 2)) * m for m in u1.moments(5)]
-
     def test_inadmissible_pair_raises(self, gen_lattice, exact):
         # choose a/d = -alpha_2/gamma_2 so d_2 = a gamma_2 + d alpha_2 = 0
         con = gen_lattice.constants

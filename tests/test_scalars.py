@@ -81,6 +81,12 @@ class TestQRational:
         assert hash(QRational(half)) == hash(half)
         assert len({QRational(half), half}) == 1
 
+    def test_negative_and_zero_powers(self):
+        q = qr(Fraction(1, 2), Fraction(1, 3))
+        assert q ** -2 == 1 / q ** 2
+        assert q ** -1 * q == 1
+        assert QRational(0) ** 0 == 1
+
 
 class TestExactField:
     def test_real_values_are_plain_fractions(self, exact):
