@@ -422,7 +422,7 @@ def uk_functional(pair: PearsonPair, k: int, u: MomentFunctional) -> MomentFunct
     return u
 
 
-def rodrigues_verify(pair: PearsonPair, n: int, horizon: int = 10) -> Report:
+def rodrigues_verify(pair: PearsonPair, n: int, horizon: int) -> Report:
     """Compare the moments of P_n u with k_n D^n u^[n] up to `horizon`, as one slot."""
     if n < 0:
         raise ValueError(f"the Rodrigues order must be >= 0, got {n}")

@@ -29,14 +29,16 @@ B_n and C_(n+1) are ratios of entries of one sigma table, and multiplying
 u by a constant multiplies every entry by it, so they are unchanged; the
 entries then carry only the denominators of the B_k and C_k, which are
 far smaller than the moments' own.  Each entry is a packed scalar
-(`scalars`): a reduced int pair (num, den) on exact, combined by
-`mul_scalars`, `sub_scalars` and `div_scalars`, which reduce by the gcd
-steps of `Fraction`, so the entries keep the sizes `Fraction` would give
-them without a `Fraction` object per operation.  Gaussian-rational and
-bigfloat values travel over 1 and combine as plain scalars, so on bigfloat
-the oracle makes the operations of the plain recurrence.  The oracle reads
-the moments through `MomentFunctional.moment` only, never the Pearson
-recursion's packed row, so the two routes stay independent.
+(`scalars`): on exact the reduced int pair (num, den) `Fraction` would
+hold, made by one `sub_products` call that forms x - f*B*y - h*C*z over
+the least common denominator and reduces it by one gcd, where `Fraction`
+arithmetic would reduce four times.  When a moment widens scale, the two
+kept anti-diagonals are not rescaled; the int factors f and h record what
+they still owe.  Gaussian-rational and bigfloat values travel over 1 and
+combine as plain scalars, so on bigfloat the oracle makes the operations
+of the plain recurrence.  The oracle reads the moments through
+`MomentFunctional.moment` only, never the Pearson recursion's packed row,
+so the two routes stay independent.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .scalars import (
     join_rows,
     mat_row,
     mul_scalars,
+    sub_products,
     sub_scalars,
 )
 
@@ -333,16 +336,19 @@ def ttrr_oracle(u: MomentFunctional, n_max: int) -> TTRRCoeffs:
     moments are integers and a sigma entry carries only the denominators
     that B_k and C_k bring in, not those of the moments.  Multiplying u
     by a constant multiplies every sigma_(k,l) by it and leaves the monic
-    P_k alone, so B_n and C_(n+1), ratios of sigma entries, are unchanged;
-    when mu_m widens the denominator by g, the two anti-diagonals kept are
-    multiplied by g too, so every entry is on one scale.  Bigfloat and
-    Gaussian-rational moments pack over 1 and run unscaled.
+    P_k alone, so B_n and C_(n+1), ratios of sigma entries, are unchanged.
+    When mu_m widens the denominator by g, the two anti-diagonals kept are
+    left as they are, and the int factors f_old and f_older they still owe
+    the current scale are multiplied by g; they enter each new entry as the
+    factors of its products and each ratio through `mul_scalars` before
+    `div_scalars`.  Bigfloat and Gaussian-rational moments pack over 1 and
+    run unscaled, with both factors 1.
 
-    Every table entry, B_k and C_k is a packed scalar, combined by
-    `mul_scalars`, `sub_scalars` and `div_scalars`: on exact the reduced
-    (num, den) pair a `Fraction` would hold, found by the same gcd steps.
-    Only the zero verdicts and the returned B_n and C_(n+1) unpack to
-    field scalars.
+    Every table entry, B_k and C_k is a packed scalar: on exact the reduced
+    (num, den) pair a `Fraction` would hold.  An entry is one
+    `sub_products` call, reduced once; B_k and C_k come from `div_scalars`
+    and `sub_scalars`.  Only the zero verdicts and the returned B_n and
+    C_(n+1) unpack to field scalars.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -358,35 +364,39 @@ def ttrr_oracle(u: MomentFunctional, n_max: int) -> TTRRCoeffs:
     bs: List = []  # packed B_k
     cs: List = []  # packed C_k; cs[k-1] = C_k
     ratio_prev = packed(field.zero)  # sigma_(n-1,n)/h_(n-1); zero for n = 0
-    older: List = []  # older[k] = scale * sigma_(k, m-2-k)
-    old: List = []  # old[k] = scale * sigma_(k, m-1-k)
+    older: List = []  # f_older * older[k] = scale * sigma_(k, m-2-k)
+    old: List = []  # f_old * old[k] = scale * sigma_(k, m-1-k)
+    f_older = f_old = 1  # the factors the two kept anti-diagonals still owe
     scale = 1  # lcm of the denominators of mu_0..mu_m
     for m in range(2 * n_max + 3):
         num, den = packed(u.moment(m))
         g = den // gcd(scale, den)
         if g > 1:
             scale *= g
-            old = [mul_scalars(v, (g, 1)) for v in old]
-            older = [mul_scalars(v, (g, 1)) for v in older]
+            f_old *= g
+            f_older *= g
         # diag[k] = scale * sigma_(k, m-k), down to k = m // 2
         diag = [(num * (scale // den), 1)]
         for k in range(1, m // 2 + 1):
-            s = sub_scalars(diag[k - 1], mul_scalars(bs[k - 1], old[k - 1]))
-            if k >= 2:
-                s = sub_scalars(s, mul_scalars(cs[k - 2], older[k - 2]))
+            if k == 1:
+                s = sub_products(diag[0], bs[0], old[0], f_old)
+            else:
+                s = sub_products(diag[k - 1], bs[k - 1], old[k - 1], f_old,
+                                 cs[k - 2], older[k - 2], f_older)
             diag.append(s)
         n, odd = divmod(m, 2)
         if odd:
-            ratio = div_scalars(diag[n], old[n])
+            ratio = div_scalars(diag[n], mul_scalars(old[n], (f_old, 1)))
             bs.append(sub_scalars(ratio, ratio_prev))
             ratio_prev = ratio
         else:
             if n >= 1:
-                cs.append(div_scalars(diag[n], older[n - 1]))
+                cs.append(div_scalars(diag[n], mul_scalars(older[n - 1], (f_older, 1))))
             if n <= n_max and field.is_zero(value(cs[-1] if n else diag[0])):
                 what = f"C_{n} = h_{n}/h_{n - 1}" if n else "h_0 = mu_0"
                 raise NotRegularError(n, f"{what} = 0: u is not regular at level {n}")
         older, old = old, diag
+        f_older, f_old = f_old, 1
     return TTRRCoeffs.from_lists(field, [value(b) for b in bs], [value(c) for c in cs])
 
 

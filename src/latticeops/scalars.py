@@ -60,8 +60,11 @@ A packed *scalar* is one such pair ``(v, den)``.  ``mul_scalars``,
 lowest terms give the pair ``Fraction`` would hold, reduced by the gcd
 steps of ``Fraction._mul``, ``_sub`` and ``_div``, without a ``Fraction``
 object per operation; a pair whose value is not an int (a ``QRational``,
-a bigfloat value) combines as a scalar over 1.  The moment oracle runs
-its table of mixed moments on them.
+a bigfloat value) combines as a scalar over 1.  ``sub_products`` fuses
+x - f*b*y - h*c*z into one reduction: both products stay unreduced, the
+difference is written over the least common denominator and one gcd
+leaves the pair ``Fraction`` would hold.  The moment oracle runs its
+table of mixed moments on them.
 """
 
 from __future__ import annotations
@@ -684,6 +687,41 @@ def div_scalars(a, b) -> Tuple[object, int]:
         db //= g2
     n, d = na * db, nb * da
     return (-n, -d) if d < 0 else (n, d)
+
+
+def sub_products(x, b, y, f: int, c=None, z=None, h: int = 1) -> Tuple[object, int]:
+    """The packed scalar x - f*b*y - h*c*z, reduced once; f and h are ints, and
+    without c the c*z term is left out.
+
+    Int pairs in lowest terms give the pair ``Fraction`` would hold: each
+    product stays unreduced, the difference is written over the least common
+    denominator by cofactors, and one gcd reduces the result.  Any other
+    values combine as scalars, as (x - b*y) - c*z, with f and h multiplied in
+    only when they are not 1.
+    """
+    (t, den), (bn, bd), (yn, yd) = x, b, y
+    ints = type(t) is int and type(bn) is int and type(yn) is int
+    if c is not None:
+        (cn, cd), (zn, zd) = c, z
+        ints = ints and type(cn) is int and type(zn) is int
+    if not ints:
+        p = _value(bn, bd) * _value(yn, yd)
+        s = _value(t, den) - (p if f == 1 else p * f)
+        if c is None:
+            return s, 1
+        p = _value(cn, cd) * _value(zn, zd)
+        return s - (p if h == 1 else p * h), 1
+    pd = bd * yd
+    g = gcd(den, pd)
+    t = t * (pd // g) - f * bn * yn * (den // g)
+    den *= pd // g
+    if c is not None:
+        pd = cd * zd
+        g = gcd(den, pd)
+        t = t * (pd // g) - h * cn * zn * (den // g)
+        den *= pd // g
+    g = gcd(t, den)
+    return (t // g, den // g) if g > 1 else (t, den)
 
 
 def same_field(a: Field, b: Field) -> None:

@@ -146,6 +146,20 @@ class TestAskeyWilson:
             assert not rep.ok
             assert rep.first_violation == n, params
 
+    def test_restriction_scans_stop_at_their_last_level(self, sym_lattice, exact):
+        """a1 a2 q^3 = 1 for (1/3, 192, 1/5, 1/7) at q = 1/4, and C_4 = 0.
+
+        At n_max = 3 the factor scan reports level 3, one level before the
+        C_m scan would report C_4; at n_max = 2 neither scan reaches its zero.
+        """
+        spec = make_family("askey_wilson", sym_lattice,
+                           (Fraction(1, 3), 192, Fraction(1, 5), Fraction(1, 7)))
+        assert spec.ttrr.c(4) == 0 and all(spec.ttrr.c(m) != 0 for m in (1, 2, 3))
+        rep = check_restrictions(spec, 3)
+        assert (rep.ok, rep.first_violation) == (False, 3)
+        assert rep.detail == "a parameter product hits q^(-3)"
+        assert check_restrictions(spec, 2).ok
+
     @pytest.mark.parametrize("q", [Fraction(1, 9), Fraction(1, 25), Fraction(1, 36),
                                    Fraction(4, 9), Fraction(9, 25)])
     @pytest.mark.parametrize("n", [2, 3, 4])

@@ -25,6 +25,14 @@ def test_degree_sentinel_for_zero(exact):
     assert Polynomial(exact, (0, 0)).degree == -1
 
 
+def test_repr_lists_the_nonzero_terms(exact, big):
+    p = Polynomial(exact, (Fraction(1, 2), 0, Fraction(-3, 4), exact(0, Fraction(1, 3))))
+    assert repr(p) == "Polynomial((1/2)*z^0 + (-3/4)*z^2 + (0+1/3i)*z^3)"
+    p = Polynomial(big, (Fraction(1, 2), 0, Fraction(-3, 4)))
+    assert repr(p) == "Polynomial((0.5)*z^0 + (-0.75)*z^2)"
+    assert repr(Polynomial.zero(exact)) == "Polynomial(0)"
+
+
 def test_coeff_out_of_range(exact):
     p = Polynomial(exact, (3, 5))
     assert p.coeff(7) == exact.zero

@@ -21,7 +21,15 @@ from latticeops import (
     ScalarDomainError,
     make_field,
 )
-from latticeops.scalars import add_rows, div_scalars, join_rows, mat_row, mul_scalars, sub_scalars
+from latticeops.scalars import (
+    add_rows,
+    div_scalars,
+    join_rows,
+    mat_row,
+    mul_scalars,
+    sub_products,
+    sub_scalars,
+)
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -217,6 +225,75 @@ class TestPackedScalars:
         x, y = big(Fraction(1, 3), 2), big(Fraction(-2, 7))
         for helper, op in self.OPS:
             assert helper((x, 1), (y, 1)) == (op(x, y), 1)
+
+    # 1, small smooth factors, and a 60-digit smooth one (30**40)
+    FACTORS = (1, 6, 2**20 * 3**5, 30**40)
+
+    @classmethod
+    def product_terms(cls, seed: int):
+        """(x, b, y, c, z) quintuples: windows of the ``operands`` values, then
+        cases whose result is zero and whose denominators are equal."""
+        values = [v for pair in cls.operands(seed) for v in pair]
+        terms = [tuple(values[i:i + 5]) for i in range(0, len(values) - 4, 3)]
+        rng = random.Random(seed)
+        for b, y, c, z in zip(values, values[7:], values[13:], values[19:60]):
+            f, h = rng.choice(cls.FACTORS), rng.choice(cls.FACTORS)
+            terms.append((f * b * y + h * c * z, b, y, c, z, f, h))  # zero result
+        for k in range(1, 20):
+            den = rng.choice((6, 30, 210, 2**20 * 3**5))
+            # x and b*y over one denominator, and c*z over it too
+            terms.append((Fraction(-k, den), Fraction(k + 1, den), Fraction(k),
+                          Fraction(k * 7, den), Fraction(1)))
+        return terms
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sub_products_equal_fraction_arithmetic(self, seed):
+        """x - f*b*y - h*c*z as the tuple ``Fraction`` holds, with and without
+        the c*z term, for every factor f and h."""
+        pk = self.packed
+        rng = random.Random(seed + 100)
+        zeros = 0
+        for x, b, y, c, z, *fh in self.product_terms(seed):
+            pairs = [fh] if fh else [(f, h) for f in self.FACTORS for h in self.FACTORS]
+            for f, h in pairs:
+                want = x - f * b * y - h * c * z
+                zeros += want == 0
+                got = sub_products(pk(x), pk(b), pk(y), f, pk(c), pk(z), h)
+                assert got == pk(want), (x, b, y, c, z, f, h)
+            f = rng.choice(self.FACTORS)
+            assert sub_products(pk(x), pk(b), pk(y), f) == pk(x - f * b * y), (x, b, y, f)
+        assert zeros > 50
+
+    def test_sub_products_of_non_int_values(self, exact, big):
+        """mpc values give the bits of (x - b*y) - c*z; QRational values, alone or
+        mixed with int pairs, give the exact value over 1, factors included."""
+        rng = random.Random(27)
+
+        def mpc():
+            return big(Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)),
+                       Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)))
+
+        for _ in range(50):
+            x, b, y, c, z = (mpc() for _ in range(5))
+            got, den = sub_products((x, 1), (b, 1), (y, 1), 1, (c, 1), (z, 1))
+            assert den == 1 and repr(got) == repr((x - b * y) - c * z)
+            got, den = sub_products((x, 1), (b, 1), (y, 1), 1)
+            assert den == 1 and repr(got) == repr(x - b * y)
+        w = qr(Fraction(1, 3), Fraction(-2, 5))
+        fr = (Fraction(7, 6), Fraction(-5, 12), Fraction(9, 4))
+        for f in self.FACTORS:
+            for h in self.FACTORS:
+                # the QRational in every position; the others int pairs over a denominator
+                for at in range(5):
+                    vals = [*fr, Fraction(3, 10), Fraction(-1, 6)]
+                    vals[at] = w
+                    args = [(v, 1) if v is w else self.packed(v) for v in vals]
+                    got, den = sub_products(*args[:3], f, *args[3:], h)
+                    x, b, y, c, z = vals
+                    assert den == 1 and type(got) is QRational
+                    assert got == x - f * b * y - h * c * z, (at, f, h)
+                got, den = sub_products((w, 1), self.packed(fr[0]), self.packed(fr[1]), f)
+                assert (got, den) == (w - f * fr[0] * fr[1], 1) and type(got) is QRational
 
 
 class TestMatRow:
