@@ -34,9 +34,10 @@ hold, made by one `sub_products` call that forms x - f*B*y - h*C*z over
 the least common denominator and reduces it by one gcd, where `Fraction`
 arithmetic would reduce four times.  When a moment widens scale, the two
 kept anti-diagonals are not rescaled; the int factors f and h record what
-they still owe.  Gaussian-rational and bigfloat values travel over 1 and
-combine as plain scalars, so on bigfloat the oracle makes the operations
-of the plain recurrence.  The oracle reads the moments through
+they still owe, in the products and in the `div_scalars` ratios.
+Gaussian-rational and bigfloat values travel over 1 and combine as plain
+scalars, so on bigfloat the oracle makes the operations of the plain
+recurrence.  The oracle reads the moments through
 `MomentFunctional.moment` only, never the Pearson recursion's packed row,
 so the two routes stay independent.
 """
@@ -56,9 +57,7 @@ from .scalars import (
     div_scalars,
     join_rows,
     mat_row,
-    mul_scalars,
     sub_products,
-    sub_scalars,
 )
 
 
@@ -340,15 +339,16 @@ def ttrr_oracle(u: MomentFunctional, n_max: int) -> TTRRCoeffs:
     When mu_m widens the denominator by g, the two anti-diagonals kept are
     left as they are, and the int factors f_old and f_older they still owe
     the current scale are multiplied by g; they enter each new entry as the
-    factors of its products and each ratio through `mul_scalars` before
-    `div_scalars`.  Bigfloat and Gaussian-rational moments pack over 1 and
-    run unscaled, with both factors 1.
+    factors of its products and each ratio as the factor of its divisor.
+    Bigfloat and Gaussian-rational moments pack over 1 and run unscaled,
+    with both factors 1.
 
     Every table entry, B_k and C_k is a packed scalar: on exact the reduced
     (num, den) pair a `Fraction` would hold.  An entry is one
-    `sub_products` call, reduced once; B_k and C_k come from `div_scalars`
-    and `sub_scalars`.  Only the zero verdicts and the returned B_n and
-    C_(n+1) unpack to field scalars.
+    `sub_products` call, reduced once; C_k and the ratios come from
+    `div_scalars`, and B_k, the difference of two ratios, is a
+    `sub_products` call too.  Only the zero verdicts and the returned B_n
+    and C_(n+1) unpack to field scalars.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -361,6 +361,7 @@ def ttrr_oracle(u: MomentFunctional, n_max: int) -> TTRRCoeffs:
     def value(x):
         return field.unpack(([x[0]], x[1]))[0]
 
+    one = (1, 1)  # the packed scalar 1
     bs: List = []  # packed B_k
     cs: List = []  # packed C_k; cs[k-1] = C_k
     ratio_prev = packed(field.zero)  # sigma_(n-1,n)/h_(n-1); zero for n = 0
@@ -386,12 +387,12 @@ def ttrr_oracle(u: MomentFunctional, n_max: int) -> TTRRCoeffs:
             diag.append(s)
         n, odd = divmod(m, 2)
         if odd:
-            ratio = div_scalars(diag[n], mul_scalars(old[n], (f_old, 1)))
-            bs.append(sub_scalars(ratio, ratio_prev))
+            ratio = div_scalars(diag[n], old[n], f_old)
+            bs.append(sub_products(ratio, ratio_prev, one, 1))
             ratio_prev = ratio
         else:
             if n >= 1:
-                cs.append(div_scalars(diag[n], mul_scalars(older[n - 1], (f_older, 1))))
+                cs.append(div_scalars(diag[n], older[n - 1], f_older))
             if n <= n_max and field.is_zero(value(cs[-1] if n else diag[0])):
                 what = f"C_{n} = h_{n}/h_{n - 1}" if n else "h_0 = mu_0"
                 raise NotRegularError(n, f"{what} = 0: u is not regular at level {n}")

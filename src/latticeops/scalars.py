@@ -55,16 +55,15 @@ code that runs the recurrences is the same on both backends, and on
 bigfloat it makes the same operations in the same order as on plain
 scalars.
 
-A packed *scalar* is one such pair ``(v, den)``.  ``mul_scalars``,
-``sub_scalars`` and ``div_scalars`` combine two of them: int pairs in
-lowest terms give the pair ``Fraction`` would hold, reduced by the gcd
-steps of ``Fraction._mul``, ``_sub`` and ``_div``, without a ``Fraction``
-object per operation; a pair whose value is not an int (a ``QRational``,
-a bigfloat value) combines as a scalar over 1.  ``sub_products`` fuses
-x - f*b*y - h*c*z into one reduction: both products stay unreduced, the
-difference is written over the least common denominator and one gcd
-leaves the pair ``Fraction`` would hold.  The moment oracle runs its
-table of mixed moments on them.
+A packed *scalar* is one such pair ``(v, den)``, and two operations
+combine them, each taking an int factor ``f`` that a scaled operand still
+owes.  ``div_scalars`` gives a / (f*b) and ``sub_products`` gives
+x - f*b*y - h*c*z.  Int pairs in lowest terms give the pair ``Fraction``
+would hold: the quotient by the gcd steps of ``Fraction._mul`` and
+``_div``, the difference with both products unreduced, written over the
+least common denominator and reduced by one gcd.  A pair whose value is
+not an int (a ``QRational``, a bigfloat value) combines as a scalar over
+1.  The moment oracle runs its table of mixed moments on them.
 """
 
 from __future__ import annotations
@@ -628,55 +627,24 @@ def _value(v, den):
     return v if den == 1 else _quotient(v, den)
 
 
-def mul_scalars(a, b) -> Tuple[object, int]:
-    """The packed scalar a * b, reduced by the gcd steps of ``Fraction._mul``.
+def div_scalars(a, b, f: int = 1) -> Tuple[object, int]:
+    """The packed scalar a / (f*b), f an int; the denominator keeps a positive sign.
 
-    A packed scalar is a pair (v, den) standing for v / den; two int pairs in
-    lowest terms give the numerator and denominator ``Fraction`` would hold.
-    A pair whose numerator is not an int multiplies as a scalar, over 1.
+    A packed scalar is a pair (v, den) standing for v / den.  Two int pairs in
+    lowest terms give the pair ``Fraction`` would hold: f is folded into b by
+    the gcd step of ``Fraction._mul``, then the quotient is reduced by the gcd
+    steps of ``Fraction._div``.  A pair whose numerator is not an int divides
+    as a scalar, over 1, with f multiplied in only when it is not 1.
     """
     (na, da), (nb, db) = a, b
-    if da == 1 == db:
-        return na * nb, 1
     if type(na) is not int or type(nb) is not int:
-        return _value(na, da) * _value(nb, db), 1
-    g1 = gcd(na, db)
-    if g1 > 1:
-        na //= g1
-        db //= g1
-    g2 = gcd(nb, da)
-    if g2 > 1:
-        nb //= g2
-        da //= g2
-    return na * nb, db * da
-
-
-def sub_scalars(a, b) -> Tuple[object, int]:
-    """The packed scalar a - b, reduced by the gcd steps of ``Fraction._sub``."""
-    (na, da), (nb, db) = a, b
-    if da == 1 == db:
-        return na - nb, 1
-    if type(na) is not int or type(nb) is not int:
-        return _value(na, da) - _value(nb, db), 1
-    g = gcd(da, db)
-    if g == 1:
-        return na * db - da * nb, da * db
-    s = da // g
-    t = na * (db // g) - nb * s
-    g2 = gcd(t, g)
-    if g2 == 1:
-        return t, s * db
-    return t // g2, s * (db // g2)
-
-
-def div_scalars(a, b) -> Tuple[object, int]:
-    """The packed scalar a / b, reduced by the gcd steps of ``Fraction._div``;
-    the denominator keeps a positive sign."""
-    (na, da), (nb, db) = a, b
-    if type(na) is not int or type(nb) is not int:
-        return _value(na, da) / _value(nb, db), 1
+        q = _value(nb, db)
+        return _value(na, da) / (q if f == 1 else q * f), 1
     if nb == 0:
         raise ZeroDivisionError("division by zero scalar")
+    g = gcd(f, db)
+    nb *= f // g
+    db //= g
     g1 = gcd(na, nb)
     if g1 > 1:
         na //= g1

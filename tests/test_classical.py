@@ -489,6 +489,15 @@ class TestAsymptotics:
         assert rep.b_scaled_error < 1e-2
         assert rep.c_scaled_error < 1e-2
 
+    def test_zero_denominator_reports_only_the_kind(self, exact, sym_lattice):
+        """On q = 1/4, phi = 3z^2 + 1 and psi = -4z + 1/3 give d - 2a/(t - 1/t) = 0:
+        the limits are not defined, and the report holds only its kind."""
+        pair = PearsonPair(sym_lattice, Polynomial(exact, (1, 0, 3)),
+                           Polynomial(exact, (Fraction(1, 3), -4)))
+        blob = asymptotics(pair, 20).to_json(exact)
+        assert blob.pop("kind") == "q-quadratic"
+        assert blob and set(blob.values()) == {None}
+
     def test_linear_lattice_rejected(self, lin_lattice):
         with pytest.raises(LatticeError):
             asymptotics(sample_pair(lin_lattice), 100)

@@ -30,6 +30,16 @@ def test_verify_ops_passes(capsys):
     assert payload["worst_residual"] == 0.0
 
 
+def test_verify_ops_on_one_lattice(capsys):
+    """--lattice checks every identity of the group on that lattice alone."""
+    code, out, _ = run(capsys, "verify", "ops", "--trials", "1", "--seed", "2",
+                       "--lattice", GEN_LATTICE)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] is True and payload["results"]
+    assert all(r["lattice"] == json.loads(GEN_LATTICE) for r in payload["results"])
+
+
 def test_verify_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "verify", "duals", "--trials", "2", "--seed", "9")
     _, second, _ = run(capsys, "verify", "duals", "--trials", "2", "--seed", "9")
@@ -89,6 +99,18 @@ def test_classify_with_rodrigues(capsys):
     )
     assert code == 0
     assert json.loads(out)["rodrigues"]["passed"] is True
+
+
+def test_classify_with_asymptotics(capsys):
+    """On the default q = 1/4 lattice the README pair's limits are exact rationals."""
+    code, out, _ = run(capsys, "classify", "--pair", SAMPLE_PAIR, "-N", "2",
+                       "--asymptotics", "20")
+    assert code == 0
+    record = json.loads(out)["asymptotics"]
+    assert record["kind"] == "q-quadratic"
+    assert (record["ratio_limit"], record["series_value"]) == ("938/285", "-56/855")
+    assert record["ratio_error"] < 1e-10 and record["series_error"] < 1e-10
+    assert record["b_scaled_limit"] is None
 
 
 def test_family_table(capsys):

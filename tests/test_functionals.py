@@ -31,7 +31,7 @@ from latticeops import (
     verify_functional_identity,
 )
 from latticeops.checks import random_functional
-from latticeops.functionals import dual_dx_pow, pearson_moments
+from latticeops.functionals import dual_dx_pow, moment_slot, pearson_moments
 from latticeops.operators import _monomial_tables, dx_interp, sx_interp
 
 from conftest import PEARSON_LATTICES, gaussian_lattices, identity_lattices, readme_pair
@@ -138,6 +138,20 @@ class TestDualOperators:
                 continue
             rep = verify_functional_identity(lat, identity, f, u, n=2, horizon=8)
             assert rep.passed and rep.residual == 0.0, lat.to_json()
+
+    def test_slot_holds_moments_through_the_horizon(self, exact):
+        """Two functionals that differ only at moment `horizon` fail the slot."""
+        u, v = MomentFunctional(exact, (1, 2, 3)), MomentFunctional(exact, (1, 2, 4))
+        assert moment_slot(u, v, 2) == ([1, 2, 3], [1, 2, 4])
+        assert moment_slot(u, v, 0) == ([1], [1])
+        assert not exact.report("slot", [moment_slot(u, v, 2)]).passed
+        assert exact.report("slot", [moment_slot(u, v, 1)]).passed
+
+    def test_degree_two_leibniz_refuses_a_cubic(self, gen_lattice, exact):
+        u = random_functional(exact, 3)
+        cubic = Polynomial(exact, (1, 0, 0, Fraction(1, 2)))
+        with pytest.raises(ValueError, match="deg f <= 2"):
+            verify_functional_identity(gen_lattice, "leibniz_deg2", cubic, u, n=2, horizon=4)
 
     def test_identity_report_serialization(self, gen_lattice, exact):
         u = random_functional(exact, 2)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import operator
 import os
 import random
 import re
@@ -26,9 +25,7 @@ from latticeops.scalars import (
     div_scalars,
     join_rows,
     mat_row,
-    mul_scalars,
     sub_products,
-    sub_scalars,
 )
 
 rationals = st.fractions(
@@ -53,6 +50,11 @@ class TestQRational:
         assert sq == qr(Fraction(5, 16), Fraction(3, 4))
         assert a + a == qr(Fraction(3, 2), 1)
         assert a - a == qr(0)
+
+    def test_equality_needs_both_parts(self):
+        a = qr(Fraction(3, 4), Fraction(1, 2))
+        assert a != qr(Fraction(3, 4), 1) and a != qr(1, Fraction(1, 2))
+        assert a != Fraction(3, 4) and qr(2) == 2
 
     def test_division_roundtrip(self):
         a = qr(Fraction(3, 4), Fraction(1, 2))
@@ -166,14 +168,15 @@ class TestExactField:
 
 
 class TestPackedScalars:
-    """mul_scalars, sub_scalars and div_scalars against ``Fraction``.
+    """div_scalars and sub_products against ``Fraction``.
 
     The helpers must give the very (numerator, denominator) that the
     ``Fraction`` operation holds, so each gcd step they skip leaves a
     tuple that is not in lowest terms, and the comparison fails.
     """
 
-    OPS = ((mul_scalars, operator.mul), (sub_scalars, operator.sub), (div_scalars, operator.truediv))
+    # 1, small smooth factors, and a 60-digit smooth one (30**40)
+    FACTORS = (1, 2, 6, 2**20 * 3**5, 30**40)
 
     @staticmethod
     def operands(seed: int, count: int = 300):
@@ -202,32 +205,33 @@ class TestPackedScalars:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_tuples_equal_fraction_arithmetic(self, seed):
+        """a / (f*b) as the tuple ``Fraction`` holds, for every factor f; f = 1
+        is the default."""
+        pk = self.packed
         checked = 0
         for a, b in self.operands(seed):
-            for helper, op in self.OPS:
-                if helper is div_scalars and b == 0:
+            for f in self.FACTORS:
+                args = (pk(a), pk(b), f) if f > 1 else (pk(a), pk(b))
+                if b == 0:
                     with pytest.raises(ZeroDivisionError):
-                        helper(self.packed(a), self.packed(b))
+                        div_scalars(*args)
                     continue
-                want = op(a, b)
-                assert helper(self.packed(a), self.packed(b)) == self.packed(want), (helper, a, b)
+                assert div_scalars(*args) == pk(a / (f * b)), (a, b, f)
                 checked += 1
         assert checked > 1000
 
     def test_non_int_numerators_travel_over_one(self, exact, big):
-        """A QRational or mpc numerator makes the result a plain scalar over 1,
-        also when the other operand is an int pair over a denominator."""
-        z = qr(1, 2)
-        for helper, op in self.OPS:
-            got = helper((z, 1), (3, 4))
-            assert got == (op(z, Fraction(3, 4)), 1) and type(got[0]) is QRational
-            assert helper((-5, 6), (z, 1)) == (op(Fraction(-5, 6), z), 1)
+        """A QRational or mpc numerator makes the quotient a plain scalar over 1,
+        also when the other operand is an int pair over a denominator, and f
+        still divides it."""
+        z, w = qr(1, 2), Fraction(-5, 6)
+        for f in self.FACTORS:
+            got = div_scalars((z, 1), (3, 4), f)
+            assert got == (z / (f * Fraction(3, 4)), 1) and type(got[0]) is QRational
+            assert div_scalars(self.packed(w), (z, 1), f) == (w / (f * z), 1), f
         x, y = big(Fraction(1, 3), 2), big(Fraction(-2, 7))
-        for helper, op in self.OPS:
-            assert helper((x, 1), (y, 1)) == (op(x, y), 1)
-
-    # 1, small smooth factors, and a 60-digit smooth one (30**40)
-    FACTORS = (1, 6, 2**20 * 3**5, 30**40)
+        got, den = div_scalars((x, 1), (y, 1))
+        assert den == 1 and repr(got) == repr(x / y)
 
     @classmethod
     def product_terms(cls, seed: int):
@@ -422,6 +426,12 @@ class TestBigFloatField:
         val = big(Fraction(22, 7)) + big.i * big(Fraction(-1, 3))
         decoded = big.from_json(big.to_json(val))
         assert big.approx_eq(val, decoded)
+
+    def test_json_shape(self, big):
+        """A real value encodes as one string, a complex one as [re, im]."""
+        assert big.to_json(big(Fraction(-5, 4))) == {"value": "-1.25", "precision": 128}
+        blob = big.to_json(big(Fraction(1, 2), Fraction(-3, 4)))
+        assert blob == {"value": ["0.5", "-0.75"], "precision": 128}
 
     def test_own_values_are_returned_unchanged(self, big):
         v = big(Fraction(22, 7)) + big.i * big(Fraction(-1, 3))
