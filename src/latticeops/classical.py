@@ -38,7 +38,9 @@ What is memoized, per PearsonPair, through ``lattice.memoized``: W and
 W row(n) at every index, M, and the closed row M row(k) and the witness
 phi^[n](witness_point(n)) at every level; the witness reads the closed
 row alone (one quotient per level), and ``regularity`` and the C_(n+1) of
-``ttrr_from_pearson`` read the same witness.  Per lattice,
+``ttrr_from_pearson`` read the same witness.  Also the term
+gamma_n e_(n-1) / d_(2n-2) of ``b_offset`` at every index, which B_(n-1)
+and B_n share.  Per lattice,
 ``_recursion_map``: the recursion
 R(phi, psi) = (S phi + U1 S psi + alpha U2 D psi, D phi + alpha S psi + U1 D psi)
 is linear and keeps degrees (2, 1), so it is one 5x5 map R on the
@@ -48,7 +50,10 @@ D_x and S_x tables (``operators.monomial_rows``), U1 and U2.
 a level's closed row is stored there only once the map applied to the
 row of the level below agrees with it, so the recursion check still runs
 at every level that ``iterated`` reaches, whatever the witness read
-first; (phi^[k], psi^[k]) are unpacked from the row on return.  The
+first; (phi^[k], psi^[k]) are unpacked from the row on return.
+``regularity`` validates each level the same way but reads the packed
+row, and unpacks phi^[n]'s coefficients only for a backend whose zero
+test reads the witness scale (bigfloat).  The
 lattice memoizes alpha_n, gamma_n, s_n, the level rows and the packed
 powers (t^k, t^-k) that gamma_n and the level rows share, U1 and U2 (see
 ``lattice``).
@@ -169,6 +174,11 @@ class PearsonPair:
         packed row of the level below, compared with the packed closed row
         ``_closed_row`` by cross-multiplying their denominators.
         """
+        return self._pair_of(self._validated_row(k))
+
+    def _validated_row(self, k: int) -> tuple:
+        """The packed (c, b, a, e, d) row of level k, once the recursion check
+        of every level through k has passed."""
         while len(self._iterated) <= k:
             j = len(self._iterated)
             image, iden = mat_row(_recursion_map(self.lattice), self._iterated[-1])
@@ -180,7 +190,7 @@ class PearsonPair:
                 name = ("phi", "psi")[rep.first_fail]
                 raise InternalCheckError(f"{name}^[{j}] closed form disagrees with the recursion")
             self._iterated.append(row)
-        return self._pair_of(self._iterated[k])
+        return self._iterated[k]
 
     def _pair_of(self, row: tuple) -> Tuple[Polynomial, Polynomial]:
         """(phi, psi) from a packed (c, b, a, e, d) row."""
@@ -336,9 +346,9 @@ def regularity(pair: PearsonPair, n_max: int) -> RegularityReport:
     for n in range(n_max + 1):
         if d_zero is not None and 2 * n >= d_zero:
             break
-        phi_n, _ = pair.iterated(n)
+        row = pair._validated_row(n)
         w = pair.witness(n)
-        wz = field.is_zero(w, scale=phi_n.coeffs)
+        wz = field.is_zero(w, scale=_phi_coeffs(field, row))
         rows.append(RegularityRow(n=n, d_n=pair.d_value(n), e_n=pair.e_value(n),
                                   witness=w, witness_zero=wz))
         if wz and witness_zero_at is None:
@@ -350,6 +360,13 @@ def regularity(pair: PearsonPair, n_max: int) -> RegularityReport:
     )
 
 
+def _phi_coeffs(field: Field, row: tuple):
+    """phi's (c, b, a) from a packed (c, b, a, e, d) row, unpacked only when
+    read: the witness scale, which only bigfloat's ``_vanishes`` reads."""
+    values, den = row
+    yield from field.unpack((values[:3], den))
+
+
 def _checked_d(pair: PearsonPair, n: int):
     v = pair.d_value(n)
     if pair.field.is_zero(v):
@@ -357,6 +374,7 @@ def _checked_d(pair: PearsonPair, n: int):
     return v
 
 
+@memoized
 def _telescoped(pair: PearsonPair, n: int):
     """gamma_n e_(n-1) / d_(2n-2), 0 at n = 0: B_n less its offset is
     ``_telescoped(n) - _telescoped(n + 1)`` (less 2 beta n (n - 1) when q = 1)."""

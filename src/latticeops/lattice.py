@@ -31,8 +31,11 @@ rho = 1/(t + 2 + 1/t) (1/4 when q = 1), so that
 What is memoized, per lattice, through the ``memoized`` decorator: every
 index of alpha_n, gamma_n and s_n, computed once from the closed form on
 first use, the packed level row of every level, and U1 and U2; beta_n is
-beta s_n.  The test suite checks the sequences against the defining
-recurrences and the identities above.  Exact-backend lattices require
+beta s_n.  The packed powers (t^k, t^-k) that gamma_n and the level rows
+read are a table like ``t_pow``'s, grown from (t, 1/t) by one entrywise
+product per index, so a level costs no ``Fraction`` power and no ``pack``.
+The test suite checks the sequences against the defining recurrences and
+the identities above.  Exact-backend lattices require
 sqrt(q) to be rational, because the operators evaluate x at half-integer s.
 """
 
@@ -132,6 +135,9 @@ class LatticeConstants:
             t_pow = lattice.t_pow
             self.bd = t_pow(1) - 2 + t_pow(-1)
             self.rho = field.one / (t_pow(1) + 2 + t_pow(-1))
+            # the packed rows (t^k, t^-k), k >= 0, that _powers grows
+            self._power_rows = [field.pack((field.one, field.one)),
+                                field.pack((t_pow(1), t_pow(-1)))]
         else:
             self.alpha = field.one
             self.beta = lattice.c[0] / 4
@@ -184,10 +190,23 @@ class LatticeConstants:
             raise LatticeError("beta_n is defined for n >= 0 only")
         return self.beta * self.s_n(n)
 
-    @memoized
     def _powers(self, k: int) -> tuple:
-        """(t^k, t^-k) as one packed row, read by gamma_n and level_row."""
-        return self.field.pack((self.t_pow(k), self.t_pow(-k)))
+        """(t^k, t^-k) as one packed row, read by gamma_n and level_row.
+
+        The rows are kept in a table grown from (t, 1/t) by one entrywise
+        product per index, in a loop: on exact, for t = p/r, the row of k is
+        (p^2k, r^2k) / (p r)^k, reduced as ``pack`` gives it; on bigfloat its
+        values are the products ``t_pow`` makes.  (t^-k, t^k) for k < 0.
+        """
+        if k < 0:
+            (x, y), d = self._powers(-k)
+            return [y, x], d
+        table = self._power_rows
+        (u, v), e = table[1]
+        while len(table) <= k:
+            (x, y), d = table[-1]
+            table.append(([x * u, y * v], d * e))
+        return table[k]
 
     @memoized
     def level_row(self, k: int) -> tuple:

@@ -46,14 +46,18 @@ operations that combine rows.  ``pack`` makes a row and ``unpack`` turns
 it back into scalars.  The exact backend packs a list of real ``Fraction``s
 as Python-int numerators over their least common denominator, so a
 recurrence step is integer arithmetic with one gcd per row instead of one
-per coefficient; a list holding a ``QRational``, and every bigfloat list,
-packs as its values over 1.  ``mul_rows``, ``add_rows`` and ``join_rows``
-combine packed rows of either kind, ``mul_coeffs``, the convolution under
-``mul_rows``, is also the product of two ``Polynomial``s, and ``mat_row``
-is the one product of a matrix stored row by row with a row.  So the
-code that runs the recurrences is the same on both backends, and on
-bigfloat it makes the same operations in the same order as on plain
-scalars.
+per coefficient; a list of ints is its own numerators over 1, and a list
+holding a ``QRational``, and every bigfloat list, packs as its values over
+1.  ``mul_rows``, ``add_rows`` and ``join_rows`` combine packed rows of
+either kind.  ``mul_coeffs``, the convolution under ``mul_rows``, is also
+the product of two ``Polynomial``s; a left factor of two or three terms
+(the product-rule step's S_x z and U2) is one list comprehension that sums
+each coefficient in the order of the general loop, increasing index into
+the left factor.  ``add_rows`` reduces an int row by one gcd, and a row
+on which that gcd raises ``TypeError`` is not an int row.  ``mat_row`` is
+the one product of a matrix stored row by row with a row.  So the code
+that runs the recurrences is the same on both backends, and on bigfloat
+it makes the same operations in the same order as on plain scalars.
 
 A packed *scalar* is one such pair ``(v, den)``, and two operations
 combine them, each taking an int factor ``f`` that a scaled operand still
@@ -78,6 +82,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 DEFAULT_PRECISION = 128
 MIN_PRECISION = 64
 DEFAULT_EPS = Fraction(1, 10**25)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class BackendMismatch(TypeError):
@@ -331,11 +336,11 @@ class ExactField(_Comparator):
 
     @property
     def zero(self) -> Fraction:
-        return Fraction(0)
+        return _ZERO
 
     @property
     def one(self) -> Fraction:
-        return Fraction(1)
+        return _ONE
 
     @property
     def i(self) -> QRational:
@@ -347,7 +352,7 @@ class ExactField(_Comparator):
 
     def im(self, a) -> Fraction:
         a = self(a)
-        return a.im if isinstance(a, QRational) else Fraction(0)
+        return a.im if isinstance(a, QRational) else _ZERO
 
     def _vanishes(self, values: Iterable, scale: Iterable) -> bool:
         """Every value is exactly zero; `scale` is not read."""
@@ -401,8 +406,12 @@ class ExactField(_Comparator):
         """Real values as int numerators over their least common denominator.
 
         The row is reduced: no integer > 1 divides the denominator and every
-        numerator.  A list holding a ``QRational`` packs as its values over 1.
+        numerator.  A list of ints is its own numerators over 1.  A list
+        holding a ``QRational`` packs as its values over 1.
         """
+        values = list(values)
+        if all(type(v) is int for v in values):
+            return values, 1
         values = [self(v) for v in values]
         if any(type(v) is not Fraction for v in values):
             return values, 1
@@ -571,8 +580,18 @@ def _over(a, b) -> Tuple[list, list, int]:
 def mul_coeffs(a: Sequence, b: Sequence) -> list:
     """Coefficients of a*b, lowest degree first, untrimmed.
 
-    Each coefficient sums its products in increasing index into `a`.
+    Each coefficient sums its products in increasing index into `a`.  A left
+    factor of two or three terms (the multipliers S_x z and U2 of the
+    product-rule step) takes a list comprehension in that same order.
     """
+    if len(a) == 2 and b:
+        x0, x1 = a
+        return [x0 * b[0], *[x0 * v + x1 * u for u, v in zip(b, b[1:])], x1 * b[-1]]
+    if len(a) == 3 and len(b) > 1:
+        x0, x1, x2 = a
+        return [x0 * b[0], x0 * b[1] + x1 * b[0],
+                *[x0 * w + x1 * v + x2 * u for u, v, w in zip(b, b[1:], b[2:])],
+                x1 * b[-1] + x2 * b[-2], x2 * b[-1]]
     out = [None] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         for j, y in enumerate(b):
@@ -590,7 +609,8 @@ def add_rows(a, b) -> Tuple[list, int]:
     """The packed row of a + b, entry by entry, with trailing zeros trimmed.
 
     An int row is reduced by one gcd; any other row over a denominator
-    other than 1 is divided out to a row over 1.
+    other than 1, on which that gcd raises ``TypeError``, is divided out to
+    a row over 1.
     """
     x, y, den = _over(a, b)
     out = [u + v for u, v in zip(x, y)] + list(x[len(y):] or y[len(x):])
@@ -598,10 +618,11 @@ def add_rows(a, b) -> Tuple[list, int]:
         out.pop()
     if den == 1:
         return out, 1
-    if all(type(v) is int for v in out):
+    try:
         g = gcd(den, *out)
-        return ([v // g for v in out], den // g) if g > 1 else (out, den)
-    return [_quotient(v, den) for v in out], 1
+    except TypeError:
+        return [_quotient(v, den) for v in out], 1
+    return ([v // g for v in out], den // g) if g > 1 else (out, den)
 
 
 def join_rows(a, b) -> Tuple[list, int]:

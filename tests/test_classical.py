@@ -19,7 +19,7 @@ from latticeops import (
     ttrr_oracle,
     witness_point,
 )
-from conftest import EVERY_KIND, gaussian_lattices, readme_pair
+from conftest import EVERY_KIND, PEARSON_LATTICES, gaussian_lattices, readme_pair
 from latticeops import classical
 from latticeops.characterize import solve_first_characterization
 from latticeops.checks import random_poly, random_regular_pair, reference_lattices, sample_pair
@@ -46,6 +46,9 @@ class TestPearsonPair:
     def test_from_json_requires_both_parts(self, gen_lattice):
         with pytest.raises(ValueError):
             PearsonPair.from_json(gen_lattice, {"phi": ["1", "0", "1"]})
+        # a JSON array that holds both names is no pair spec either
+        with pytest.raises(ValueError):
+            PearsonPair.from_json(gen_lattice, ["phi", "psi"])
 
 
 class TestIterated:
@@ -366,6 +369,37 @@ class TestRegularity:
         phi2, _ = pair.iterated(2)
         assert phi2(witness_point(pair, 2)) == pair.field.zero
 
+    def test_bigfloat_witness_is_measured_against_phi_n(self, exact, big):
+        """The zero test of a witness measures it against phi^[n]'s coefficients,
+        and not against psi^[n]'s, so 128 bits read the exact verdicts.
+
+        On symmetric q = 1/9 the first pair's witness at level 4 is 0 exactly
+        and about 1.3e-25 at 128 bits, a zero only against phi^[4] (c about
+        2e13).  The second pair's witness at level 0 is phi(-1) = 1e-20, not
+        a zero against phi = (z + 1)^2 + 1e-20, but one against psi's
+        e = 1e10."""
+        c = Fraction(68376582473665528249708960000000000, 3291687882793454647347)
+        cases = [
+            (PEARSON_LATTICES[2], (c, Fraction(2000000000, 3), 8000000000),
+             (8000000000, 3500000000), 6, "zero-witness-at-4"),
+            (PEARSON_LATTICES[0], (1 + Fraction(1, 10**20), 2, 1), (10**10, 10**10), 3,
+             "regular-through-horizon"),
+        ]
+        for spec, phi, psi, n_max, verdict in cases:
+            for field in (exact, big):
+                lat = Lattice.from_json(field, spec)
+                pair = PearsonPair(lat, Polynomial(field, phi), Polynomial(field, psi))
+                assert regularity(pair, n_max).verdict == verdict, (field, verdict)
+        pair = PearsonPair(Lattice.from_json(big, PEARSON_LATTICES[2]),
+                           Polynomial(big, cases[0][1]), Polynomial(big, cases[0][2]))
+        assert not big.is_zero(pair.witness(4))
+        # the scale is read off the packed row: phi^[n]'s c, b and a, all three
+        for field in (exact, big):
+            pair = readme_pair(Lattice.from_json(field, PEARSON_LATTICES[1]))
+            for n in range(6):
+                scale = classical._phi_coeffs(field, pair._validated_row(n))
+                assert list(scale) == list(pair.iterated(n)[0].coeffs), (field, n)
+
 
 class TestMemo:
     def test_closed_reads_first_keep_the_recursion_check(self, exact, monkeypatch):
@@ -497,6 +531,12 @@ class TestAsymptotics:
         blob = asymptotics(pair, 20).to_json(exact)
         assert blob.pop("kind") == "q-quadratic"
         assert blob and set(blob.values()) == {None}
+
+    def test_the_least_index_is_read(self, exact, sym_lattice, quad_lattice):
+        """n_eval = 0 on a q-lattice and 1 on a quadratic one, the least index
+        each accepts, give estimates (the CLI tests cover the refusals)."""
+        assert asymptotics(sample_pair(sym_lattice), 0).ratio_estimate is not None
+        assert asymptotics(sample_pair(quad_lattice), 1).b_scaled_estimate is not None
 
     def test_linear_lattice_rejected(self, lin_lattice):
         with pytest.raises(LatticeError):

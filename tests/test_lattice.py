@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import gaussian_lattices
 from latticeops import Lattice, LatticeError, Polynomial, make_field
+from latticeops.checks import reference_lattices
 from latticeops.lattice import DEFAULT_TABLE_HORIZON
 
 qs = st.sampled_from(
@@ -182,6 +184,46 @@ def test_table_horizon_is_enforced(exact):
     lat.constants.gamma_n(DEFAULT_TABLE_HORIZON)
     with pytest.raises(LatticeError):
         lat.constants.gamma_n(DEFAULT_TABLE_HORIZON + 1)
+
+
+def test_sequences_start_at_minus_one(exact):
+    for lat in (Lattice(exact, 4, (1, 1, 0)), Lattice(exact, 1, (1, 0, 0))):
+        con = lat.constants
+        con.gamma_n(-1), con.level_row(-1)
+        for read in (con.alpha_n, con.gamma_n, con.s_n, con.level_row):
+            with pytest.raises(LatticeError, match="< -1"):
+                read(-2)
+
+
+def test_a_cold_level_row_at_the_horizon(exact, big):
+    """The packed powers grow in a loop, so the first read of the deepest
+    level row needs no recursion through the levels below it."""
+    k = DEFAULT_TABLE_HORIZON
+    for field in (exact, big):
+        lat = Lattice(field, 4, (1, 1, 0))
+        t_pow = lat.t_pow
+        g, s = field.unpack(lat.constants.level_row(k))[1:3]
+        assert field.approx_eq(g, (t_pow(k) - t_pow(-k)) / (t_pow(1) - t_pow(-1)))
+        assert field.approx_eq(s, (t_pow(k) - 2 + t_pow(-k)) / (t_pow(1) - 2 + t_pow(-1)))
+
+
+@pytest.mark.parametrize("backend", ["exact", "bigfloat"])
+def test_packed_powers_are_the_packed_t_pow_values(backend):
+    """_powers(k) is pack((t^k, t^-k)): the same ints on exact, the same bits
+    on bigfloat, whether the table grows in one step to 64 or index by index."""
+    field = make_field(backend, precision=128)
+    show = (lambda row: row) if backend == "exact" else repr
+    lattices = [lat for lat in (*reference_lattices(field), *gaussian_lattices(field))
+                if lat.is_q_lattice]
+    assert len(lattices) >= 4
+    for lat in lattices:
+        jumped, stepped = lat.constants, Lattice(lat.field, lat.q, lat.c).constants
+        jumped._powers(64)
+        for k in sorted(range(-64, 65), key=abs):
+            want = show(field.pack((lat.t_pow(k), lat.t_pow(-k))))
+            assert show(jumped._powers(k)) == show(stepped._powers(k)) == want, (lat, k)
+        if backend == "exact":
+            assert all(type(v) is int for k in range(65) for v in jumped._powers(k)[0])
 
 
 def test_default_horizon_allows_deep_indices(exact):

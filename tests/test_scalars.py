@@ -25,6 +25,7 @@ from latticeops.scalars import (
     div_scalars,
     join_rows,
     mat_row,
+    mul_coeffs,
     sub_products,
 )
 
@@ -130,8 +131,21 @@ class TestExactField:
         assert join_rows(([1], 2), ([1], 3)) == ([3, 2], 6)
         mixed = add_rows(([1], 2), exact.pack((qr(0, 1),)))
         assert exact.unpack(mixed) == [qr(Fraction(1, 2), 1)]
+        # an int entry before a QRational one: the row's gcd refuses it, so
+        # the row is divided out to values over 1
+        mixed = add_rows(([1, qr(1, 1), 4], 3), ([1, 1, 2], 3))
+        assert mixed == ([Fraction(2, 3), qr(Fraction(2, 3), Fraction(1, 3)), 2], 1)
+        assert [type(v) for v in mixed[0]] == [Fraction, QRational, Fraction]
         values, den = big.pack((1, Fraction(1, 3)))
         assert den == 1 and big.unpack((values, den)) == values == [big(1), big(Fraction(1, 3))]
+
+    def test_packing_ints_equals_packing_their_fractions(self, exact):
+        rng = random.Random(29)
+        rows = [[], [0], [1], [-7, 0, 0], *([rng.randint(-10**30, 10**30) for _ in range(n)]
+                                           for n in range(1, 9))]
+        for values in rows:
+            assert exact.pack(values) == exact.pack([Fraction(v) for v in values]) == (values, 1)
+            assert exact.pack(tuple(values)) == (values, 1)
 
     def test_sqrt_of_square(self, exact):
         assert exact.sqrt(exact(Fraction(9, 4))) == exact(Fraction(3, 2))
@@ -298,6 +312,50 @@ class TestPackedScalars:
                     assert got == x - f * b * y - h * c * z, (at, f, h)
                 got, den = sub_products((w, 1), self.packed(fr[0]), self.packed(fr[1]), f)
                 assert (got, den) == (w - f * fr[0] * fr[1], 1) and type(got) is QRational
+
+
+class TestMulCoeffs:
+    """mul_coeffs against the convolution written out: each coefficient starts
+    from its first product and adds the others in increasing index into a."""
+
+    @staticmethod
+    def longhand(a, b):
+        out = [None] * (len(a) + len(b) - 1) if a and b else []
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = x * y if out[i + j] is None else out[i + j] + x * y
+        return out
+
+    @staticmethod
+    def shapes(scalar):
+        """Left factors of 1 to 4 terms against right factors of 0 to 12."""
+        for n in range(1, 5):
+            for m in range(13):
+                yield [scalar() for _ in range(n)], [scalar() for _ in range(m)]
+
+    def test_exact_scalars(self, exact):
+        rng = random.Random(29)
+        kinds = {
+            "int": lambda: rng.randint(-10**30, 10**30),
+            "fraction": lambda: Fraction(rng.randint(-99, 99), rng.randint(1, 99)),
+            "gaussian": lambda: exact(Fraction(rng.randint(-99, 99), rng.randint(1, 99)),
+                                      rng.choice((0, Fraction(rng.randint(-99, 99), 7)))),
+        }
+        for scalar in kinds.values():
+            for a, b in self.shapes(scalar):
+                got, want = mul_coeffs(a, b), self.longhand(a, b)
+                assert got == want and [type(v) for v in got] == [type(v) for v in want]
+
+    def test_mpc_scalars_are_bit_identical(self):
+        big = make_field("bigfloat", precision=128)
+        rng = random.Random(30)
+
+        def scalar():
+            return big(Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)),
+                       Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)))
+
+        for a, b in self.shapes(scalar):
+            assert repr(mul_coeffs(a, b)) == repr(self.longhand(a, b))
 
 
 class TestMatRow:
