@@ -54,8 +54,8 @@ first; (phi^[k], psi^[k]) are unpacked from the row on return.
 ``regularity`` validates each level the same way but reads the packed
 row, and unpacks phi^[n]'s coefficients only for a backend whose zero
 test reads the witness scale (bigfloat).  The
-lattice memoizes alpha_n, gamma_n, s_n, the level rows and the packed
-powers (t^k, t^-k) that gamma_n and the level rows share, U1 and U2 (see
+lattice memoizes alpha_n, gamma_n, s_n and the level rows, all read from
+its one table of packed powers (t^k, t^-k), and U1 and U2 (see
 ``lattice``).
 """
 

@@ -13,9 +13,13 @@ u10 = U1(0) = beta (alpha + 1), delta = U2(0), that drive the operator
 calculus.  Only x and the definitions of the constants tell the kinds apart.
 
 Every closed form on a q-lattice is a Laurent polynomial in t = sqrt(q),
-so every power of q or t goes through one helper, ``Lattice.t_pow``: it
-keeps the tables t^k and t^(-k), grown by one multiplication per index.
-On the exact backend t = p/r in lowest terms, so t^k is p^k/r^k.
+so every power of q or t comes from one table per lattice, the packed rows
+(t^k, t^-k) of ``LatticeConstants._powers``, grown from (t, 1/t) by one
+entrywise product per index.  ``Lattice.t_pow`` reads one power from it as
+a field scalar; alpha_n, gamma_n, s_n and the level rows read its rows as
+ints on exact, so a level costs no ``Fraction`` power and no ``pack``.  On
+the exact backend t = p/r in lowest terms, so the row of k is
+(p^2k, r^2k)/(p r)^k.
 
 The closed route reads the level k through five level functions, the
 q-analogues of 1, k, k^2, k^3, k^4: the level row
@@ -29,13 +33,10 @@ rho = 1/(t + 2 + 1/t) (1/4 when q = 1), so that
     gamma_2k = 2 gamma_k + bd gamma_k s_k.
 
 What is memoized, per lattice, through the ``memoized`` decorator: every
-index of alpha_n, gamma_n and s_n, computed once from the closed form on
-first use, the packed level row of every level, and U1 and U2; beta_n is
-beta s_n.  The packed powers (t^k, t^-k) that gamma_n and the level rows
-read are a table like ``t_pow``'s, grown from (t, 1/t) by one entrywise
-product per index, so a level costs no ``Fraction`` power and no ``pack``.
-The test suite checks the sequences against the defining recurrences and
-the identities above.  Exact-backend lattices require
+power t_pow(k) and every index of alpha_n, gamma_n and s_n, computed once
+on first use, the packed level row of every level, and U1 and U2; beta_n
+is beta s_n.  The test suite checks the sequences against the defining
+recurrences and the identities above.  Exact-backend lattices require
 sqrt(q) to be rational, because the operators evaluate x at half-integer s.
 """
 
@@ -91,53 +92,26 @@ def _as_half_integer(s) -> Fraction:
     return f
 
 
-class _PowerTable:
-    """t^k for t = sqrt(q) and any integer k: ``Lattice.t_pow``.
-
-    Both tables grow by one multiplication per index, by t for k >= 0 and
-    by 1/t for k < 0, so a bigfloat value does not depend on how mpmath
-    rounds a power.  The table refers to neither the lattice nor its
-    constants, so a lattice and the values memoized on it are freed as
-    soon as the lattice is dropped, with no reference cycle to collect.
-    """
-
-    __slots__ = ("_pos", "_neg", "_t", "_one")
-
-    def __init__(self, field: Field, t):
-        self._t, self._one = t, field.one
-        self._pos, self._neg = [field.one], [field.one]
-
-    def __call__(self, k: int):
-        table = self._pos if k >= 0 else self._neg
-        k = abs(k)
-        if k >= len(table):
-            step = self._t if table is self._pos else self._one / self._t
-            while len(table) <= k:
-                table.append(table[-1] * step)
-        return table[k]
-
-
 class LatticeConstants:
     """alpha, beta, delta = U2(0), the level constants bd and rho, and alpha_n,
     beta_n, gamma_n, s_n (n >= -1), defined per kind."""
 
     def __init__(self, lattice: "Lattice"):
         field = self.field = lattice.field
-        self.t_pow = lattice.t_pow
         self._is_q = lattice.is_q_lattice
+        # the packed rows (t^k, t^-k), k >= 0, that _powers grows (t = 1
+        # when q = 1); the constants keep no reference to the lattice, so a
+        # dropped lattice is freed with no cycle to collect
+        one, t = field.one, lattice.sqrt_q
+        self._power_rows = [field.pack((one, one)), field.pack((one * t, one * (one / t)))]
         if self._is_q:
-            t = lattice.sqrt_q
-            self.alpha = (t + field.one / t) / 2
-            self.beta = (field.one - self.alpha) * lattice.c[2]
+            self.alpha = (t + one / t) / 2
+            self.beta = (one - self.alpha) * lattice.c[2]
             c1, c2, c3 = lattice.c
-            self.delta = (self.alpha * self.alpha - field.one) * (c3 * c3 - 4 * c1 * c2)
-            # alpha_n, gamma_n and s_n use integer powers of t only
-            t_pow = lattice.t_pow
-            self.bd = t_pow(1) - 2 + t_pow(-1)
-            self.rho = field.one / (t_pow(1) + 2 + t_pow(-1))
-            # the packed rows (t^k, t^-k), k >= 0, that _powers grows
-            self._power_rows = [field.pack((field.one, field.one)),
-                                field.pack((t_pow(1), t_pow(-1)))]
+            self.delta = (self.alpha * self.alpha - one) * (c3 * c3 - 4 * c1 * c2)
+            t1, t_1 = field.unpack(self._power_rows[1])
+            self.bd = t1 - 2 + t_1
+            self.rho = one / (t1 + 2 + t_1)
         else:
             self.alpha = field.one
             self.beta = lattice.c[0] / 4
@@ -159,8 +133,9 @@ class LatticeConstants:
         self._check_index(n)
         if not self._is_q:
             return self.field.one
-        t_pow = self.t_pow
-        return (t_pow(n) + t_pow(-n)) / 2
+        # (t^n + t^-n) / 2 as one quotient of ints on exact
+        (x, y), d = self._powers(n)
+        return self.field.unpack(([x + y], 2 * d))[0]
 
     @memoized
     def gamma_n(self, n: int):
@@ -182,8 +157,10 @@ class LatticeConstants:
         self._check_index(n)
         if not self._is_q:
             return self.field(n * n)
-        t_pow = self.t_pow
-        return (t_pow(n) - 2 + t_pow(-n)) / self.bd
+        # (t^n - 2 + t^-n) / (t - 2 + 1/t) as one quotient of ints on exact
+        (x, y), d = self._powers(n)
+        (u, v), e = self._powers(1)
+        return self.field.unpack(([(x - 2 * d + y) * e], d * (u - 2 * e + v)))[0]
 
     def beta_n(self, n: int):
         if n < 0:
@@ -191,12 +168,14 @@ class LatticeConstants:
         return self.beta * self.s_n(n)
 
     def _powers(self, k: int) -> tuple:
-        """(t^k, t^-k) as one packed row, read by gamma_n and level_row.
+        """(t^k, t^-k) as one packed row: the lattice's one table of powers
+        of t, read by t_pow, alpha_n, gamma_n, s_n and level_row.
 
         The rows are kept in a table grown from (t, 1/t) by one entrywise
         product per index, in a loop: on exact, for t = p/r, the row of k is
         (p^2k, r^2k) / (p r)^k, reduced as ``pack`` gives it; on bigfloat its
-        values are the products ``t_pow`` makes.  (t^-k, t^k) for k < 0.
+        values are the products one*t*...*t and one*(1/t)*...*(1/t), so they
+        do not depend on how mpmath rounds a power.  (t^-k, t^k) for k < 0.
         """
         if k < 0:
             (x, y), d = self._powers(-k)
@@ -219,8 +198,9 @@ class LatticeConstants:
         for t = p/r, gamma_k = g/w and s_k = s/w for
         g = (x - y) e (u - 2 e + v), s = (x - 2 d + y) e (u - v) and
         w = d (u - v) (u - 2 e + v); the row is (w^2, g w, s w, g s, s^2) / w^2.
-        Both power tables are read, as gamma_n and s_n read them, so on
-        bigfloat t^-k does not inherit the rounding of t^k.
+        Both columns of the power table are read, as alpha_n, gamma_n and
+        s_n read them, so on bigfloat t^-k does not inherit the rounding of
+        t^k.
         """
         self._check_index(k)
         if not self._is_q:
@@ -266,8 +246,6 @@ class Lattice:
                 raise LatticeError("a q=1 lattice needs (c4, c5, c6) != (0, 0, 0)")
             self.sqrt_q = field.one
             self.kind = "quadratic" if self.c[0] != field.zero else "linear"
-        # t_pow(k) = t^k for t = sqrt(q), shared with the constants
-        self.t_pow = _PowerTable(field, self.sqrt_q)
         self.constants = LatticeConstants(self)
 
     @property
@@ -288,6 +266,13 @@ class Lattice:
             return self.c[0] * self.t_pow(-k) + self.c[1] * self.t_pow(k) + self.c[2]
         sv = self.field(f)
         return (self.c[0] * sv + self.c[1]) * sv + self.c[2]
+
+    @memoized
+    def t_pow(self, k: int):
+        """t^k for t = sqrt(q) and any integer k: the first entry of the
+        packed row (t^k, t^-k) of ``LatticeConstants._powers``."""
+        (x, _), d = self.constants._powers(k)
+        return self.field.unpack(([x], d))[0]
 
     def q_pow(self, k: int):
         """q^k = t^(2k) for any integer k."""

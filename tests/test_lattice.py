@@ -207,23 +207,78 @@ def test_a_cold_level_row_at_the_horizon(exact, big):
         assert field.approx_eq(s, (t_pow(k) - 2 + t_pow(-k)) / (t_pow(1) - 2 + t_pow(-1)))
 
 
+def _reference_powers(lat, k_max: int) -> dict:
+    """t^k for |k| <= k_max, built without the lattice's power table: as
+    ``Fraction`` powers on exact, and on bigfloat as the chains of products
+    one * t * t ... and one * (1/t) * (1/t) ... that the table holds."""
+    field, t = lat.field, lat.sqrt_q
+    if field.name == "exact":
+        return {k: Fraction(t) ** k for k in range(-k_max, k_max + 1)}
+    one = field.one
+    ref = {0: one}
+    for k in range(1, k_max + 1):
+        ref[k], ref[-k] = ref[k - 1] * t, ref[1 - k] * (one / t)
+    return ref
+
+
+def _q_lattices(field) -> list:
+    lattices = [lat for lat in (*reference_lattices(field), *gaussian_lattices(field))
+                if lat.is_q_lattice]
+    assert len(lattices) >= 4
+    return lattices
+
+
 @pytest.mark.parametrize("backend", ["exact", "bigfloat"])
 def test_packed_powers_are_the_packed_t_pow_values(backend):
     """_powers(k) is pack((t^k, t^-k)): the same ints on exact, the same bits
     on bigfloat, whether the table grows in one step to 64 or index by index."""
     field = make_field(backend, precision=128)
     show = (lambda row: row) if backend == "exact" else repr
-    lattices = [lat for lat in (*reference_lattices(field), *gaussian_lattices(field))
-                if lat.is_q_lattice]
-    assert len(lattices) >= 4
-    for lat in lattices:
+    for lat in _q_lattices(field):
+        ref = _reference_powers(lat, 64)
         jumped, stepped = lat.constants, Lattice(lat.field, lat.q, lat.c).constants
         jumped._powers(64)
         for k in sorted(range(-64, 65), key=abs):
-            want = show(field.pack((lat.t_pow(k), lat.t_pow(-k))))
+            want = show(field.pack((ref[k], ref[-k])))
             assert show(jumped._powers(k)) == show(stepped._powers(k)) == want, (lat, k)
         if backend == "exact":
             assert all(type(v) is int for k in range(65) for v in jumped._powers(k)[0])
+
+
+@pytest.mark.parametrize("backend", ["exact", "bigfloat"])
+def test_t_pow_alpha_n_and_s_n_are_their_power_formulas(backend):
+    """t_pow(k) = t^k, alpha_n = (t^n + t^-n)/2 and s_n = (t^n - 2 + t^-n)/bd
+    for the reference powers: equal values on exact, equal bits on bigfloat."""
+    field = make_field(backend, precision=128)
+    show = (lambda v: v) if backend == "exact" else repr
+    for lat in _q_lattices(field):
+        ref, con = _reference_powers(lat, 64), lat.constants
+        bd = ref[1] - 2 + ref[-1]
+        assert show(con.bd) == show(bd), lat
+        for n in range(-64, 65):
+            assert show(lat.t_pow(n)) == show(ref[n]), (lat, n)
+        for n in range(-1, 65):
+            assert show(con.alpha_n(n)) == show((ref[n] + ref[-n]) / 2), (lat, n)
+            assert show(con.s_n(n)) == show((ref[n] - 2 + ref[-n]) / bd), (lat, n)
+
+
+def test_t_pow_on_exact_is_a_fraction_with_inverse_powers(exact, big):
+    for lat in _q_lattices(exact):
+        for k in range(-20, 21):
+            assert type(lat.t_pow(k)) is Fraction
+            assert lat.t_pow(k) * lat.t_pow(-k) == 1
+    for field in (exact, big):
+        assert Lattice(field, 4, (1, 1, 0)).t_pow(0) == 1
+        flat = Lattice(field, 1, (2, Fraction(1, 3), Fraction(-1, 4)))
+        assert all(flat.t_pow(k) == 1 for k in range(-5, 6))
+
+
+def test_a_cold_t_pow_far_below_zero(exact, big):
+    """The first read of t^-2048 grows the table in a loop, with no recursion
+    and no horizon."""
+    assert Lattice(exact, 4, (1, 1, 0)).t_pow(-2048) == Fraction(1, 2 ** 2048)
+    lat = Lattice(big, 4, (1, 1, 0))
+    assert repr(lat.t_pow(-2048)) == repr(_reference_powers(lat, 2048)[-2048])
 
 
 def test_default_horizon_allows_deep_indices(exact):
