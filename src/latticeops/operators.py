@@ -30,36 +30,76 @@ A second, fully independent route (`dx_interp`, `sx_interp`) evaluates
 the argument at x(s +- 1/2) over interpolation nodes and interpolates
 the result back into the monomial basis; the test suite cross-checks
 both routes on exact rationals, alongside the printed top coefficients
-of D_x z^n and S_x z^n (`monomial_action`).
+of D_x z^n and S_x z^n (`monomial_action`).  That route reads no image
+table.  Its lattice data is one node table per lattice (`_node_table`),
+grown on demand like the image tables: the usable nodes z_i of
+`Lattice.node_stream`, x(s_i +- 1/2) and their difference, and the
+differences z_i - z_j that `polynomials.newton`, the one Newton kernel,
+divides by.  The one memo, `lattice.memoized`, keeps the node table next
+to the image tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import Optional
 
 from .lattice import Lattice, LatticeError, memoized
-from .polynomials import Polynomial, interpolate
+from .polynomials import Polynomial, newton
 from .scalars import Report, add_rows, mul_rows
 
 HALF = Fraction(1, 2)
 
 
-def _dd_nodes(lat: Lattice, m: int) -> List[tuple]:
-    """m nodes (z, z_plus, z_minus) with a nonzero divided-difference step."""
-    out = []
+class _NodeTable:
+    """The usable interpolation nodes of one lattice, in `node_stream` order.
+
+    Node i is the i-th z_i = x(s_i) of the stream with x(s_i + 1/2) !=
+    x(s_i - 1/2).  zs[i] is z_i, ends[i] is (x(s_i + 1/2), x(s_i - 1/2))
+    and their difference, diffs[i] is (z_i - z_(i-1), ..., z_i - z_0) and
+    reach[i] is the stream index just before s_i (-1 for the first).  The
+    scan keeps every distinct x(s) met and the last stream index s.
+    """
+
+    __slots__ = ("zs", "ends", "diffs", "reach", "seen", "s")
+
+    def __init__(self):
+        self.zs, self.ends, self.diffs, self.reach, self.seen = [], [], [], [], []
+        self.s = -1
+
+
+@memoized
+def _node_table(lat: Lattice) -> _NodeTable:
+    return _NodeTable()
+
+
+def _nodes(lat: Lattice, m: int) -> _NodeTable:
+    """The lattice's node table, grown to hold at least m nodes.
+
+    Like a fresh scan of `node_stream`, the search for m nodes gives up
+    after the first stream entry past s = 4m + 8.
+    """
+    table = _node_table(lat)
     budget = 4 * m + 8
-    for s, z in lat.node_stream():
-        zp = lat.x(s + HALF)
-        zm = lat.x(s - HALF)
-        if (zp - zm) != 0:
-            out.append((z, zp, zm))
-            if len(out) == m:
-                return out
-        if s > budget:
-            break
-    raise LatticeError(f"could not find {m} usable operator nodes on {lat!r}")
+    while len(table.zs) < m and table.s <= budget:
+        s = table.s + 1
+        z = lat.x(s)
+        while not all(z != w for w in table.seen):
+            s += 1
+            z = lat.x(s)
+        zp, zm = lat.x(s + HALF), lat.x(s - HALF)
+        h = zp - zm
+        if h != 0:
+            table.diffs.append([z - w for w in reversed(table.zs)])
+            table.zs.append(z)
+            table.ends.append((zp, zm, h))
+            table.reach.append(table.s)
+        table.seen.append(z)
+        table.s = s
+    if len(table.zs) < m or table.reach[m - 1] > budget:
+        raise LatticeError(f"could not find {m} usable operator nodes on {lat!r}")
+    return table
 
 
 def dx_interp(lat: Lattice, f: Polynomial) -> Polynomial:
@@ -72,19 +112,17 @@ def dx_interp(lat: Lattice, f: Polynomial) -> Polynomial:
         return Polynomial.zero(lat.field)
     if lat.is_constant:
         return f.derivative()
-    pts = []
-    for z, zp, zm in _dd_nodes(lat, f.degree):
-        pts.append((z, (f(zp) - f(zm)) / (zp - zm)))
-    return interpolate(lat.field, pts)
+    t = _nodes(lat, f.degree)
+    values = [(f(zp) - f(zm)) / h for zp, zm, h in t.ends[:f.degree]]
+    return newton(lat.field, t.zs, t.diffs, values)
 
 
 def sx_interp(lat: Lattice, f: Polynomial) -> Polynomial:
     if f.degree <= 0 or lat.is_constant:
         return f
-    pts = []
-    for z, zp, zm in _dd_nodes(lat, f.degree + 1):
-        pts.append((z, (f(zp) + f(zm)) / 2))
-    return interpolate(lat.field, pts)
+    t = _nodes(lat, f.degree + 1)
+    values = [(f(zp) + f(zm)) / 2 for zp, zm, _ in t.ends[:f.degree + 1]]
+    return newton(lat.field, t.zs, t.diffs, values)
 
 
 @memoized
@@ -183,13 +221,7 @@ def monomial_action(lat: Lattice, n: int) -> MonomialAction:
     con = lat.constants
     c1, c2, c3 = lat.c
     c1c2 = c1 * c2
-
-    def g(k: int):
-        return con.gamma_n(k) if k >= -1 else field.zero
-
-    def a(k: int):
-        return con.alpha_n(k) if k >= -1 else field.zero
-
+    g, a = con.gamma_n, con.alpha_n
     if n >= 1:
         u_n = (n * g(n - 1) - (n - 1) * g(n)) * c3
         u_hat = field(n) * (a(n - 1) - a(n)) * c3

@@ -5,8 +5,12 @@ trimmed, so the zero polynomial has an empty coefficient tuple and
 degree -1.  The monomial basis in z is canonical everywhere.  A product
 is `scalars.mul_coeffs`, the kernel the packed rows of `scalars` share.
 The interpolation route of the lattice operators (`operators.dx_interp`)
-evaluates and interpolates, so this module also provides exact Newton
-interpolation.
+evaluates and interpolates, so this module also holds the one Newton
+kernel, `newton`: it divides by differences of the nodes given to it
+and expands on a plain coefficient list.  The operators hand it the
+differences their per-lattice node table keeps; `interpolate` forms its
+own from its points and calls the same kernel.  Both are exact on the
+exact backend.
 """
 
 from __future__ import annotations
@@ -159,16 +163,31 @@ def interpolate(field: Field, points: Sequence[tuple]) -> Polynomial:
     if not points:
         raise ValueError("interpolation needs at least one point")
     zs = [field(z) for z, _ in points]
-    coef = [field(w) for _, w in points]
-    n = len(points)
+    diffs = [[z - w for w in reversed(zs[:i])] for i, z in enumerate(zs)]
+    if not all(_nonzero(d) for row in diffs for d in row):
+        raise ValueError("duplicate interpolation nodes")
+    return newton(field, zs, diffs, [field(w) for _, w in points])
+
+
+def newton(field: Field, zs: Sequence, diffs: Sequence, values: Sequence) -> Polynomial:
+    """The polynomial through (zs[i], values[i]) for i < n = len(values).
+
+    diffs[i] holds the nonzero differences (z_i - z_(i-1), ..., z_i - z_0),
+    the divisors of the divided differences; zs and diffs may run past n.
+    The Newton form is expanded to the monomial basis on a plain
+    coefficient list, one `mul_coeffs` by z - z_k per node.
+    """
+    coef = list(values)
+    n = len(coef)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            dz = zs[i] - zs[i - j]
-            if not _nonzero(dz):
-                raise ValueError("duplicate interpolation nodes")
-            coef[i] = (coef[i] - coef[i - 1]) / dz
-    # expand Newton form to the monomial basis
-    poly = Polynomial(field, (coef[-1],))
-    for k in range(n - 2, -1, -1):
-        poly = poly * Polynomial(field, (-zs[k], field.one)) + coef[k]
-    return poly
+            coef[i] = (coef[i] - coef[i - 1]) / diffs[i][j - 1]
+    one = field.one
+    acc = []
+    for k in range(n - 1, -1, -1):
+        if acc:
+            acc = mul_coeffs((-zs[k], one), acc)
+            acc[0] += coef[k]
+        elif _nonzero(coef[k]):
+            acc = [coef[k]]
+    return Polynomial(field, acc)

@@ -10,9 +10,15 @@ time where the claim states one.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
+import conftest
 from conftest import run_check
+from latticeops import Lattice, checks
 from latticeops.checks import CHECKS
 
 
@@ -91,3 +97,17 @@ def test_recurrence_asymptotics():
     assert record["ratio_error"] < 1e-6 and record["series_error"] < 1e-6
     assert all(err < 1e-2 for pair in record["growth_errors"] for err in pair)
     assert seconds < 60.0
+
+
+def test_the_three_pearson_lattice_lists_agree(exact, monkeypatch):
+    """``checks``, the tests and the benchmark's workloads each spell out the
+    six Pearson lattices; all three are the same lattices in the same order."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    from_checks = [Lattice(exact, q, c).to_json() for q, c in checks.PEARSON_LATTICES]
+    assert len(from_checks) == 6
+    for specs in (conftest.PEARSON_LATTICES, workloads.PEARSON_LATTICES):
+        assert [Lattice.from_json(exact, s).to_json() for s in specs] == from_checks

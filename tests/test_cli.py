@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import run_check
-from latticeops import FirstCharacterization, checks
+from latticeops import FirstCharacterization, checks, operators
 from latticeops.cli import main
 
 GEN_LATTICE = '{"kind": "q-quadratic", "q": "4", "c": ["1/2", "1/3", "1/5"]}'
@@ -38,6 +38,24 @@ def test_verify_ops_on_one_lattice(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True and payload["results"]
     assert all(r["lattice"] == json.loads(GEN_LATTICE) for r in payload["results"])
+
+
+def test_verify_reports_a_failed_identity(capsys, monkeypatch):
+    """One operator identity made false: verify exits 1 and its body says
+    passed false, though every other identity still passes."""
+    lhs_rhs = operators._identity_lhs_rhs
+
+    def broken(lat, identity, f, g, n):
+        lhs, rhs = lhs_rhs(lat, identity, f, g, n)
+        return lhs, rhs + Fraction(1, 7) if identity == "swap_dx" else rhs
+
+    monkeypatch.setattr(operators, "_identity_lhs_rhs", broken)
+    code, out, _ = run(capsys, "verify", "ops", "--trials", "1", "--seed", "1")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    failed = {r["identity"] for r in payload["results"] if not r["passed"]}
+    assert failed == {"swap_dx"} and len(payload["results"]) > len(failed)
 
 
 def test_verify_output_is_deterministic(capsys):
@@ -250,6 +268,19 @@ def test_characterize_solve_c1_fails_on_a_wrong_closed_form(capsys, monkeypatch)
     code, out, _ = run(capsys, "characterize", "--solve-c1=-9/32", "-N", "6")
     assert code == 1
     assert json.loads(out)["closed_form_residual"] > 0
+
+
+def test_characterize_solve_c1_compares_the_first_and_last_c(capsys, monkeypatch):
+    """A closed form wrong only at m = 1, or only at m = n_max + 1, fails."""
+    closed = FirstCharacterization.c_closed
+    for wrong in (1, 7):
+        monkeypatch.setattr(
+            FirstCharacterization, "c_closed",
+            lambda self, m, wrong=wrong: closed(self, m) + (Fraction(1, 7) if m == wrong else 0),
+        )
+        code, out, _ = run(capsys, "characterize", "--solve-c1=-9/32", "-N", "6")
+        assert code == 1, wrong
+        assert json.loads(out)["closed_form_residual"] > 0
 
 
 def test_characterize_meixner_linear_passes(capsys):

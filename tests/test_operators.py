@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import functools
+import gc
+import math
 import random
+import weakref
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -16,6 +19,7 @@ from latticeops import (
     dx_power,
     make_field,
     monomial_action,
+    operators,
     sx,
     tnk,
     verify_operator_identity,
@@ -23,6 +27,7 @@ from latticeops import (
 from latticeops.checks import random_poly, reference_lattices
 from latticeops.lattice import LatticeError
 from latticeops.operators import (
+    _nodes,
     dx_interp,
     dx_monomial,
     monomial_rows,
@@ -30,6 +35,7 @@ from latticeops.operators import (
     sx_interp,
     sx_monomial,
 )
+from latticeops.polynomials import interpolate, newton
 
 from conftest import EVERY_KIND, PEARSON_LATTICES, gaussian_lattices, identity_lattices, readme_pair
 
@@ -235,6 +241,197 @@ def test_two_routes_agree_bigfloat(big):
         f = random_poly(big, rng, max_degree=6)
         assert (dx(lat, f) - dx_interp(lat, f)).max_abs_coeff() < 1e-18
         assert (sx(lat, f) - sx_interp(lat, f)).max_abs_coeff() < 1e-18
+
+
+HALF = Fraction(1, 2)
+
+
+def scan_nodes(lat, m):
+    """The first m usable nodes (z, x(s + 1/2), x(s - 1/2)) of a fresh scan of
+    ``node_stream``, or None where that scan gives up: after the first stream
+    entry past s = 4m + 8."""
+    out = []
+    for s, z in lat.node_stream():
+        zp, zm = lat.x(s + HALF), lat.x(s - HALF)
+        if zp - zm != 0:
+            out.append((z, zp, zm))
+            if len(out) == m:
+                return out
+        if s > 4 * m + 8:
+            return None
+
+
+def table_nodes(lat, m):
+    t = _nodes(lat, m)
+    return [(z, zp, zm) for z, (zp, zm, _) in zip(t.zs[:m], t.ends[:m])]
+
+
+def dx_by_scan(lat, f):
+    """D_x f through a fresh node scan and ``interpolate``, with no node table."""
+    pts = [(z, (f(zp) - f(zm)) / (zp - zm)) for z, zp, zm in scan_nodes(lat, f.degree)]
+    return interpolate(lat.field, pts)
+
+
+def sx_by_scan(lat, f):
+    """S_x f through a fresh node scan and ``interpolate``, with no node table."""
+    pts = [(z, (f(zp) + f(zm)) / 2) for z, zp, zm in scan_nodes(lat, f.degree + 1)]
+    return interpolate(lat.field, pts)
+
+
+def same_values(a, b):
+    """Equal exact values of one type each, or identical bigfloat values."""
+    a, b = list(a), list(b)
+    return (a == b and [type(v) for v in a] == [type(v) for v in b]
+            and [repr(v) for v in a] == [repr(v) for v in b])
+
+
+def node_lattices(field):
+    return identity_lattices(field) + gaussian_lattices(field) + [
+        Lattice(field, q, c) for name, (q, c) in EVERY_KIND.items() if name != "const"]
+
+
+@pytest.mark.parametrize("bits", [None, 128, 256])
+def test_node_table_rows_are_a_fresh_node_scan(bits):
+    """Each row of the node table is the node a fresh ``node_stream`` scan
+    finds, with its step x(s + 1/2) - x(s - 1/2) and its differences to the
+    nodes before it."""
+    field = make_field("exact") if bits is None else make_field("bigfloat", precision=bits)
+    for lat in node_lattices(field):
+        for m in (1, 5, 17):
+            assert table_nodes(lat, m) == scan_nodes(lat, m), (lat, m)
+        t = _nodes(lat, 17)
+        for i, z in enumerate(t.zs):
+            zp, zm, h = t.ends[i]
+            assert same_values([h], [zp - zm])
+            assert same_values(t.diffs[i], [z - w for w in reversed(t.zs[:i])])
+
+
+@pytest.mark.parametrize("bits", [None, 128])
+def test_node_table_growth_order_does_not_matter(bits):
+    """m = 12 then m = 3 gives the nodes, differences and images of m = 3 then m = 12."""
+    field = make_field("exact") if bits is None else make_field("bigfloat", precision=bits)
+    rng = random.Random(31)
+    polys = {m: random_poly(field, rng, degree=m) for m in (2, 3, 11, 12)}
+
+    def ask(lat, m):
+        t = _nodes(lat, m)
+        return (table_nodes(lat, m), t.diffs[:m], dx_interp(lat, polys[m]).coeffs,
+                sx_interp(lat, polys[m - 1]).coeffs)
+
+    for down, up in zip(node_lattices(field), node_lattices(field)):
+        got_down = {m: ask(down, m) for m in (12, 3)}
+        got_up = {m: ask(up, m) for m in (3, 12)}
+        for m in (3, 12):
+            for a, b in zip(got_down[m], got_up[m]):
+                assert repr(a) == repr(b), (down, m)
+                assert a == b
+
+
+class GappedLattice(Lattice):
+    """x(s) = |s - 39| at integer s, so s = 40..78 repeat earlier values, and
+    x(s + 1/2) = x(s - 1/2) except at s in 0..2 and s >= 30: its usable
+    nodes are s = 0, 1, 2, 30..39, 79, 80, ..."""
+
+    def __init__(self, field):
+        super().__init__(field, 1, (0, 1, 0))
+
+    def x(self, s):
+        s = Fraction(s)
+        if s.denominator == 1:
+            return self.field(abs(s - 39))
+        return self.field(sum(1 for u in range(math.ceil(s)) if u < 3 or u >= 30))
+
+
+def test_node_table_keeps_the_scan_budget(exact):
+    """The table fails where a fresh scan gives up after s = 4m + 8, in any
+    order of asking: m = 4 and 5 fail in the gap, m = 6 reaches s = 32,
+    m = 14 reaches s = 79 across the 39 repeated values, and m = 15..18
+    fail because their last node follows an s past 4m + 8, also once
+    m = 25 has put that node in the table."""
+    expected = {m: scan_nodes(GappedLattice(exact), m) for m in range(1, 26)}
+    assert [m for m, nodes in expected.items() if nodes is None] == [4, 5, 15, 16, 17, 18]
+    assert expected[14][-1][0] == exact(40)
+    for order in (range(1, 26), range(25, 0, -1), (25, 16, 6, 4, 14, 5, 3, 1)):
+        lat = GappedLattice(exact)
+        for m in order:
+            if expected[m] is None:
+                with pytest.raises(LatticeError, match="could not find"):
+                    _nodes(lat, m)
+            else:
+                assert table_nodes(lat, m) == expected[m], (order, m)
+
+
+def test_interpolation_asks_for_as_many_nodes_as_the_degree_needs(exact):
+    """dx_interp of degree m and sx_interp of degree m - 1 read m nodes, and
+    the table grows only as far as asked: on the gapped lattice, with three
+    usable nodes before its gap, degree 3 works for D_x, degree 2 for S_x."""
+    lat = GappedLattice(exact)
+    f = Polynomial(exact, (1, Fraction(-1, 2), Fraction(2, 3), Fraction(3, 5)))
+    g = Polynomial(exact, (Fraction(1, 3), 2, Fraction(-5, 7)))
+    assert len(_nodes(lat, 2).zs) == 2
+    assert (dx_interp(lat, f), sx_interp(lat, g)) == (dx_by_scan(lat, f), sx_by_scan(lat, g))
+    assert len(_nodes(lat, 3).zs) == 3
+    with pytest.raises(LatticeError, match="could not find 4 usable operator nodes"):
+        dx_interp(lat, f * Polynomial.monomial(exact, 1))
+    with pytest.raises(LatticeError, match="could not find 4 usable operator nodes"):
+        sx_interp(lat, f)
+
+
+@pytest.mark.parametrize("bits", [None, 128, 256])
+def test_newton_kernel_is_interpolate_on_the_table(bits):
+    """The kernel over the table's differences against ``interpolate`` on the
+    same points, which forms its own; and dx_interp and sx_interp against
+    a fresh node scan and ``interpolate``: equal exact values of one type,
+    identical bigfloat values."""
+    field = make_field("exact") if bits is None else make_field("bigfloat", precision=bits)
+    rng = random.Random(7)
+    for lat in node_lattices(field):
+        t = _nodes(lat, 12)
+        values = [field(Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(12)]
+        for n in (1, 2, 7, 12):
+            got = newton(field, t.zs, t.diffs, values[:n])
+            assert same_values(got.coeffs, interpolate(field, list(zip(t.zs, values[:n]))).coeffs)
+        for degree in (1, 4, 11):
+            f = random_poly(field, rng, degree=degree)
+            assert same_values(dx_interp(lat, f).coeffs, dx_by_scan(lat, f).coeffs), lat
+            assert same_values(sx_interp(lat, f).coeffs, sx_by_scan(lat, f).coeffs), lat
+
+
+def test_a_lattice_with_a_node_table_is_freed_without_the_cycle_collector(exact):
+    """The node table holds no reference to its lattice, so dropping a
+    lattice that has one frees it at once."""
+    lat = Lattice(exact, 4, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))
+    sx_interp(lat, Polynomial.monomial(exact, 5))
+    dropped = weakref.ref(lat)
+    gc.disable()
+    try:
+        del lat
+        assert dropped() is None
+    finally:
+        gc.enable()
+
+
+def test_interpolation_route_reads_no_image_table(exact, monkeypatch):
+    """dx_interp and sx_interp never read the D_x/S_x tables, on a cold
+    lattice and on one whose node table is grown; both give the images of
+    the tables' route."""
+    rng = random.Random(10)
+    polys = [random_poly(exact, rng, degree=d) for d in (1, 3, 6, 9)]
+    warm = identity_lattices(exact)
+    expected = [[(dx(lat, f), sx(lat, f)) for f in polys] for lat in warm]
+    for lat in warm:
+        dx_interp(lat, polys[-1]), sx_interp(lat, polys[-1])
+
+    def forbidden(*args):
+        raise AssertionError("the interpolation route must not read the image tables")
+
+    for name in ("monomial_rows", "_monomial_tables", "product_rule_step"):
+        monkeypatch.setattr(operators, name, forbidden)
+    with pytest.raises(AssertionError):
+        dx(warm[0], polys[0])
+    for lats in (identity_lattices(exact), warm):
+        for lat, images in zip(lats, expected):
+            assert [(dx_interp(lat, f), sx_interp(lat, f)) for f in polys] == images, lat
 
 
 def test_constant_lattice_reduces_to_derivative(exact):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from latticeops import BackendMismatch, Polynomial, interpolate, make_field
+from latticeops.polynomials import newton
 from latticeops.scalars import add_rows, mul_coeffs, mul_rows
 
 coeff = st.fractions(
@@ -107,6 +108,19 @@ def test_interpolate_duplicate_nodes_rejected(exact):
     pts = [(exact(1), exact(0)), (exact(1), exact(2))]
     with pytest.raises(ValueError):
         interpolate(exact, pts)
+
+
+@given(coeff_lists, st.integers(min_value=0, max_value=3))
+def test_newton_kernel_recovers_a_lower_degree_polynomial(coeffs, extra):
+    """Through more nodes than coefficients the top Newton coefficients are
+    zero, and the kernel reads only as many nodes as it has values."""
+    exact = make_field("exact")
+    p = Polynomial(exact, coeffs)
+    zs = [exact(Fraction(k * k, 3) + k) for k in range(len(coeffs) + extra + 2)]
+    diffs = [[z - w for w in reversed(zs[:i])] for i, z in enumerate(zs)]
+    values = [p(z) for z in zs[:len(coeffs) + extra]]
+    assert newton(exact, zs, diffs, values) == p
+    assert newton(exact, zs, diffs, [exact.zero] * 3) == Polynomial.zero(exact)
 
 
 @given(coeff_lists)
