@@ -29,10 +29,11 @@ B_n and C_(n+1) are ratios of entries of one sigma table, and multiplying
 u by a constant multiplies every entry by it, so they are unchanged; the
 entries then carry only the denominators of the B_k and C_k, which are
 far smaller than the moments' own.  Each entry is a packed scalar
-(`scalars`): on exact the reduced int pair (num, den) `Fraction` would
-hold, made by one `sub_products` call that forms x - f*B*y - h*C*z over
-the least common denominator and reduces it by one gcd, where `Fraction`
-arithmetic would reduce four times.  When a moment widens scale, the two
+(`scalars`): on exact an int pair (num, den), made by one `sub_products`
+call that forms x - f*B*y - h*C*z over the least common denominator and
+leaves it unreduced, where `Fraction` arithmetic would reduce four times.
+The unreduced entries hold about 1.3 times the bits of reduced ones, and
+cost less than a gcd per entry.  When a moment widens scale, the two
 kept anti-diagonals are not rescaled; the int factors f and h record what
 they still owe, in the products and in the `div_scalars` ratios.
 Gaussian-rational and bigfloat values travel over 1 and combine as plain
@@ -343,12 +344,12 @@ def ttrr_oracle(u: MomentFunctional, n_max: int) -> TTRRCoeffs:
     Bigfloat and Gaussian-rational moments pack over 1 and run unscaled,
     with both factors 1.
 
-    Every table entry, B_k and C_k is a packed scalar: on exact the reduced
-    (num, den) pair a `Fraction` would hold.  An entry is one
-    `sub_products` call, reduced once; C_k and the ratios come from
-    `div_scalars`, and B_k, the difference of two ratios, is a
-    `sub_products` call too.  Only the zero verdicts and the returned B_n
-    and C_(n+1) unpack to field scalars.
+    Every table entry, B_k and C_k is a packed scalar, on exact an int pair
+    (num, den).  An entry is one `sub_products` call and is not reduced;
+    C_k and the ratios come from `div_scalars`, and B_k, the difference of
+    two ratios, is an unreduced `sub_products` call too.  Only the zero
+    verdicts and the returned B_n and C_(n+1) unpack to field scalars, and
+    that is where a value is reduced, once.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")

@@ -62,10 +62,11 @@ it makes the same operations in the same order as on plain scalars.
 A packed *scalar* is one such pair ``(v, den)``, and two operations
 combine them, each taking an int factor ``f`` that a scaled operand still
 owes.  ``div_scalars`` gives a / (f*b) and ``sub_products`` gives
-x - f*b*y - h*c*z.  Int pairs in lowest terms give the pair ``Fraction``
-would hold: the quotient by the gcd steps of ``Fraction._mul`` and
-``_div``, the difference with both products unreduced, written over the
-least common denominator and reduced by one gcd.  A pair whose value is
+x - f*b*y - h*c*z.  For int pairs in lowest terms the quotient is the pair
+``Fraction`` would hold, by the gcd steps of ``Fraction._mul`` and
+``_div``.  The difference is left unreduced: both products stay unreduced
+and the result is written over the least common denominator of x, b*y and
+c*z by two cofactor gcds, with no gcd of its own.  A pair whose value is
 not an int (a ``QRational``, a bigfloat value) combines as a scalar over
 1.  The moment oracle runs its table of mixed moments on them.
 """
@@ -654,8 +655,10 @@ def div_scalars(a, b, f: int = 1) -> Tuple[object, int]:
     A packed scalar is a pair (v, den) standing for v / den.  Two int pairs in
     lowest terms give the pair ``Fraction`` would hold: f is folded into b by
     the gcd step of ``Fraction._mul``, then the quotient is reduced by the gcd
-    steps of ``Fraction._div``.  A pair whose numerator is not an int divides
-    as a scalar, over 1, with f multiplied in only when it is not 1.
+    steps of ``Fraction._div``; pairs not in lowest terms, such as those of
+    ``sub_products``, give the same value, not always reduced.  A pair whose
+    numerator is not an int divides as a scalar, over 1, with f multiplied in
+    only when it is not 1.
     """
     (na, da), (nb, db) = a, b
     if type(na) is not int or type(nb) is not int:
@@ -679,14 +682,16 @@ def div_scalars(a, b, f: int = 1) -> Tuple[object, int]:
 
 
 def sub_products(x, b, y, f: int, c=None, z=None, h: int = 1) -> Tuple[object, int]:
-    """The packed scalar x - f*b*y - h*c*z, reduced once; f and h are ints, and
+    """The packed scalar x - f*b*y - h*c*z, unreduced; f and h are ints, and
     without c the c*z term is left out.
 
-    Int pairs in lowest terms give the pair ``Fraction`` would hold: each
-    product stays unreduced, the difference is written over the least common
-    denominator by cofactors, and one gcd reduces the result.  Any other
-    values combine as scalars, as (x - b*y) - c*z, with f and h multiplied in
-    only when they are not 1.
+    Int pairs give their difference over lcm(den_x, den_b*den_y,
+    den_c*den_z): each product stays unreduced, and the cofactors of one gcd
+    per product write the difference over the least common denominator, not
+    the product of the denominators.  The result is not reduced; a reduced
+    value is made once, where the pair is unpacked to a ``Fraction``.  Any
+    other values combine as scalars, as (x - b*y) - c*z, with f and h
+    multiplied in only when they are not 1.
     """
     (t, den), (bn, bd), (yn, yd) = x, b, y
     ints = type(t) is int and type(bn) is int and type(yn) is int
@@ -709,8 +714,7 @@ def sub_products(x, b, y, f: int, c=None, z=None, h: int = 1) -> Tuple[object, i
         g = gcd(den, pd)
         t = t * (pd // g) - h * cn * zn * (den // g)
         den *= pd // g
-    g = gcd(t, den)
-    return (t // g, den // g) if g > 1 else (t, den)
+    return t, den
 
 
 def same_field(a: Field, b: Field) -> None:

@@ -62,6 +62,15 @@ class TestMomentFunctional:
         assert calls.count(4) == 1
         assert u.horizon is None
 
+    def test_repr_shows_four_moments_and_marks_more(self, exact):
+        """A tail marks moments beyond the four shown, or an extender."""
+        assert repr(MomentFunctional(exact, (1, 2, 3, 4))) == "MomentFunctional([1, 2, 3, 4])"
+        assert repr(MomentFunctional(exact, (1, 2, 3, 4, 5))) == (
+            "MomentFunctional([1, 2, 3, 4, ...])")
+        u = MomentFunctional(exact, extender=exact)
+        u.moment(1)
+        assert repr(u) == "MomentFunctional([0, 1, ...])"
+
     def test_apply_is_linear_in_the_polynomial(self, exact):
         u = MomentFunctional(exact, (2, -1, 5, 0, 3))
         f = Polynomial(exact, (1, 0, Fraction(2, 3)))
@@ -472,6 +481,18 @@ class TestOracle:
             got = [ttrr.b(n) for n in range(21)], [ttrr.c(n + 1) for n in range(21)]
             assert got == (bs, cs)
             assert [type(v) for v in got[0] + got[1]] == [type(v) for v in bs + cs]
+
+    @pytest.mark.parametrize("spec", PEARSON_LATTICES)
+    def test_equals_the_closed_route_through_forty(self, exact, spec):
+        """Oracle and closed TTRR, equal in value and type through N = 40 on
+        exact, where the oracle's unreduced entries are at their largest."""
+        n = 40
+        pair = readme_pair(Lattice.from_json(exact, spec))
+        oracle, closed = ttrr_oracle(pearson_moments(pair), n), ttrr_from_pearson(pair)
+        got = [(oracle.b(k), oracle.c(k + 1)) for k in range(n + 1)]
+        want = [(closed.b(k), closed.c(k + 1)) for k in range(n + 1)]
+        assert got == want
+        assert [tuple(map(type, v)) for v in got] == [tuple(map(type, v)) for v in want]
 
     @pytest.mark.parametrize("idx", range(3))
     def test_gaussian_moments_match_the_closed_route(self, exact, idx):

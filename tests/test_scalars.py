@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -184,9 +185,11 @@ class TestExactField:
 class TestPackedScalars:
     """div_scalars and sub_products against ``Fraction``.
 
-    The helpers must give the very (numerator, denominator) that the
-    ``Fraction`` operation holds, so each gcd step they skip leaves a
-    tuple that is not in lowest terms, and the comparison fails.
+    Each helper must give one exact (numerator, denominator) tuple, so a gcd
+    step it skips or adds changes the tuple, and the comparison fails.
+    ``div_scalars`` gives the tuple the ``Fraction`` quotient holds.
+    ``sub_products`` gives the difference unreduced, over the least common
+    denominator of its terms, ``lcm(x.den, b.den*y.den, c.den*z.den)``.
     """
 
     # 1, small smooth factors, and a 60-digit smooth one (30**40)
@@ -266,20 +269,25 @@ class TestPackedScalars:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_sub_products_equal_fraction_arithmetic(self, seed):
-        """x - f*b*y - h*c*z as the tuple ``Fraction`` holds, with and without
-        the c*z term, for every factor f and h."""
+        """x - f*b*y - h*c*z as the unreduced tuple (want * L, L), L the least
+        common denominator of x, b*y and c*z, with and without the c*z term,
+        for every factor f and h."""
         pk = self.packed
         rng = random.Random(seed + 100)
         zeros = 0
         for x, b, y, c, z, *fh in self.product_terms(seed):
             pairs = [fh] if fh else [(f, h) for f in self.FACTORS for h in self.FACTORS]
+            big = lcm(x.denominator, b.denominator * y.denominator,
+                      c.denominator * z.denominator)
             for f, h in pairs:
                 want = x - f * b * y - h * c * z
                 zeros += want == 0
                 got = sub_products(pk(x), pk(b), pk(y), f, pk(c), pk(z), h)
-                assert got == pk(want), (x, b, y, c, z, f, h)
+                assert got == (want * big, big), (x, b, y, c, z, f, h)
             f = rng.choice(self.FACTORS)
-            assert sub_products(pk(x), pk(b), pk(y), f) == pk(x - f * b * y), (x, b, y, f)
+            small = lcm(x.denominator, b.denominator * y.denominator)
+            want = x - f * b * y
+            assert sub_products(pk(x), pk(b), pk(y), f) == (want * small, small), (x, b, y, f)
         assert zeros > 50
 
     def test_sub_products_of_non_int_values(self, exact, big):
@@ -437,6 +445,14 @@ class TestBigFloatField:
         big_val = field(10) ** 30
         assert field.is_zero((big_val + field(1)) - big_val - field(1))
         assert not field.is_zero(field(1, 10**19))
+
+    def test_a_value_of_exactly_the_floor_vanishes(self):
+        """The floor is inclusive: |v| = eps * max(1, |s|) reads as zero, and
+        twice that does not; every value here is exact in binary."""
+        field = make_field("bigfloat", precision=128, eps=Fraction(1, 2**80))
+        floor = field(Fraction(1, 2**80))
+        assert field.is_zero(floor) and field.is_zero(-3 * floor, [field(3)])
+        assert not field.is_zero(2 * floor) and not field.is_zero(6 * floor, [field(3)])
 
     def test_report_is_scale_relative(self):
         field = make_field("bigfloat", precision=128, eps=Fraction(1, 10**20))

@@ -1,9 +1,11 @@
 """Smoke runs of the scripts under scripts/: each exits 0 and prints its table
-(the mutation script only lists its mutants)."""
+(the mutation script only lists its mutants), and the output comparison finds
+no difference against its own tree and one changed constant against a copy."""
 
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +27,35 @@ def test_script_runs(args):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def same_outputs(base, tmp_path):
+    """Run scripts/same_outputs.py on two Pearson jobs of each workload and
+    the first CLI command on each backend, against `base`."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "same_outputs.py"),
+                           "--base", str(base), "--jobs", "2", "--seeds", "1",
+                           "--max-commands", "1"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_same_outputs_finds_no_difference_against_the_tree_itself(tmp_path):
+    proc = same_outputs(ROOT, tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1].endswith("outputs compared, 0 differ")
+
+
+def test_same_outputs_finds_one_changed_constant(tmp_path):
+    """A copy of src/ whose closed C_1 divides by d_2 instead of d_1 differs
+    in the closed C_1 of every job, and in nothing else."""
+    shutil.copytree(ROOT / "src", tmp_path / "base" / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "base" / "src" / "latticeops" / "classical.py"
+    text = path.read_text()
+    assert text.count("_checked_d(pair, 1)") == 1
+    path.write_text(text.replace("_checked_d(pair, 1)", "_checked_d(pair, 2)"))
+    proc = same_outputs(tmp_path / "base", tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    differ = [k for k in proc.stdout.splitlines() if not k.startswith(" ")][:-1]
+    assert differ == [f"pearson-{backend} seed 1 job {job} closed C_1"
+                      for backend in ("exact", "bigfloat") for job in (0, 1)]
