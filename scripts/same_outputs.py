@@ -13,6 +13,12 @@ of output are compared:
   ``NotRegularError`` with its level and message.  The jobs are drawn by
   the head's ``perfbench/workloads.py`` on both sides, so the inputs are
   the same; each side runs its own library.
+* Lattices: ``alpha_n``, ``gamma_n``, ``s_n`` and the packed
+  ``level_row`` at n in [-2, 119], 500, 2048 and 2049, and ``t_pow`` at k in
+  [-130, 130] and +-2048, on the six Pearson lattices, q = (101/100)^2 and
+  a q-linear lattice at q = 9/16, each on exact and on bigfloat at 128
+  and 256 bits, and on q = 1/2 on bigfloat only.  A ``LatticeError`` is an
+  output too.
 * CLI commands: the README's commands and ``all --seed 0`` and
   ``--seed 1``, each on exact and on bigfloat at 128 and 256 bits; their
   stdout, stderr and exit code.
@@ -67,6 +73,16 @@ BACKENDS = (
     ["--backend", "bigfloat", "--precision", "256"],
 )
 LONG = 120
+# The lattices of the lattice section besides the Pearson workloads' six:
+# q = (101/100)^2 and a q-linear lattice, then one with an irrational
+# sqrt(q), on bigfloat only.
+LATTICES = (
+    {"q": "10201/10000", "c": ["1/2", "1/3", "1/5"]},
+    {"q": "9/16", "c": ["0", "1", "1/3"]},
+)
+BIGFLOAT_LATTICES = ({"q": "1/2", "c": ["1/2", "1/2", "0"]},)
+LEVELS = (*range(-2, 120), 500, 2048, 2049)  # -2 and 2049 raise LatticeError
+POWERS = (*range(-130, 131), -2048, 2048)
 
 
 def fail(message: str):
@@ -137,6 +153,36 @@ def job_outputs(L, field, params):
             yield f"{route} stop", f"{typed(exc.n)} {typed(exc)}"
 
 
+def lattice_lines(L):
+    """The sequences, level rows and powers of t of each lattice, one line each."""
+    import workloads as W
+
+    for backend in BACKENDS:
+        field = L.make_field(backend[1], int(backend[3]) if backend[2:] else None)
+        extra = BIGFLOAT_LATTICES if field.name == "bigfloat" else ()
+        for spec in (*W.PEARSON_LATTICES, *LATTICES, *extra):
+            lat = L.Lattice.from_json(field, spec)
+            key = f"lattice {' '.join(backend)} {json.dumps(spec)}"
+            for name in ("alpha_n", "gamma_n", "s_n", "level_row"):
+                sequence = getattr(lat.constants, name)
+                for n in LEVELS:
+                    yield line(f"{key} {name}({n})", sequence_value(L, sequence, n))
+            for k in POWERS:
+                yield line(f"{key} t_pow({k})", typed(lat.t_pow(k)))
+
+
+def sequence_value(L, sequence, n) -> str:
+    """type:repr of sequence(n): of each value and the denominator of a packed
+    row, or of the ``LatticeError`` it raises."""
+    try:
+        v = sequence(n)
+    except L.LatticeError as exc:
+        return typed(exc)
+    if isinstance(v, tuple):
+        return " ".join(typed(x) for x in (*v[0], v[1]))
+    return typed(v)
+
+
 def cli_lines(tree: Path, max_commands: int):
     """stdout, stderr and exit code of each CLI command on each backend."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
@@ -159,10 +205,13 @@ def dump(args) -> None:
     if Path(latticeops.__file__).resolve().parent != (src / "latticeops").resolve():
         fail(f"latticeops was not imported from {src}")
     sys.path.insert(0, str(ROOT / "perfbench"))
+    sys.set_int_max_str_digits(0)  # the level rows at n = 2048 run past 4300 digits
     for name in ("pearson-exact", "pearson-bigfloat"):
         for seed in args.seeds:
             for text in pearson_lines(name, seed, args.jobs):
                 print(text)
+    for text in lattice_lines(latticeops):
+        print(text)
     for text in cli_lines(Path(args.dump), args.max_commands):
         print(text)
 

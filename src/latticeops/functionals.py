@@ -30,12 +30,12 @@ u by a constant multiplies every entry by it, so they are unchanged; the
 entries then carry only the denominators of the B_k and C_k, which are
 far smaller than the moments' own.  Each entry is a packed scalar
 (`scalars`): on exact an int pair (num, den), made by one `sub_products`
-call that forms x - f*B*y - h*C*z over the least common denominator and
+call that forms x - B*y - C*z over the least common denominator and
 leaves it unreduced, where `Fraction` arithmetic would reduce four times.
 The unreduced entries hold about 1.3 times the bits of reduced ones, and
-cost less than a gcd per entry.  When a moment widens scale, the two
-kept anti-diagonals are not rescaled; the int factors f and h record what
-they still owe, in the products and in the `div_scalars` ratios.
+cost less than a gcd per entry.  When a moment widens scale by g, the
+numerators of the two kept anti-diagonals are multiplied by g, as
+`join_rows` rescales a packed row, so every entry is scale * sigma.
 Gaussian-rational and bigfloat values travel over 1 and combine as plain
 scalars, so on bigfloat the oracle makes the operations of the plain
 recurrence.  The oracle reads the moments through
@@ -153,9 +153,10 @@ class MomentFunctional:
         return MomentFunctional(self.field, extender=lambda k: s * self.moment(k))
 
     def __repr__(self):
-        shown = ", ".join(self.field.to_str(m) for m in self._moments[:4])
-        tail = ", ..." if self._extender is not None or len(self._moments) > 4 else ""
-        return f"MomentFunctional([{shown}{tail}])"
+        shown = [self.field.to_str(m) for m in self._moments[:4]]
+        if self._extender is not None or len(self._moments) > 4:
+            shown.append("...")
+        return f"MomentFunctional([{', '.join(shown)}])"
 
 
 def left_mul(u: MomentFunctional, f: Polynomial) -> MomentFunctional:
@@ -337,12 +338,10 @@ def ttrr_oracle(u: MomentFunctional, n_max: int) -> TTRRCoeffs:
     that B_k and C_k bring in, not those of the moments.  Multiplying u
     by a constant multiplies every sigma_(k,l) by it and leaves the monic
     P_k alone, so B_n and C_(n+1), ratios of sigma entries, are unchanged.
-    When mu_m widens the denominator by g, the two anti-diagonals kept are
-    left as they are, and the int factors f_old and f_older they still owe
-    the current scale are multiplied by g; they enter each new entry as the
-    factors of its products and each ratio as the factor of its divisor.
-    Bigfloat and Gaussian-rational moments pack over 1 and run unscaled,
-    with both factors 1.
+    When mu_m widens the denominator by g, the numerators of the two
+    anti-diagonals kept are multiplied by g, so they hold the entries of
+    the current scale * u.  Bigfloat and Gaussian-rational moments pack
+    over 1 and run unscaled.
 
     Every table entry, B_k and C_k is a packed scalar, on exact an int pair
     (num, den).  An entry is one `sub_products` call and is not reduced;
@@ -366,39 +365,36 @@ def ttrr_oracle(u: MomentFunctional, n_max: int) -> TTRRCoeffs:
     bs: List = []  # packed B_k
     cs: List = []  # packed C_k; cs[k-1] = C_k
     ratio_prev = packed(field.zero)  # sigma_(n-1,n)/h_(n-1); zero for n = 0
-    older: List = []  # f_older * older[k] = scale * sigma_(k, m-2-k)
-    old: List = []  # f_old * old[k] = scale * sigma_(k, m-1-k)
-    f_older = f_old = 1  # the factors the two kept anti-diagonals still owe
+    older: List = []  # older[k] = scale * sigma_(k, m-2-k)
+    old: List = []  # old[k] = scale * sigma_(k, m-1-k)
     scale = 1  # lcm of the denominators of mu_0..mu_m
     for m in range(2 * n_max + 3):
         num, den = packed(u.moment(m))
         g = den // gcd(scale, den)
         if g > 1:
             scale *= g
-            f_old *= g
-            f_older *= g
+            old = [(v * g, d) for v, d in old]
+            older = [(v * g, d) for v, d in older]
         # diag[k] = scale * sigma_(k, m-k), down to k = m // 2
         diag = [(num * (scale // den), 1)]
         for k in range(1, m // 2 + 1):
             if k == 1:
-                s = sub_products(diag[0], bs[0], old[0], f_old)
+                s = sub_products(diag[0], bs[0], old[0])
             else:
-                s = sub_products(diag[k - 1], bs[k - 1], old[k - 1], f_old,
-                                 cs[k - 2], older[k - 2], f_older)
+                s = sub_products(diag[k - 1], bs[k - 1], old[k - 1], cs[k - 2], older[k - 2])
             diag.append(s)
         n, odd = divmod(m, 2)
         if odd:
-            ratio = div_scalars(diag[n], old[n], f_old)
-            bs.append(sub_products(ratio, ratio_prev, one, 1))
+            ratio = div_scalars(diag[n], old[n])
+            bs.append(sub_products(ratio, ratio_prev, one))
             ratio_prev = ratio
         else:
             if n >= 1:
-                cs.append(div_scalars(diag[n], older[n - 1], f_older))
+                cs.append(div_scalars(diag[n], older[n - 1]))
             if n <= n_max and field.is_zero(value(cs[-1] if n else diag[0])):
                 what = f"C_{n} = h_{n}/h_{n - 1}" if n else "h_0 = mu_0"
                 raise NotRegularError(n, f"{what} = 0: u is not regular at level {n}")
         older, old = old, diag
-        f_older, f_old = f_old, 1
     return TTRRCoeffs.from_lists(field, [value(b) for b in bs], [value(c) for c in cs])
 
 

@@ -60,13 +60,12 @@ that runs the recurrences is the same on both backends, and on bigfloat
 it makes the same operations in the same order as on plain scalars.
 
 A packed *scalar* is one such pair ``(v, den)``, and two operations
-combine them, each taking an int factor ``f`` that a scaled operand still
-owes.  ``div_scalars`` gives a / (f*b) and ``sub_products`` gives
-x - f*b*y - h*c*z.  For int pairs in lowest terms the quotient is the pair
-``Fraction`` would hold, by the gcd steps of ``Fraction._mul`` and
-``_div``.  The difference is left unreduced: both products stay unreduced
-and the result is written over the least common denominator of x, b*y and
-c*z by two cofactor gcds, with no gcd of its own.  A pair whose value is
+combine them: ``div_scalars`` gives a / b and ``sub_products`` gives
+x - b*y - c*z.  For int pairs in lowest terms the quotient is the pair
+``Fraction`` would hold, by the gcd steps of ``Fraction._div``.  The
+difference is left unreduced: both products stay unreduced and the
+result is written over the least common denominator of x, b*y and c*z by
+two cofactor gcds, with no gcd of its own.  A pair whose value is
 not an int (a ``QRational``, a bigfloat value) combines as a scalar over
 1.  The moment oracle runs its table of mixed moments on them.
 """
@@ -649,49 +648,36 @@ def _value(v, den):
     return v if den == 1 else _quotient(v, den)
 
 
-def div_scalars(a, b, f: int = 1) -> Tuple[object, int]:
-    """The packed scalar a / (f*b), f an int; the denominator keeps a positive sign.
+def div_scalars(a, b) -> Tuple[object, int]:
+    """The packed scalar a / b; the denominator keeps a positive sign.
 
     A packed scalar is a pair (v, den) standing for v / den.  Two int pairs in
-    lowest terms give the pair ``Fraction`` would hold: f is folded into b by
-    the gcd step of ``Fraction._mul``, then the quotient is reduced by the gcd
-    steps of ``Fraction._div``; pairs not in lowest terms, such as those of
+    lowest terms give the pair ``Fraction`` would hold, by the gcd steps of
+    ``Fraction._div``; pairs not in lowest terms, such as those of
     ``sub_products``, give the same value, not always reduced.  A pair whose
-    numerator is not an int divides as a scalar, over 1, with f multiplied in
-    only when it is not 1.
+    numerator is not an int divides as a scalar, over 1.
     """
     (na, da), (nb, db) = a, b
     if type(na) is not int or type(nb) is not int:
-        q = _value(nb, db)
-        return _value(na, da) / (q if f == 1 else q * f), 1
+        return _value(na, da) / _value(nb, db), 1
     if nb == 0:
         raise ZeroDivisionError("division by zero scalar")
-    g = gcd(f, db)
-    nb *= f // g
-    db //= g
     g1 = gcd(na, nb)
-    if g1 > 1:
-        na //= g1
-        nb //= g1
     g2 = gcd(db, da)
-    if g2 > 1:
-        da //= g2
-        db //= g2
-    n, d = na * db, nb * da
+    n, d = (na // g1) * (db // g2), (nb // g1) * (da // g2)
     return (-n, -d) if d < 0 else (n, d)
 
 
-def sub_products(x, b, y, f: int, c=None, z=None, h: int = 1) -> Tuple[object, int]:
-    """The packed scalar x - f*b*y - h*c*z, unreduced; f and h are ints, and
-    without c the c*z term is left out.
+def sub_products(x, b, y, c=None, z=None) -> Tuple[object, int]:
+    """The packed scalar x - b*y - c*z, unreduced; without c the c*z term is
+    left out.
 
     Int pairs give their difference over lcm(den_x, den_b*den_y,
     den_c*den_z): each product stays unreduced, and the cofactors of one gcd
     per product write the difference over the least common denominator, not
     the product of the denominators.  The result is not reduced; a reduced
     value is made once, where the pair is unpacked to a ``Fraction``.  Any
-    other values combine as scalars, as (x - b*y) - c*z, with f and h
-    multiplied in only when they are not 1.
+    other values combine as scalars, as (x - b*y) - c*z.
     """
     (t, den), (bn, bd), (yn, yd) = x, b, y
     ints = type(t) is int and type(bn) is int and type(yn) is int
@@ -699,20 +685,16 @@ def sub_products(x, b, y, f: int, c=None, z=None, h: int = 1) -> Tuple[object, i
         (cn, cd), (zn, zd) = c, z
         ints = ints and type(cn) is int and type(zn) is int
     if not ints:
-        p = _value(bn, bd) * _value(yn, yd)
-        s = _value(t, den) - (p if f == 1 else p * f)
-        if c is None:
-            return s, 1
-        p = _value(cn, cd) * _value(zn, zd)
-        return s - (p if h == 1 else p * h), 1
+        s = _value(t, den) - _value(bn, bd) * _value(yn, yd)
+        return (s if c is None else s - _value(cn, cd) * _value(zn, zd)), 1
     pd = bd * yd
     g = gcd(den, pd)
-    t = t * (pd // g) - f * bn * yn * (den // g)
+    t = t * (pd // g) - bn * yn * (den // g)
     den *= pd // g
     if c is not None:
         pd = cd * zd
         g = gcd(den, pd)
-        t = t * (pd // g) - h * cn * zn * (den // g)
+        t = t * (pd // g) - cn * zn * (den // g)
         den *= pd // g
     return t, den
 

@@ -67,7 +67,9 @@ class TestMomentFunctional:
         assert repr(MomentFunctional(exact, (1, 2, 3, 4))) == "MomentFunctional([1, 2, 3, 4])"
         assert repr(MomentFunctional(exact, (1, 2, 3, 4, 5))) == (
             "MomentFunctional([1, 2, 3, 4, ...])")
+        assert repr(MomentFunctional(exact)) == "MomentFunctional([])"
         u = MomentFunctional(exact, extender=exact)
+        assert repr(u) == "MomentFunctional([...])"
         u.moment(1)
         assert repr(u) == "MomentFunctional([0, 1, ...])"
 

@@ -1,6 +1,7 @@
 """Smoke runs of the scripts under scripts/: each exits 0 and prints its table
 (the mutation script only lists its mutants), and the output comparison finds
-no difference against its own tree and one changed constant against a copy."""
+no difference against its own tree and one changed constant against a copy,
+in the section that reads it."""
 
 from __future__ import annotations
 
@@ -59,3 +60,24 @@ def test_same_outputs_finds_one_changed_constant(tmp_path):
     differ = [k for k in proc.stdout.splitlines() if not k.startswith(" ")][:-1]
     assert differ == [f"pearson-{backend} seed 1 job {job} closed C_1"
                       for backend in ("exact", "bigfloat") for job in (0, 1)]
+
+
+def test_same_outputs_finds_a_changed_lattice_constant(tmp_path):
+    """A copy of src/ whose sequence horizon is 2047, not 2048, differs in
+    alpha_n, gamma_n, s_n and level_row at n = 2048 (an error, not a value)
+    and 2049 (the horizon its error names) on every q-lattice of the lattice
+    section, six on exact and seven on each bigfloat precision, and in
+    nothing else."""
+    shutil.copytree(ROOT / "src", tmp_path / "base" / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "base" / "src" / "latticeops" / "lattice.py"
+    text = path.read_text()
+    assert text.count("DEFAULT_TABLE_HORIZON = 2048") == 1
+    path.write_text(text.replace("DEFAULT_TABLE_HORIZON = 2048", "DEFAULT_TABLE_HORIZON = 2047"))
+    proc = same_outputs(tmp_path / "base", tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    differ = [k for k in proc.stdout.splitlines() if not k.startswith(" ")][:-1]
+    assert len(differ) == 2 * 4 * (6 + 7 + 7)
+    assert all(k.startswith("lattice ") and k.endswith(("(2048)", "(2049)"))
+               for k in differ), differ
+    assert not [k for k in differ if "t_pow" in k or '"q": "1"' in k]
