@@ -19,6 +19,10 @@ of output are compared:
   a q-linear lattice at q = 9/16, each on exact and on bigfloat at 128
   and 256 bits, and on q = 1/2 on bigfloat only.  A ``LatticeError`` is an
   output too.
+* Operators: the images of z^n under ``dx``, ``sx``, ``dx_interp`` and
+  ``sx_interp`` for n in [0, ``--degree``], on the six Pearson lattices,
+  each on exact and on bigfloat at 128 and 256 bits; a ``LatticeError`` is
+  an output too.
 * CLI commands: the README's commands and ``all --seed 0`` and
   ``--seed 1``, each on exact and on bigfloat at 128 and 256 bits; their
   stdout, stderr and exit code.
@@ -31,7 +35,7 @@ outputs could not be computed.
 
     python scripts/same_outputs.py --base HEAD
     python scripts/same_outputs.py --base HEAD~1 --jobs 120 --seeds 11 21
-    python scripts/same_outputs.py --base ../other-checkout --jobs 4 --max-commands 2
+    python scripts/same_outputs.py --base ../other-checkout --jobs 4 --max-commands 2 --degree 5
 """
 
 from __future__ import annotations
@@ -83,6 +87,7 @@ LATTICES = (
 BIGFLOAT_LATTICES = ({"q": "1/2", "c": ["1/2", "1/2", "0"]},)
 LEVELS = (*range(-2, 120), 500, 2048, 2049)  # -2 and 2049 raise LatticeError
 POWERS = (*range(-130, 131), -2048, 2048)
+OPERATORS = ("dx", "sx", "dx_interp", "sx_interp")
 
 
 def fail(message: str):
@@ -183,6 +188,25 @@ def sequence_value(L, sequence, n) -> str:
     return typed(v)
 
 
+def operator_lines(L, degree: int):
+    """The image of each z^n, n <= `degree`, under each operator, one line each."""
+    import workloads as W
+
+    for backend in BACKENDS:
+        field = L.make_field(backend[1], int(backend[3]) if backend[2:] else None)
+        for spec in W.PEARSON_LATTICES:
+            lat = L.Lattice.from_json(field, spec)
+            key = f"operator {' '.join(backend)} {json.dumps(spec)}"
+            for n in range(degree + 1):
+                z = L.Polynomial.monomial(field, n)
+                for name in OPERATORS:
+                    try:
+                        text = " ".join(typed(x) for x in getattr(L.operators, name)(lat, z).coeffs)
+                    except L.LatticeError as exc:
+                        text = typed(exc)
+                    yield line(f"{key} {name}(z^{n})", text)
+
+
 def cli_lines(tree: Path, max_commands: int):
     """stdout, stderr and exit code of each CLI command on each backend."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
@@ -212,6 +236,8 @@ def dump(args) -> None:
                 print(text)
     for text in lattice_lines(latticeops):
         print(text)
+    for text in operator_lines(latticeops, args.degree):
+        print(text)
     for text in cli_lines(Path(args.dump), args.max_commands):
         print(text)
 
@@ -221,6 +247,7 @@ def outputs(tree: Path, args) -> list:
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     argv = [sys.executable, str(Path(__file__).resolve()), "--dump", str(tree),
             "--jobs", str(args.jobs), "--max-commands", str(args.max_commands),
+            "--degree", str(args.degree),
             "--seeds", *map(str, args.seeds)]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True)
     if proc.returncode:
@@ -248,6 +275,8 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     parser.add_argument("--max-commands", type=int, default=len(COMMANDS),
                         help="run only the first M CLI commands on each backend")
+    parser.add_argument("--degree", type=int, default=41,
+                        help="compare the operator images of z^n for n <= D")
     parser.add_argument("--dump", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.dump:

@@ -7,10 +7,10 @@ C_(n+1), the iterated pairs (phi^[k], psi^[k]) with their functionals
 u^[k], the Rodrigues-type representation P_n u = k_n D^n u^[k], and the
 asymptotic behaviour of the recurrence coefficients.
 
-Every closed form is cross-checked: iterated pairs against their
-defining recursion, moments against the Pearson recursion, recurrence
-coefficients against the moment oracle (in the test-suite), so a
-transcription slip in any one route cannot pass silently.
+Every closed form is cross-checked: iterated pairs against their defining
+recursion (on six levels, which prove all), moments against the Pearson
+recursion, recurrence coefficients against the moment oracle (in the
+test-suite), so a transcription slip in any one route cannot pass silently.
 
 The closed route is written once for every lattice, in alpha, beta,
 delta = U2(0), alpha_n, beta_n and gamma_n (see ``lattice``): the iterated
@@ -35,28 +35,19 @@ gamma_n e_(n-1) / d_(2n-2), written once, so the partial sums
 B_n is checked against the moment oracle.
 
 What is memoized, per PearsonPair, through ``lattice.memoized``: W and
-W row(n) at every index, M, and the closed row M row(k) and the witness
-phi^[n](witness_point(n)) at every level; the witness reads the closed
-row alone (one quotient per level), and ``regularity`` and the C_(n+1) of
-``ttrr_from_pearson`` read the same witness.  Also the term
-gamma_n e_(n-1) / d_(2n-2) of ``b_offset`` at every index, which B_(n-1)
-and B_n share.  Per lattice,
-``_recursion_map``: the recursion
+W row(n) at every index, M, the recursion check, and at every level the
+product M row(k) and the witness phi^[n](witness_point(n)), which reads
+the closed row alone (one quotient per level); ``regularity`` and the
+C_(n+1) of ``ttrr_from_pearson`` read the same witness.  Also the term
+gamma_n e_(n-1) / d_(2n-2) of ``b_offset``, which B_(n-1) and B_n share.
+Per lattice, ``_recursion_map``: the recursion
 R(phi, psi) = (S phi + U1 S psi + alpha U2 D psi, D phi + alpha S psi + U1 D psi)
-is linear and keeps degrees (2, 1), so it is one 5x5 map R on the
-coefficients (c, b, a, e, d), summed once from the packed rows of the
-D_x and S_x tables (``operators.monomial_rows``), U1 and U2.
-``iterated`` keeps the packed rows of the levels it has validated apart:
-a level's closed row is stored there only once the map applied to the
-row of the level below agrees with it, so the recursion check still runs
-at every level that ``iterated`` reaches, whatever the witness read
-first; (phi^[k], psi^[k]) are unpacked from the row on return.
-``regularity`` validates each level the same way but reads the packed
-row, and unpacks phi^[n]'s coefficients only for a backend whose zero
-test reads the witness scale (bigfloat).  The
-lattice memoizes alpha_n, gamma_n, s_n and the level rows, all read from
-its one table of packed powers (t^k, t^-k), and U1 and U2 (see
-``lattice``).
+is linear and keeps degrees (2, 1), so it is one 5x5 map R on
+(c, b, a, e, d), summed once from the packed rows of the D_x and S_x
+tables (``operators.monomial_rows``), U1 and U2.  Every closed row is read
+through the recursion check (``_closed_row``), which runs once per pair.
+The lattice memoizes alpha_n, gamma_n, s_n and the level rows, read from
+its one table of packed powers (t^k, t^-k), and U1 and U2 (see ``lattice``).
 """
 
 from __future__ import annotations
@@ -97,8 +88,7 @@ class PearsonPair:
         self.field = lattice.field
         self.phi = phi
         self.psi = psi
-        # the packed (c, b, a, e, d) row of each validated level (phi^[k], psi^[k])
-        self._iterated: List[tuple] = [self.field.pack((self.c, self.b, self.a, self.e, self.d))]
+        self._own_row = self.field.pack((self.c, self.b, self.a, self.e, self.d))
 
     @property
     def a(self):
@@ -168,40 +158,51 @@ class PearsonPair:
         return self.field.unpack(([(c * d - b * e) * d + a * e * e], den * d * d))[0]
 
     def iterated(self, k: int) -> Tuple[Polynomial, Polynomial]:
-        """(phi^[k], psi^[k]); recursion and closed form must agree at every level.
+        """(phi^[k], psi^[k]), unpacked from the packed row ``_level(k)``."""
+        return self._pair_of(self._level(k))
 
-        The recursion is the lattice's map ``_recursion_map`` applied to the
-        packed row of the level below, compared with the packed closed row
-        ``_closed_row`` by cross-multiplying their denominators.
-        """
-        return self._pair_of(self._validated_row(k))
-
-    def _validated_row(self, k: int) -> tuple:
-        """The packed (c, b, a, e, d) row of level k, once the recursion check
-        of every level through k has passed."""
-        while len(self._iterated) <= k:
-            j = len(self._iterated)
-            image, iden = mat_row(_recursion_map(self.lattice), self._iterated[-1])
-            row = closed, cden = self._closed_row(j)
-            lhs = [x * cden for x in image]
-            rhs = [x * iden for x in closed]
-            rep = self.field.report(f"iterated^[{j}]", [(lhs[:3], rhs[:3]), (lhs[3:], rhs[3:])])
-            if not rep.passed:
-                name = ("phi", "psi")[rep.first_fail]
-                raise InternalCheckError(f"{name}^[{j}] closed form disagrees with the recursion")
-            self._iterated.append(row)
-        return self._iterated[k]
+    def _level(self, k: int) -> tuple:
+        """Level k's packed row; at k = 0 the pair's own, which M row(0) can round apart from."""
+        return self._closed_row(k) if k else self._own_row
 
     def _pair_of(self, row: tuple) -> Tuple[Polynomial, Polynomial]:
         """(phi, psi) from a packed (c, b, a, e, d) row."""
         c, b, a, e, d = self.field.unpack(row)
         return Polynomial(self.field, (c, b, a)), Polynomial(self.field, (e, d))
 
-    @memoized
     def _closed_row(self, k: int) -> tuple:
-        """(c, b, a, e, d)^[k] = M row(k), packed: M from ``_closed_matrix`` and
-        row(k) the lattice's ``level_row(k)``, so 25 products of ints on exact."""
+        """(c, b, a, e, d)^[k] = M row(k), packed: the one read, through the check."""
+        self._check_recursion()
+        return self._product(k)
+
+    @memoized
+    def _product(self, k: int) -> tuple:
+        """M row(k) unchecked, row(k) = ``level_row(k)``: 25 products of ints on exact."""
         return mat_row(self._closed_matrix(), self.lattice.constants.level_row(k))
+
+    @memoized
+    def _check_recursion(self) -> None:
+        """Compare the recursion R (``_recursion_map``) with the closed form on
+        levels 1 to 6, in one report with a phi and a psi slot per level: R on
+        the pair's own row against M row(1), then R M row(k) against
+        M row(k + 1) for k = 1..5, the denominators cross-multiplied.
+
+        That proves every level.  Each entry of R M row(k) - M row(k + 1) is a
+        Laurent polynomial in T = t^k with exponents in [-2, 2] on a q-lattice,
+        of degree <= 4 in k when q = 1, so it is 0 once it vanishes at five
+        distinct T or k.  ``Lattice`` accepts only real q > 0, so t = sqrt(q)
+        is positive and not 1 on every q-lattice: k = 1..5 give five distinct T.
+        """
+        rmap, closed = _recursion_map(self.lattice), [self._product(k) for k in range(1, 7)]
+        slots = []
+        for below, (row, cden) in zip((self._own_row, *closed), closed):
+            image, iden = mat_row(rmap, below)
+            lhs, rhs = [x * cden for x in image], [x * iden for x in row]
+            slots += [(lhs[:3], rhs[:3]), (lhs[3:], rhs[3:])]
+        rep = self.field.report("iterated", slots)
+        if not rep.passed:
+            name, level = ("phi", "psi")[rep.first_fail % 2], rep.first_fail // 2 + 1
+            raise InternalCheckError(f"{name}^[{level}] closed form disagrees with the recursion")
 
     @memoized
     def _closed_matrix(self) -> tuple:
@@ -346,9 +347,8 @@ def regularity(pair: PearsonPair, n_max: int) -> RegularityReport:
     for n in range(n_max + 1):
         if d_zero is not None and 2 * n >= d_zero:
             break
-        row = pair._validated_row(n)
         w = pair.witness(n)
-        wz = field.is_zero(w, scale=_phi_coeffs(field, row))
+        wz = field.is_zero(w, scale=_phi_coeffs(field, pair._level(n)))
         rows.append(RegularityRow(n=n, d_n=pair.d_value(n), e_n=pair.e_value(n),
                                   witness=w, witness_zero=wz))
         if wz and witness_zero_at is None:

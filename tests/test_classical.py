@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -131,6 +132,19 @@ class TestRecursionMap:
 
         monkeypatch.setattr(classical, "monomial_rows", cubic)
         with pytest.raises(InternalCheckError, match=r"degrees \(3, 1\)"):
+            regularity(readme_pair(lat), 2)
+
+    def test_a_psi_image_beyond_degree_one_is_refused(self, exact, monkeypatch):
+        lat = Lattice(exact, 4, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))
+        original = classical.monomial_rows
+
+        def quadratic(lat, n):
+            """D_x z^2 gains a z^2 term."""
+            d, s = original(lat, n)
+            return (add_rows(d, exact.pack((0, 0, 1))), s) if n == 2 else (d, s)
+
+        monkeypatch.setattr(classical, "monomial_rows", quadratic)
+        with pytest.raises(InternalCheckError, match=r"degrees \(2, 2\)"):
             regularity(readme_pair(lat), 2)
 
 
@@ -397,29 +411,73 @@ class TestRegularity:
         for field in (exact, big):
             pair = readme_pair(Lattice.from_json(field, PEARSON_LATTICES[1]))
             for n in range(6):
-                scale = classical._phi_coeffs(field, pair._validated_row(n))
+                scale = classical._phi_coeffs(field, pair._level(n))
                 assert list(scale) == list(pair.iterated(n)[0].coeffs), (field, n)
 
 
 class TestMemo:
+    LATTICES = ((4, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))),
+                (1, (2, Fraction(1, 3), Fraction(-1, 4))),
+                (Fraction(1, 9), (Fraction(1, 2), Fraction(1, 2), 0)))
+
+    @staticmethod
+    def corrupt_phi_row(monkeypatch, weights):
+        """Add weights(lat) to the first row of M, the one of phi's c."""
+        original = PearsonPair._closed_matrix
+
+        def corrupted(self):
+            values, den = original(self)
+            return [v + w * den for v, w in zip(values, weights(self.lattice))] + values[5:], den
+
+        monkeypatch.setattr(PearsonPair, "_closed_matrix", corrupted)
+
     def test_closed_reads_first_keep_the_recursion_check(self, exact, monkeypatch):
-        """C_(n+1) read before regularity reads unchecked closed forms; the
-        recursion check of every level regularity validates must still run."""
-        lat = Lattice(exact, 4, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))
-        pair = sample_pair(lat)
-        n_max, bad = 5, 3
-        closed = ttrr_from_pearson(pair)
-        for m in range(n_max + 2):
-            closed.c(m)
-        original = PearsonPair._closed_row
+        """C_1, the witness and its point at level 0, the iterated pairs and
+        regularity each read the closed rows through the one check, whichever
+        reads a fresh pair first."""
+        self.corrupt_phi_row(monkeypatch, lambda lat: (1, 0, 0, 0, 0))
+        reads = (lambda pair: ttrr_from_pearson(pair).c(1), lambda pair: pair.witness(0),
+                 lambda pair: witness_point(pair, 0), lambda pair: pair.iterated(2),
+                 lambda pair: regularity(pair, 0))
+        for q, c in self.LATTICES:
+            for read in reads:
+                with pytest.raises(InternalCheckError, match=r"phi\^\[1\] closed form"):
+                    read(readme_pair(Lattice(exact, q, c)))
 
-        def corrupted(self, k):
-            (c, *rest), den = original(self, k)
-            return ([c + den, *rest] if k == bad else [c, *rest]), den
+    @staticmethod
+    def null_weights(lat):
+        """Integer weights w != 0 with w . level_row(k) = 0 for k = 1..4, by
+        exact elimination over Fraction."""
+        m = [[Fraction(v, den) for v in values]
+             for values, den in map(lat.constants.level_row, range(1, 5))]
+        pivots = []
+        for col in range(5):
+            r = len(pivots)
+            pivot = next((i for i in range(r, 4) if m[i][col]), None)
+            if pivot is None:
+                continue
+            m[r], m[pivot] = m[pivot], m[r]
+            m[r] = [x / m[r][col] for x in m[r]]
+            m = [row if i == r else [x - row[col] * y for x, y in zip(row, m[r])]
+                 for i, row in enumerate(m)]
+            pivots.append(col)
+        assert len(pivots) == 4, "level rows 1..4 are independent"
+        free = next(col for col in range(5) if col not in pivots)
+        w = [Fraction(col == free) for col in range(5)]
+        for r, col in enumerate(pivots):
+            w[col] = -m[r][free]
+        scale = math.lcm(*(x.denominator for x in w))
+        return [int(x * scale) for x in w]
 
-        monkeypatch.setattr(PearsonPair, "_closed_row", corrupted)
-        with pytest.raises(InternalCheckError, match=rf"phi\^\[{bad}\]"):
-            regularity(pair, n_max)
+    def test_the_check_reaches_level_five(self, exact, monkeypatch):
+        """M plus weights that vanish on level rows 1..4 agrees with the
+        recursion through level 4; the check must go on to find level 5."""
+        self.corrupt_phi_row(monkeypatch, self.null_weights)
+        for q, c in self.LATTICES:
+            pair = readme_pair(Lattice(exact, q, c))
+            assert any(self.null_weights(pair.lattice))
+            with pytest.raises(InternalCheckError, match=r"phi\^\[5\] closed form"):
+                regularity(pair, 0)
 
     @pytest.mark.parametrize("backend", ["exact", "bigfloat"])
     @pytest.mark.parametrize("spec", [

@@ -31,7 +31,7 @@ from latticeops import (
     verify_functional_identity,
 )
 from latticeops.checks import random_functional
-from latticeops.functionals import dual_dx_pow, moment_slot, pearson_moments
+from latticeops.functionals import InternalCheckError, dual_dx_pow, moment_slot, pearson_moments
 from latticeops.operators import _monomial_tables, dx_interp, sx_interp
 
 from conftest import PEARSON_LATTICES, gaussian_lattices, identity_lattices, readme_pair
@@ -236,6 +236,23 @@ class TestPearsonMoments:
                     u.moments(12)
                 assert exc.value.n == 5
             assert len(u.moments(5)) == 6
+
+    def test_moments_do_not_take_their_values_from_d_n(self, exact, monkeypatch):
+        """The d_n cross-check compares two routes: with 1 added to W's weight
+        on s_n in d_n, the moments stop at d_1 (s_0 = 0 leaves d_0 alone).  A
+        moment that took its value from ``d_value`` would pass."""
+        original = PearsonPair._first_weights
+
+        def corrupted(self):
+            values, den = original(self)
+            return [*values[:2], values[2] + den, *values[3:]], den
+
+        monkeypatch.setattr(PearsonPair, "_first_weights", corrupted)
+        for spec in PEARSON_LATTICES:
+            u = readme_pair(Lattice.from_json(exact, spec)).moments()
+            with pytest.raises(InternalCheckError,
+                               match=r"^leading Pearson coefficient disagrees with d_1 closed"):
+                u.moments(12)
 
     def test_a_pearson_job_builds_table_rows_through_degree_two(self, exact):
         """regularity, moments(2N+2), the closed TTRR and the oracle leave the

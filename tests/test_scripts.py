@@ -31,12 +31,13 @@ def test_script_runs(args):
 
 
 def same_outputs(base, tmp_path):
-    """Run scripts/same_outputs.py on two Pearson jobs of each workload and
-    the first CLI command on each backend, against `base`."""
+    """Run scripts/same_outputs.py on two Pearson jobs of each workload, the
+    first CLI command on each backend and the operator images through z^3,
+    against `base`."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     return subprocess.run([sys.executable, str(ROOT / "scripts" / "same_outputs.py"),
                            "--base", str(base), "--jobs", "2", "--seeds", "1",
-                           "--max-commands", "1"],
+                           "--max-commands", "1", "--degree", "3"],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
 
 
@@ -81,3 +82,22 @@ def test_same_outputs_finds_a_changed_lattice_constant(tmp_path):
     assert all(k.startswith("lattice ") and k.endswith(("(2048)", "(2049)"))
                for k in differ), differ
     assert not [k for k in differ if "t_pow" in k or '"q": "1"' in k]
+
+
+def test_same_outputs_finds_a_changed_operator(tmp_path):
+    """A copy of src/ whose sx_interp divides by 3, not 2, differs in the
+    sx_interp images of z, z^2 and z^3 on the six Pearson lattices, on exact
+    and on each bigfloat precision, and in nothing else."""
+    shutil.copytree(ROOT / "src", tmp_path / "base" / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "base" / "src" / "latticeops" / "operators.py"
+    text = path.read_text()
+    old = "(f(zp) + f(zm)) / 2"
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, "(f(zp) + f(zm)) / 3"))
+    proc = same_outputs(tmp_path / "base", tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    differ = [k for k in proc.stdout.splitlines() if not k.startswith(" ")][:-1]
+    assert len(differ) == 3 * 6 * 3
+    assert all(k.startswith("operator ") and k.endswith(("sx_interp(z^1)", "sx_interp(z^2)",
+                                                         "sx_interp(z^3)")) for k in differ), differ
