@@ -19,10 +19,13 @@ of output are compared:
   a q-linear lattice at q = 9/16, each on exact and on bigfloat at 128
   and 256 bits, and on q = 1/2 on bigfloat only.  A ``LatticeError`` is an
   output too.
-* Operators: the images of z^n under ``dx``, ``sx``, ``dx_interp`` and
-  ``sx_interp`` for n in [0, ``--degree``], on the six Pearson lattices,
-  each on exact and on bigfloat at 128 and 256 bits; a ``LatticeError`` is
-  an output too.
+* Operators: the images under ``dx``, ``sx``, ``dx_interp`` and
+  ``sx_interp`` of z^n for n in [0, ``--degree``], and of one fixed seeded
+  polynomial of each degree in [1, min(16, ``--degree``)] with mixed
+  denominators, on the six Pearson lattices, the symmetric q = 1/16
+  lattice and the quadratic lattice x(s) = s^2 of the identity-structure
+  workload, each on exact and on bigfloat at 128 and 256 bits; a
+  ``LatticeError`` is an output too.
 * CLI commands: the README's commands and ``all --seed 0`` and
   ``--seed 1``, each on exact and on bigfloat at 128 and 256 bits; their
   stdout, stderr and exit code.
@@ -45,9 +48,11 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -88,6 +93,9 @@ BIGFLOAT_LATTICES = ({"q": "1/2", "c": ["1/2", "1/2", "0"]},)
 LEVELS = (*range(-2, 120), 500, 2048, 2049)  # -2 and 2049 raise LatticeError
 POWERS = (*range(-130, 131), -2048, 2048)
 OPERATORS = ("dx", "sx", "dx_interp", "sx_interp")
+# The denominators of the operator section's seeded inputs, and their top degree.
+DENOMINATORS = (1, 2, 3, 4, 6, 9, 12, 35, 64, 97)
+MIXED_DEGREE = 16
 
 
 def fail(message: str):
@@ -188,23 +196,39 @@ def sequence_value(L, sequence, n) -> str:
     return typed(v)
 
 
+def mixed_inputs(degree: int) -> dict:
+    """One polynomial of each degree n in [1, min(16, `degree`)], by name
+    ``f<n>``: coefficients p/d with |p| < 100 and d from ``DENOMINATORS``,
+    drawn from a generator seeded with n, and a nonzero top one."""
+    inputs = {}
+    for n in range(1, min(MIXED_DEGREE, degree) + 1):
+        rng = random.Random(n)
+        coeffs = [Fraction(rng.randint(-99, 99), rng.choice(DENOMINATORS)) for _ in range(n)]
+        inputs[f"f{n}"] = [*coeffs, Fraction(rng.randint(1, 99), rng.choice(DENOMINATORS))]
+    return inputs
+
+
 def operator_lines(L, degree: int):
-    """The image of each z^n, n <= `degree`, under each operator, one line each."""
+    """The image of each z^n, n <= `degree`, and of each seeded input under
+    each operator, one line each."""
     import workloads as W
 
+    specs = (*W.PEARSON_LATTICES, W.IDENTITY_LATTICES[W.SYM16], W.IDENTITY_LATTICES[W.QUADRATIC])
+    mixed = mixed_inputs(degree)
     for backend in BACKENDS:
         field = L.make_field(backend[1], int(backend[3]) if backend[2:] else None)
-        for spec in W.PEARSON_LATTICES:
+        inputs = {**{f"z^{n}": L.Polynomial.monomial(field, n) for n in range(degree + 1)},
+                  **{name: L.Polynomial(field, c) for name, c in mixed.items()}}
+        for spec in specs:
             lat = L.Lattice.from_json(field, spec)
             key = f"operator {' '.join(backend)} {json.dumps(spec)}"
-            for n in range(degree + 1):
-                z = L.Polynomial.monomial(field, n)
+            for label, f in inputs.items():
                 for name in OPERATORS:
                     try:
-                        text = " ".join(typed(x) for x in getattr(L.operators, name)(lat, z).coeffs)
+                        text = " ".join(typed(x) for x in getattr(L.operators, name)(lat, f).coeffs)
                     except L.LatticeError as exc:
                         text = typed(exc)
-                    yield line(f"{key} {name}(z^{n})", text)
+                    yield line(f"{key} {name}({label})", text)
 
 
 def cli_lines(tree: Path, max_commands: int):

@@ -31,12 +31,15 @@ the argument at x(s +- 1/2) over interpolation nodes and interpolates
 the result back into the monomial basis; the test suite cross-checks
 both routes on exact rationals, alongside the printed top coefficients
 of D_x z^n and S_x z^n (`monomial_action`).  That route reads no image
-table.  Its lattice data is one node table per lattice (`_node_table`),
-grown on demand like the image tables: the usable nodes z_i of
-`Lattice.node_stream`, x(s_i +- 1/2) and their difference, and the
-differences z_i - z_j that `polynomials.newton`, the one Newton kernel,
-divides by.  The one memo, `lattice.memoized`, keeps the node table next
-to the image tables.
+table.  It packs its argument once per call and evaluates it at every
+node through `scalars.eval_row`, the one Horner loop: on the exact
+backend the real argument is an int row, evaluated in ints at the
+rational nodes.  Its lattice data is one node table per lattice
+(`_node_table`), grown on demand like the image tables: the usable nodes
+z_i of `Lattice.node_stream`, x(s_i +- 1/2) and their difference, and
+the differences z_i - z_j that `polynomials.newton`, the one Newton
+kernel, divides by.  The one memo, `lattice.memoized`, keeps the node
+table next to the image tables.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from typing import Optional
 
 from .lattice import Lattice, LatticeError, memoized
 from .polynomials import Polynomial, newton
-from .scalars import Report, add_rows, mul_rows
+from .scalars import Report, add_rows, eval_row, mul_rows
 
 HALF = Fraction(1, 2)
 
@@ -112,17 +115,21 @@ def dx_interp(lat: Lattice, f: Polynomial) -> Polynomial:
         return Polynomial.zero(lat.field)
     if lat.is_constant:
         return f.derivative()
-    t = _nodes(lat, f.degree)
-    values = [(f(zp) - f(zm)) / h for zp, zm, h in t.ends[:f.degree]]
-    return newton(lat.field, t.zs, t.diffs, values)
+    field, t = lat.field, _nodes(lat, f.degree)
+    row, zero = field.pack(f.coeffs), field.zero
+    values = [(eval_row(row, zp, zero) - eval_row(row, zm, zero)) / h
+              for zp, zm, h in t.ends[:f.degree]]
+    return newton(field, t.zs, t.diffs, values)
 
 
 def sx_interp(lat: Lattice, f: Polynomial) -> Polynomial:
     if f.degree <= 0 or lat.is_constant:
         return f
-    t = _nodes(lat, f.degree + 1)
-    values = [(f(zp) + f(zm)) / 2 for zp, zm, _ in t.ends[:f.degree + 1]]
-    return newton(lat.field, t.zs, t.diffs, values)
+    field, t = lat.field, _nodes(lat, f.degree + 1)
+    row, zero = field.pack(f.coeffs), field.zero
+    values = [(eval_row(row, zp, zero) + eval_row(row, zm, zero)) / 2
+              for zp, zm, _ in t.ends[:f.degree + 1]]
+    return newton(field, t.zs, t.diffs, values)
 
 
 @memoized

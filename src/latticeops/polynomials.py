@@ -4,20 +4,22 @@ Coefficients are stored lowest degree first and trailing zeros are
 trimmed, so the zero polynomial has an empty coefficient tuple and
 degree -1.  The monomial basis in z is canonical everywhere.  A product
 is `scalars.mul_coeffs`, the kernel the packed rows of `scalars` share.
-The interpolation route of the lattice operators (`operators.dx_interp`)
-evaluates and interpolates, so this module also holds the one Newton
-kernel, `newton`: it divides by differences of the nodes given to it
-and expands on a plain coefficient list.  The operators hand it the
-differences their per-lattice node table keeps; `interpolate` forms its
-own from its points and calls the same kernel.  Both are exact on the
-exact backend.
+Evaluation is `scalars.eval_row`, the one Horner loop, on the
+coefficients over 1: the plain-scalar loop on both backends.  The
+interpolation route of the lattice operators (`operators.dx_interp`)
+evaluates a packed argument through the same kernel and interpolates,
+so this module also holds the one Newton kernel, `newton`: it divides
+by differences of the nodes given to it and expands on a plain
+coefficient list.  The operators hand it the differences their
+per-lattice node table keeps; `interpolate` forms its own from its
+points and calls the same kernel.  Both are exact on the exact backend.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .scalars import Field, mul_coeffs, same_field
+from .scalars import Field, eval_row, mul_coeffs, same_field
 
 
 class Polynomial:
@@ -67,11 +69,7 @@ class Polynomial:
         return self.coeffs[-1]
 
     def __call__(self, z):
-        z = self.field(z)
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        return eval_row((self.coeffs, 1), self.field(z), self.field.zero)
 
     def _wrap(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):

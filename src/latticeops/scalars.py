@@ -59,6 +59,14 @@ the one product of a matrix stored row by row with a row.  So the code
 that runs the recurrences is the same on both backends, and on bigfloat
 it makes the same operations in the same order as on plain scalars.
 
+``eval_row`` is the one Horner loop: the value of a packed row at a
+point.  An int row at a rational point p/q runs the homogeneous form in
+ints (Knuth, TAOCP vol. 2, 4.6.4) and makes one ``Fraction`` at the end;
+any other row or point runs the plain-scalar loop.  ``Polynomial``
+evaluates its coefficients over 1 through it, which takes the scalar
+loop; the interpolation route of the operators packs its argument once
+and evaluates every node through the integer form.
+
 A packed *scalar* is one such pair ``(v, den)``, and two operations
 combine them: ``div_scalars`` gives a / b and ``sub_products`` gives
 x - b*y - c*z.  For int pairs in lowest terms the quotient is the pair
@@ -641,6 +649,31 @@ def mat_row(m, r) -> Tuple[list, int]:
     (mv, mden), (rv, rden) = m, r
     k = len(rv)
     return [sum(map(mul, mv[i:i + k], rv)) for i in range(0, len(mv), k)], mden * rden
+
+
+def eval_row(row, z, zero):
+    """The value at z of the polynomial with packed row `row`, by Horner's rule.
+
+    An int row (a_0, ..., a_n) over D at a rational z = p/q runs the
+    homogeneous form acc = acc p + a_k q^(n-k) in ints, and the value
+    acc / (D q^n) is reduced once, to the ``Fraction`` that Horner on the
+    row's ``Fraction``s gives.  Any other row or point runs acc = acc z + c
+    from acc = `zero`, highest coefficient first, and divides by a
+    denominator other than 1 at the end: the plain-scalar loop, so
+    bigfloat values round as that loop rounds them.
+    """
+    values, den = row
+    if type(z) in (int, Fraction) and all(type(v) is int for v in values):
+        p, q = z.numerator, z.denominator
+        acc, qn = (values[-1] if values else 0), 1
+        for a in values[-2::-1]:
+            qn *= q
+            acc = acc * p + a * qn
+        return Fraction(acc, den * qn)
+    acc = zero
+    for c in reversed(values):
+        acc = acc * z + c
+    return _value(acc, den)
 
 
 def _value(v, den):

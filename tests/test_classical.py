@@ -27,7 +27,7 @@ from latticeops.checks import random_poly, random_regular_pair, reference_lattic
 from latticeops.functionals import InternalCheckError
 from latticeops.lattice import LatticeError
 from latticeops.operators import dx, sx
-from latticeops.scalars import add_rows
+from latticeops.scalars import add_rows, mat_row
 
 
 class TestPearsonPair:
@@ -58,12 +58,17 @@ class TestIterated:
         phi0, psi0 = pair.iterated(0)
         assert phi0 == pair.phi and psi0 == pair.psi
 
-    def test_validated_equals_fast_path(self, exact, gen_lattice, quad_lattice):
+    def test_levels_are_the_recursion_applied_k_times(self, exact, gen_lattice, quad_lattice):
+        """iterated(k), read from the closed form, against the recursion map
+        applied k times to the pair's own row, for k = 0..9 on every lattice
+        kind; levels 7 to 9 lie past the six that ``_check_recursion`` compares."""
         extra = [Lattice(exact, q, c) for q, c in EVERY_KIND.values()]
         for lat in (gen_lattice, quad_lattice, *extra):
             pair = sample_pair(lat)
-            for k in range(7):
-                assert pair.iterated(k) == pair._pair_of(pair._closed_row(k))
+            rmap, row = classical._recursion_map(lat), pair._own_row
+            for k in range(10):
+                assert pair.iterated(k) == pair._pair_of(row), (lat, k)
+                row = mat_row(rmap, row)
 
     def test_semigroup_property(self, gen_lattice):
         """Iterating twice = iterating once from the once-iterated pair."""

@@ -397,6 +397,25 @@ def test_newton_kernel_is_interpolate_on_the_table(bits):
             assert same_values(sx_interp(lat, f).coeffs, sx_by_scan(lat, f).coeffs), lat
 
 
+def benchmark_lattices(field):
+    """The five lattices of the identity-structure benchmark workload: the four
+    reference lattices and the symmetric q = 1/16 lattice."""
+    return reference_lattices(field) + [Lattice(field, Fraction(1, 16), (HALF, HALF, 0))]
+
+
+@pytest.mark.parametrize("idx", range(5))
+def test_interpolation_route_equals_the_tables_on_the_benchmark_lattices(exact, idx):
+    """dx_interp and sx_interp against dx and sx, equal values of one type,
+    for degrees 0 to 17 with mixed denominators, on each lattice of the
+    identity-structure workload."""
+    lat = benchmark_lattices(exact)[idx]
+    rng = random.Random(350 + idx)
+    for degree in range(18):
+        f = random_poly(exact, rng, degree=degree)
+        assert same_values(dx_interp(lat, f).coeffs, dx(lat, f).coeffs), (lat, degree)
+        assert same_values(sx_interp(lat, f).coeffs, sx(lat, f).coeffs), (lat, degree)
+
+
 def test_a_lattice_with_a_node_table_is_freed_without_the_cycle_collector(exact):
     """The node table holds no reference to its lattice, so dropping a
     lattice that has one frees it at once."""

@@ -24,6 +24,7 @@ from latticeops import (
 from latticeops.scalars import (
     add_rows,
     div_scalars,
+    eval_row,
     join_rows,
     mat_row,
     mul_coeffs,
@@ -423,6 +424,115 @@ class TestMatRow:
             u = latticeops.MomentFunctional(field, [field(3), field(5)])
             got = u.pair(field.pack(()))
             assert got == field.zero and type(got) is type(field.zero)
+
+
+class TestEvalRow:
+    """eval_row against Horner written out on the row's scalars: acc = acc z + c
+    from zero, highest coefficient first, then the division by the row's
+    denominator; exact values of one type, bigfloat values bit for bit."""
+
+    @staticmethod
+    def horner(values, den, z, zero):
+        acc = zero
+        for c in reversed(values):
+            acc = acc * z + c
+        return acc if den == 1 else acc / den
+
+    @staticmethod
+    def int_rows(rng):
+        """The zero row, degree 0 and degrees up to 17, over denominators that
+        share factors with the numerators (the rows are not reduced)."""
+        for den in (1, 2, 12, 360, 3 * 2 ** 70, 16 ** 17):
+            yield [], den
+            for n in (*range(5), 11, 17):
+                yield [rng.randint(-10 ** 30, 10 ** 30) * rng.choice((1, 2, 6, 15))
+                       for _ in range(n + 1)], den
+
+    @staticmethod
+    def rational_points(rng):
+        """0, ints of both signs, and p/q with q up to 16^17, the denominators of
+        the nodes x(s +- 1/2) of the symmetric q = 1/16 lattice."""
+        yield from (0, 1, -1, 7, -12, Fraction(0), Fraction(5), Fraction(-3))
+        for q in (2, 3, 4, 48, 360, *(16 ** k for k in (1, 5, 12, 17)), 2 * 16 ** 17 - 1):
+            for sign in (1, -1):
+                yield Fraction(sign * rng.randint(1, 4 * q), q)
+
+    def test_int_rows_at_rational_points(self):
+        rng = random.Random(35)
+        points = list(self.rational_points(rng))
+        for values, den in self.int_rows(rng):
+            want_row = [Fraction(v) for v in values]
+            for z in points:
+                got = eval_row((values, den), z, Fraction(0))
+                want = self.horner(want_row, 1, Fraction(z), Fraction(0)) / den
+                assert got == want and type(got) is Fraction, (values, den, z)
+
+    def test_a_packed_polynomial_evaluates_as_its_fractions(self, exact):
+        """``pack`` of Fractions with mixed denominators, against Horner on the
+        Fractions themselves; and ``Polynomial.__call__``, which runs the
+        scalar loop, against the same Horner."""
+        rng = random.Random(36)
+        points = list(self.rational_points(rng))
+        for n in range(18):
+            coeffs = [Fraction(rng.randint(-99, 99), rng.choice((1, 2, 3, 4, 6, 9, 12, 35, 64)))
+                      for _ in range(n)] + [Fraction(rng.randint(1, 99), rng.randint(1, 99))]
+            row = exact.pack(coeffs)
+            assert all(type(v) is int for v in row[0])
+            for z in points:
+                want = self.horner(coeffs, 1, Fraction(z), Fraction(0))
+                for got in (eval_row(row, z, exact.zero), latticeops.Polynomial(exact, coeffs)(z)):
+                    assert got == want and type(got) is Fraction, (coeffs, z)
+
+    def test_gaussian_rows_and_points_take_the_scalar_loop(self, exact):
+        """A ``QRational`` point, or a ``QRational`` among the values, runs the
+        scalar loop from the given zero: its values and types, over 1 and over
+        a denominator; the zero row gives the zero passed in."""
+        rng = random.Random(37)
+
+        def gaussian():
+            return qr(Fraction(rng.randint(-99, 99), rng.randint(1, 99)),
+                      Fraction(rng.randint(1, 99), rng.randint(1, 99)))
+
+        def fraction():
+            return Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+
+        for n in (0, 1, 2, 5, 11):
+            ints = [rng.randint(-10 ** 12, 10 ** 12) for _ in range(n + 1)]
+            mixed = [fraction() for _ in range(n)] + [gaussian()]
+            for values, z in ((ints, gaussian()), (mixed, fraction()), (mixed, gaussian()),
+                              (mixed, rng.randint(-9, 9))):
+                for den in (1, 12):
+                    got = eval_row((values, den), z, exact.zero)
+                    want = self.horner(values, den, z, exact.zero)
+                    assert got == want and type(got) is type(want), (values, den, z)
+        z = gaussian()
+        for zero in (exact.zero, QRational(0)):
+            assert eval_row(([], 1), z, zero) is zero
+        for z in (gaussian(), fraction()):
+            got = latticeops.Polynomial.zero(exact)(z)
+            assert got == 0 and type(got) is Fraction
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_bigfloat_rows_are_bit_identical(self, bits):
+        """mpc rows and points, over 1 as ``pack`` makes them and over a
+        denominator: the bits of the scalar loop; and ``Polynomial.__call__``."""
+        big = make_field("bigfloat", precision=bits)
+        rng = random.Random(bits)
+
+        def scalar():
+            return big(Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 9)),
+                       rng.choice((0, Fraction(rng.randint(-10 ** 9, 10 ** 9), 7))))
+
+        for n in (*range(6), 11, 17):
+            coeffs = [scalar() for _ in range(n + 1)]
+            row = big.pack(coeffs)
+            for z in (scalar(), big(Fraction(1, 16 ** 17)), big.zero):
+                want = self.horner(coeffs, 1, z, big.zero)
+                assert repr(eval_row(row, z, big.zero)) == repr(want)
+                assert repr(latticeops.Polynomial(big, coeffs)(z)) == repr(want)
+                assert repr(eval_row((coeffs, 3), z, big.zero)) == repr(want / 3)
+        got = eval_row(big.pack(()), scalar(), big.zero)
+        assert repr(got) == repr(big.zero)
 
 
 class TestBigFloatField:

@@ -32,13 +32,24 @@ def test_script_runs(args):
 
 def same_outputs(base, tmp_path):
     """Run scripts/same_outputs.py on two Pearson jobs of each workload, the
-    first CLI command on each backend and the operator images through z^3,
-    against `base`."""
+    first CLI command on each backend and the operator images of z^0..z^3 and
+    of the seeded inputs f1..f3, against `base`."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     return subprocess.run([sys.executable, str(ROOT / "scripts" / "same_outputs.py"),
                            "--base", str(base), "--jobs", "2", "--seeds", "1",
                            "--max-commands", "1", "--degree", "3"],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+
+
+def changed_copy(tmp_path, module, old, new):
+    """A copy of src/ under tmp_path/base whose `module` has its one `old` replaced by `new`."""
+    shutil.copytree(ROOT / "src", tmp_path / "base" / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "base" / "src" / "latticeops" / f"{module}.py"
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    return tmp_path / "base"
 
 
 def test_same_outputs_finds_no_difference_against_the_tree_itself(tmp_path):
@@ -50,13 +61,8 @@ def test_same_outputs_finds_no_difference_against_the_tree_itself(tmp_path):
 def test_same_outputs_finds_one_changed_constant(tmp_path):
     """A copy of src/ whose closed C_1 divides by d_2 instead of d_1 differs
     in the closed C_1 of every job, and in nothing else."""
-    shutil.copytree(ROOT / "src", tmp_path / "base" / "src",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    path = tmp_path / "base" / "src" / "latticeops" / "classical.py"
-    text = path.read_text()
-    assert text.count("_checked_d(pair, 1)") == 1
-    path.write_text(text.replace("_checked_d(pair, 1)", "_checked_d(pair, 2)"))
-    proc = same_outputs(tmp_path / "base", tmp_path)
+    base = changed_copy(tmp_path, "classical", "_checked_d(pair, 1)", "_checked_d(pair, 2)")
+    proc = same_outputs(base, tmp_path)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     differ = [k for k in proc.stdout.splitlines() if not k.startswith(" ")][:-1]
     assert differ == [f"pearson-{backend} seed 1 job {job} closed C_1"
@@ -69,13 +75,9 @@ def test_same_outputs_finds_a_changed_lattice_constant(tmp_path):
     and 2049 (the horizon its error names) on every q-lattice of the lattice
     section, six on exact and seven on each bigfloat precision, and in
     nothing else."""
-    shutil.copytree(ROOT / "src", tmp_path / "base" / "src",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    path = tmp_path / "base" / "src" / "latticeops" / "lattice.py"
-    text = path.read_text()
-    assert text.count("DEFAULT_TABLE_HORIZON = 2048") == 1
-    path.write_text(text.replace("DEFAULT_TABLE_HORIZON = 2048", "DEFAULT_TABLE_HORIZON = 2047"))
-    proc = same_outputs(tmp_path / "base", tmp_path)
+    base = changed_copy(tmp_path, "lattice", "DEFAULT_TABLE_HORIZON = 2048",
+                        "DEFAULT_TABLE_HORIZON = 2047")
+    proc = same_outputs(base, tmp_path)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     differ = [k for k in proc.stdout.splitlines() if not k.startswith(" ")][:-1]
     assert len(differ) == 2 * 4 * (6 + 7 + 7)
@@ -86,18 +88,31 @@ def test_same_outputs_finds_a_changed_lattice_constant(tmp_path):
 
 def test_same_outputs_finds_a_changed_operator(tmp_path):
     """A copy of src/ whose sx_interp divides by 3, not 2, differs in the
-    sx_interp images of z, z^2 and z^3 on the six Pearson lattices, on exact
-    and on each bigfloat precision, and in nothing else."""
-    shutil.copytree(ROOT / "src", tmp_path / "base" / "src",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    path = tmp_path / "base" / "src" / "latticeops" / "operators.py"
-    text = path.read_text()
-    old = "(f(zp) + f(zm)) / 2"
-    assert text.count(old) == 1
-    path.write_text(text.replace(old, "(f(zp) + f(zm)) / 3"))
-    proc = same_outputs(tmp_path / "base", tmp_path)
+    sx_interp images of z, z^2, z^3 and the seeded inputs f1, f2, f3 on the
+    eight lattices of the operator section, on exact and on each bigfloat
+    precision, and in nothing else."""
+    base = changed_copy(tmp_path, "operators", "eval_row(row, zm, zero)) / 2",
+                        "eval_row(row, zm, zero)) / 3")
+    proc = same_outputs(base, tmp_path)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     differ = [k for k in proc.stdout.splitlines() if not k.startswith(" ")][:-1]
-    assert len(differ) == 3 * 6 * 3
+    assert len(differ) == 6 * 8 * 3
     assert all(k.startswith("operator ") and k.endswith(("sx_interp(z^1)", "sx_interp(z^2)",
-                                                         "sx_interp(z^3)")) for k in differ), differ
+                                                         "sx_interp(z^3)", "sx_interp(f1)",
+                                                         "sx_interp(f2)", "sx_interp(f3)"))
+               for k in differ), differ
+
+
+def test_same_outputs_finds_a_dropped_q_power(tmp_path):
+    """A copy of src/ whose integer Horner in ``eval_row`` drops one power of
+    the point's denominator q differs in the dx_interp and sx_interp images of
+    z, z^2, z^3, f1, f2 and f3 on the eight lattices of the operator section,
+    on exact only (bigfloat takes the scalar loop), and in nothing else."""
+    base = changed_copy(tmp_path, "scalars", "Fraction(acc, den * qn)",
+                        "Fraction(acc, den * qn // q)")
+    proc = same_outputs(base, tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    differ = [k for k in proc.stdout.splitlines() if not k.startswith(" ")][:-1]
+    assert len(differ) == 2 * 6 * 8
+    assert all(k.startswith("operator --backend exact ") and "_interp(" in k
+               and not k.endswith("(z^0)") for k in differ), differ
