@@ -7,9 +7,10 @@ of output are compared:
 
 * Pearson jobs: the first ``--jobs`` jobs of the ``pearson-exact`` and
   ``pearson-bigfloat`` benchmark workloads for each of ``--seeds``.  For
-  each job: the regularity verdict and every field of its rows, the stop
-  level of the moment recursion, the closed and the oracle B_n and
-  C_(n+1) through N, and every ``AdmissibilityError`` and
+  each job: the regularity verdict and every field of its rows, the
+  moments mu_0..mu_(2N+2) or the stop level of the moment recursion, the
+  closed and the oracle B_n and C_(n+1) through N, and every
+  ``AdmissibilityError`` and
   ``NotRegularError`` with its level and message.  The jobs are drawn by
   the head's ``perfbench/workloads.py`` on both sides, so the inputs are
   the same; each side runs its own library.
@@ -26,6 +27,13 @@ of output are compared:
   lattice and the quadratic lattice x(s) = s^2 of the identity-structure
   workload, each on exact and on bigfloat at 128 and 256 bits; a
   ``LatticeError`` is an output too.
+* Functionals: the moments mu_0..mu_12 of ``dual_dx``, ``dual_sx``,
+  ``left_mul`` by f3, ``+`` and ``-`` a second seeded functional, a
+  scalar ``*`` and ``classical.uk_functional(pair, 2, u)``, for u a seeded
+  ``checks.random_functional`` and u the README pair's Pearson
+  functional, on the eight lattices of the operator section, each on
+  exact and on bigfloat at 128 and 256 bits.  A moment that raises ends
+  its functional's lines with the error.
 * CLI commands: the README's commands and ``all --seed 0`` and
   ``--seed 1``, each on exact and on bigfloat at 128 and 256 bits; their
   stdout, stderr and exit code.
@@ -96,6 +104,11 @@ OPERATORS = ("dx", "sx", "dx_interp", "sx_interp")
 # The denominators of the operator section's seeded inputs, and their top degree.
 DENOMINATORS = (1, 2, 3, 4, 6, 9, 12, 35, 64, 97)
 MIXED_DEGREE = 16
+# The functional section: the seeds of its two random functionals, its
+# scalar and its last moment.
+FUNCTIONAL_SEEDS = (5, 6)
+FUNCTIONAL_SCALAR = Fraction(-7, 3)
+FUNCTIONAL_MOMENTS = 12
 
 
 def fail(message: str):
@@ -108,6 +121,20 @@ def typed(v) -> str:
     """``type:repr`` of a value; an mpmath value by the exact bits of its parts."""
     bits = getattr(v, "_mpc_", None) or getattr(v, "_mpf_", None)
     return f"{type(v).__name__}:{bits if bits is not None else v!r}"
+
+
+def backend_field(L, backend):
+    """The field of one entry of ``BACKENDS``."""
+    return L.make_field(backend[1], int(backend[3]) if backend[2:] else None)
+
+
+def section_lattices():
+    """The eight lattices of the operator and functional sections: the six
+    Pearson lattices, and the symmetric q = 1/16 and the quadratic lattice
+    x(s) = s^2 of the identity-structure workload."""
+    import workloads as W
+
+    return (*W.PEARSON_LATTICES, W.IDENTITY_LATTICES[W.SYM16], W.IDENTITY_LATTICES[W.QUADRATIC])
 
 
 def line(key: str, text: str) -> str:
@@ -145,8 +172,8 @@ def job_outputs(L, field, params):
             yield f"row {i} {f.name}", typed(getattr(row, f.name))
     u = pair.moments()
     try:
-        u.moments(2 * n + 2)
-        yield "moments", "complete"
+        for k, v in enumerate(u.moments(2 * n + 2)):
+            yield f"mu_{k}", typed(v)
     except L.AdmissibilityError as exc:
         yield "moments", f"{typed(exc.n)} {typed(exc)}"
     closed = L.ttrr_from_pearson(pair)
@@ -171,7 +198,7 @@ def lattice_lines(L):
     import workloads as W
 
     for backend in BACKENDS:
-        field = L.make_field(backend[1], int(backend[3]) if backend[2:] else None)
+        field = backend_field(L, backend)
         extra = BIGFLOAT_LATTICES if field.name == "bigfloat" else ()
         for spec in (*W.PEARSON_LATTICES, *LATTICES, *extra):
             lat = L.Lattice.from_json(field, spec)
@@ -211,12 +238,10 @@ def mixed_inputs(degree: int) -> dict:
 def operator_lines(L, degree: int):
     """The image of each z^n, n <= `degree`, and of each seeded input under
     each operator, one line each."""
-    import workloads as W
-
-    specs = (*W.PEARSON_LATTICES, W.IDENTITY_LATTICES[W.SYM16], W.IDENTITY_LATTICES[W.QUADRATIC])
+    specs = section_lattices()
     mixed = mixed_inputs(degree)
     for backend in BACKENDS:
-        field = L.make_field(backend[1], int(backend[3]) if backend[2:] else None)
+        field = backend_field(L, backend)
         inputs = {**{f"z^{n}": L.Polynomial.monomial(field, n) for n in range(degree + 1)},
                   **{name: L.Polynomial(field, c) for name, c in mixed.items()}}
         for spec in specs:
@@ -229,6 +254,44 @@ def operator_lines(L, degree: int):
                     except L.LatticeError as exc:
                         text = typed(exc)
                     yield line(f"{key} {name}({label})", text)
+
+
+def derived_functionals(L, pair, u, w, f):
+    """(name, functional) of each functional the section derives from u."""
+    lat = pair.lattice
+    yield "dual_dx", L.dual_dx(lat, u)
+    yield "dual_sx", L.dual_sx(lat, u)
+    yield "left_mul f3", L.left_mul(u, f)
+    yield "+", u + w
+    yield "-", u - w
+    yield "*", FUNCTIONAL_SCALAR * u
+    yield "u^[2]", L.classical.uk_functional(pair, 2, u)
+
+
+def functional_lines(L):
+    """Moments 0..12 of each derived functional of two bases on each of the
+    eight section lattices, one line each."""
+    import latticeops.checks as checks
+
+    errors = (L.AdmissibilityError, L.LatticeError, L.functionals.InternalCheckError)
+    for backend in BACKENDS:
+        field = backend_field(L, backend)
+        f = L.Polynomial(field, mixed_inputs(3)["f3"])
+        for spec in section_lattices():
+            pair = L.PearsonPair.from_json(L.Lattice.from_json(field, spec), json.loads(README_PAIR))
+            bases = {"random": checks.random_functional(field, FUNCTIONAL_SEEDS[0]),
+                     "readme": pair.moments()}
+            w = checks.random_functional(field, FUNCTIONAL_SEEDS[1])
+            for base, u in bases.items():
+                for name, v in derived_functionals(L, pair, u, w, f):
+                    key = f"functional {' '.join(backend)} {json.dumps(spec)} {base} {name}"
+                    for k in range(FUNCTIONAL_MOMENTS + 1):
+                        try:
+                            text = typed(v.moment(k))
+                        except errors as exc:
+                            yield line(f"{key} mu_{k}", typed(exc))
+                            break
+                        yield line(f"{key} mu_{k}", text)
 
 
 def cli_lines(tree: Path, max_commands: int):
@@ -262,6 +325,8 @@ def dump(args) -> None:
         print(text)
     for text in operator_lines(latticeops, args.degree):
         print(text)
+    for text in functional_lines(latticeops):
+        print(text)
     for text in cli_lines(Path(args.dump), args.max_commands):
         print(text)
 
@@ -279,12 +344,21 @@ def outputs(tree: Path, args) -> list:
     return proc.stdout.splitlines()
 
 
+def keyed_outputs(tree: Path, args) -> dict:
+    """The outputs of the library under `tree`, by key."""
+    return dict(text.split("\t", 1) for text in outputs(tree, args))
+
+
+def differing(old: dict, new: dict):
+    """Every key of `new` and then of `old` alone, and those whose outputs differ."""
+    keys = [*new, *(k for k in old if k not in new)]
+    return keys, [k for k in keys if old.get(k) != new.get(k)]
+
+
 def compare(base: Path, args) -> int:
     """Print the differences between the outputs of `base` and the head; 1 if any."""
-    old, new = (dict(text.split("\t", 1) for text in outputs(tree, args))
-                for tree in (base, ROOT))
-    keys = [*new, *(k for k in old if k not in new)]
-    diffs = [k for k in keys if old.get(k) != new.get(k)]
+    old, new = (keyed_outputs(tree, args) for tree in (base, ROOT))
+    keys, diffs = differing(old, new)
     for k in diffs:
         print(f"{k}\n  base: {old.get(k, '(missing)')}\n  head: {new.get(k, '(missing)')}")
     print(f"{len(keys)} outputs compared, {len(diffs)} differ")

@@ -11,42 +11,43 @@ Pearson moments, the TTRR by the Chebyshev algorithm on the moments alone,
 Hankel determinants (a second, determinant route to the same TTRR), and
 moment-wise checks of the dual-side identities.
 
-Every pairing of a functional with a polynomial goes through one method,
-`MomentFunctional.pair`, on the polynomial's packed row (format in
-`scalars`): `apply`, `left_mul` and the two duals, which read the
-monomial images straight from `operators.monomial_rows`.  The Pearson
-moment recursion reads no table: it steps its own pair of packed rows,
+A functional holds mu_0..mu_m as one packed row (format in `scalars`),
+built from its extender's values (`MomentFunctional.row`).  Every pairing
+with a polynomial is one method, `MomentFunctional.pair`: one `mat_row`
+of that row against the polynomial's packed row.  `apply`, `left_mul` and
+the two duals, which read the monomial images straight from
+`operators.monomial_rows`, go through it.  The Pearson moment recursion
+reads no table: it steps its own pair of packed rows,
 G_n = phi D_x z^n + psi S_x z^n and H_n = phi S_x z^n + psi U2 D_x z^n,
 by the tables' product-rule step (`operators.product_rule_step`) seeded
-with (psi, phi), and keeps mu_0..mu_n as one packed row too.  On the
-exact backend a step is that product-rule step on two rows, one integer
-dot product and one `Fraction` for the new moment (plus one for the
-cross-check of d_n), instead of a `Fraction` operation per coefficient.
+with (psi, phi), and reads mu_0..mu_n through the functional's row.  On
+the exact backend a step is that product-rule step on two rows, one
+integer dot product and one packed scalar in lowest terms for the new
+moment (plus one `Fraction` for the cross-check of d_n).
 
 The moment oracle `ttrr_oracle` runs on the integer-scaled functional
-scale * u, scale the least common denominator of the moments read so far.
-B_n and C_(n+1) are ratios of entries of one sigma table, and multiplying
-u by a constant multiplies every entry by it, so they are unchanged; the
+scale * u, scale the denominator of the functional's row.  B_n and
+C_(n+1) are ratios of entries of one sigma table, and multiplying u by a
+constant multiplies every entry by it, so they are unchanged; the
 entries then carry only the denominators of the B_k and C_k, which are
 far smaller than the moments' own.  Each entry is a packed scalar
 (`scalars`): on exact an int pair (num, den), made by one `sub_products`
 call that forms x - B*y - C*z over the least common denominator and
 leaves it unreduced, where `Fraction` arithmetic would reduce four times.
 The unreduced entries hold about 1.3 times the bits of reduced ones, and
-cost less than a gcd per entry.  When a moment widens scale by g, the
-numerators of the two kept anti-diagonals are multiplied by g, as
+cost less than a gcd per entry.  When the row's denominator grows by g,
+the numerators of the two kept anti-diagonals are multiplied by g, as
 `join_rows` rescales a packed row, so every entry is scale * sigma.
 Gaussian-rational and bigfloat values travel over 1 and combine as plain
 scalars, so on bigfloat the oracle makes the operations of the plain
-recurrence.  The oracle reads the moments through
-`MomentFunctional.moment` only, never the Pearson recursion's packed row,
-so the two routes stay independent.
+recurrence.  The oracle reads the row the functional builds from its
+extender's values; the recursion reads that row only through the
+functional and never the oracle's state, so the two routes stay apart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .lattice import Lattice, memoized
@@ -87,12 +88,18 @@ class AdmissibilityError(RuntimeError):
 
 
 class MomentFunctional:
-    """Moment sequence with optional lazy extension."""
+    """Moment sequence with optional lazy extension, held as one packed row.
+
+    `row(n)` extends the row through n: a reduced packed row over a
+    positive denominator, on exact the lcm of the moments' denominators.
+    An extender returns mu_k as a field scalar, or as a packed scalar
+    (v, den) in lowest terms with den > 0, as `div_scalars` makes one.
+    """
 
     def __init__(self, field: Field, moments: Sequence = (),
                  extender: Optional[Callable[[int], object]] = None):
         self.field = field
-        self._moments: List = [field(m) for m in moments]
+        self._row = field.pack(moments)
         self._extender = extender
 
     @property
@@ -100,84 +107,78 @@ class MomentFunctional:
         """Largest guaranteed moment index, or None if extendable."""
         if self._extender is not None:
             return None
-        return len(self._moments) - 1
+        return len(self._row[0]) - 1
 
-    def _ensure(self, n: int) -> None:
-        while len(self._moments) <= n:
+    def row(self, n: int):
+        """The packed row mu_0..mu_m, m >= n, extended through n if need be."""
+        while (k := len(self._row[0])) <= n:
             if self._extender is None:
-                raise HorizonError(
-                    f"moment {n} requested but only {len(self._moments)} are known"
-                )
-            k = len(self._moments)
-            self._moments.append(self.field(self._extender(k)))
+                raise HorizonError(f"moment {n} requested but only {k} are known")
+            v = self._extender(k)
+            self._row = join_rows(
+                self._row, ([v[0]], v[1]) if type(v) is tuple else self.field.pack((v,)))
+        return self._row
 
     def moment(self, n: int):
         if n < 0:
             raise ValueError("moment index must be >= 0")
-        self._ensure(n)
-        return self._moments[n]
+        values, den = self.row(n)
+        return self.field.unpack(([values[n]], den))[0]
 
     def moments(self, n: int) -> List:
         if n < 0:
             raise ValueError(f"the moment horizon must be >= 0, got {n}")
-        self._ensure(n)
-        return list(self._moments[: n + 1])
+        values, den = self.row(n)
+        return self.field.unpack((values[:n + 1], den))
 
     def pair(self, row, shift: int = 0):
         """<u, z^shift g> for the polynomial g with packed row `row`.
 
-        The moments are a one-row matrix against the row (``scalars.mat_row``),
-        summed in increasing degree and divided once by the row's denominator.
+        The moment row is a one-row matrix against the row (``scalars.mat_row``),
+        summed in increasing degree and unpacked once to a field scalar.
         """
         if not row[0]:
             return self.field.zero
-        (acc,), den = mat_row((self.moments(shift + len(row[0]) - 1)[shift:], 1), row)
-        return acc if den == 1 else acc / den
+        k = len(row[0])
+        values, den = self.row(shift + k - 1)
+        return self.field.unpack(mat_row((values[shift:shift + k], den), row))[0]
 
     def apply(self, f: Polynomial):
         """<u, f>."""
         return self.pair(self.field.pack(f.coeffs))
 
     def __add__(self, other: "MomentFunctional") -> "MomentFunctional":
-        return MomentFunctional(
-            self.field, extender=lambda k: self.moment(k) + other.moment(k)
-        )
+        return MomentFunctional(self.field, extender=lambda k: self.moment(k) + other.moment(k))
 
     def __sub__(self, other: "MomentFunctional") -> "MomentFunctional":
-        return MomentFunctional(
-            self.field, extender=lambda k: self.moment(k) - other.moment(k)
-        )
+        return MomentFunctional(self.field, extender=lambda k: self.moment(k) - other.moment(k))
 
     def __rmul__(self, scalar) -> "MomentFunctional":
         s = self.field(scalar)
         return MomentFunctional(self.field, extender=lambda k: s * self.moment(k))
 
     def __repr__(self):
-        shown = [self.field.to_str(m) for m in self._moments[:4]]
-        if self._extender is not None or len(self._moments) > 4:
+        values, den = self._row
+        shown = [self.field.to_str(m) for m in self.field.unpack((values[:4], den))]
+        if self._extender is not None or len(values) > 4:
             shown.append("...")
         return f"MomentFunctional([{', '.join(shown)}])"
 
 
 def left_mul(u: MomentFunctional, f: Polynomial) -> MomentFunctional:
     """The functional f*u with <f*u, g> = <u, f*g>."""
-
     row = u.field.pack(f.coeffs)
     return MomentFunctional(u.field, extender=lambda k: u.pair(row, k))
 
 
 def dual_dx(lat: Lattice, u: MomentFunctional) -> MomentFunctional:
     """D u, with moments -<u, D_x z^k> read off row k of the D_x table."""
-    return MomentFunctional(
-        u.field, extender=lambda k: -u.pair(monomial_rows(lat, k)[0])
-    )
+    return MomentFunctional(u.field, extender=lambda k: -u.pair(monomial_rows(lat, k)[0]))
 
 
 def dual_sx(lat: Lattice, u: MomentFunctional) -> MomentFunctional:
     """S u, with moments <u, S_x z^k> read off row k of the S_x table."""
-    return MomentFunctional(
-        u.field, extender=lambda k: u.pair(monomial_rows(lat, k)[1])
-    )
+    return MomentFunctional(u.field, extender=lambda k: u.pair(monomial_rows(lat, k)[1]))
 
 
 def dual_dx_pow(lat: Lattice, u: MomentFunctional, n: int) -> MomentFunctional:
@@ -206,17 +207,16 @@ def pearson_moments(pair) -> MomentFunctional:
     G_n = phi*D_x z^n + psi*S_x z^n travels with its partner
     H_n = phi*S_x z^n + psi*U2*D_x z^n; the pair starts at (G_0, H_0) =
     (psi, phi) and advances by `operators.product_rule_step`, the step that
-    builds the monomial tables from (0, 1).  mu_0..mu_n are kept as one
-    packed row too, so mu_(n+1) is G_n's values times the moment row
-    (`scalars.mat_row`) divided once; G_n's denominator cancels from it.
+    builds the monomial tables from (0, 1).  mu_(n+1) is G_n's values times
+    the functional's row mu_0..mu_n (`scalars.mat_row`), returned as a
+    packed scalar in lowest terms; G_n's denominator cancels from it.
     """
     lat, phi, psi = pair.lattice, pair.phi, pair.psi
     field = lat.field
     rows = field.pack(psi.coeffs), field.pack(phi.coeffs)
-    moments = field.pack((1,))
 
     def ext(k: int):
-        nonlocal rows, moments
+        nonlocal rows
         n = k - 1
         # (G_n, H_n); G_n, of degree <= n+1, as gs / gden
         gh = rows if n == 0 else product_rule_step(lat, rows)
@@ -229,14 +229,13 @@ def pearson_moments(pair) -> MomentFunctional:
             )
         if field.is_zero(dn):
             raise AdmissibilityError(n)
-        (acc,), mden = mat_row((gs[:n + 1], 1), moments)
-        mu = field.unpack(([-acc], mden * lead))[0]
-        moments = join_rows(moments, field.pack((mu,)))
+        (acc,), mden = mat_row((gs[:n + 1], 1), u.row(n))
         # kept only now, so a retry after AdmissibilityError rebuilds G_n
         rows = gh
-        return mu
+        return div_scalars((-acc, 1), (mden * lead, 1))
 
-    return MomentFunctional(field, [1], ext)
+    u = MomentFunctional(field, [1], ext)
+    return u
 
 
 @dataclass
@@ -332,16 +331,16 @@ def ttrr_oracle(u: MomentFunctional, n_max: int) -> TTRRCoeffs:
     to mu_(2 n_max + 2).  Raises NotRegularError at level n when h_0 = mu_0
     (n = 0) or C_n = h_n/h_(n-1) (n >= 1) vanishes, tested on its own value.
 
-    The recurrence runs on scale * u, where scale is the least common
-    denominator of mu_0..mu_m read so far (`field.pack`), so the scaled
-    moments are integers and a sigma entry carries only the denominators
-    that B_k and C_k bring in, not those of the moments.  Multiplying u
-    by a constant multiplies every sigma_(k,l) by it and leaves the monic
-    P_k alone, so B_n and C_(n+1), ratios of sigma entries, are unchanged.
-    When mu_m widens the denominator by g, the numerators of the two
-    anti-diagonals kept are multiplied by g, so they hold the entries of
-    the current scale * u.  Bigfloat and Gaussian-rational moments pack
-    over 1 and run unscaled.
+    The recurrence runs on scale * u, scale the denominator of the row
+    `u.row(m)` (the lcm of the moments' denominators), so the scaled
+    moments are the row's integers and a sigma entry carries only the
+    denominators that B_k and C_k bring in.  Multiplying u by a constant
+    multiplies every sigma_(k,l) by it and leaves the monic P_k alone, so
+    B_n and C_(n+1), ratios of sigma entries, are unchanged.  When the
+    row's denominator grows by g, the numerators of the two anti-diagonals
+    kept are multiplied by g, so they hold the entries of the current
+    scale * u.  Bigfloat and Gaussian-rational rows are over 1 and run
+    unscaled.
 
     Every table entry, B_k and C_k is a packed scalar, on exact an int pair
     (num, den).  An entry is one `sub_products` call and is not reduced;
@@ -354,29 +353,24 @@ def ttrr_oracle(u: MomentFunctional, n_max: int) -> TTRRCoeffs:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     field = u.field
 
-    def packed(v):
-        (num,), den = field.pack((v,))
-        return num, den
-
     def value(x):
         return field.unpack(([x[0]], x[1]))[0]
 
     one = (1, 1)  # the packed scalar 1
     bs: List = []  # packed B_k
     cs: List = []  # packed C_k; cs[k-1] = C_k
-    ratio_prev = packed(field.zero)  # sigma_(n-1,n)/h_(n-1); zero for n = 0
+    ratio_prev = (0, 1)  # sigma_(n-1,n)/h_(n-1); zero for n = 0
     older: List = []  # older[k] = scale * sigma_(k, m-2-k)
     old: List = []  # old[k] = scale * sigma_(k, m-1-k)
-    scale = 1  # lcm of the denominators of mu_0..mu_m
+    scale = 1  # the denominator of the row read last
     for m in range(2 * n_max + 3):
-        num, den = packed(u.moment(m))
-        g = den // gcd(scale, den)
-        if g > 1:
-            scale *= g
+        mus, den = u.row(m)
+        if den != scale:
+            g, scale = den // scale, den
             old = [(v * g, d) for v, d in old]
             older = [(v * g, d) for v, d in older]
         # diag[k] = scale * sigma_(k, m-k), down to k = m // 2
-        diag = [(num * (scale // den), 1)]
+        diag = [(mus[m], 1)]
         for k in range(1, m // 2 + 1):
             if k == 1:
                 s = sub_products(diag[0], bs[0], old[0])
@@ -403,7 +397,8 @@ def hankel_det(u: MomentFunctional, n: int):
     field = u.field
     if n == 0:
         return field.one
-    rows = [[u.moment(i + j) for j in range(n)] for i in range(n)]
+    mus = u.moments(2 * n - 2)
+    rows = [mus[i:i + n] for i in range(n)]
     det = field.one
     for col in range(n):
         pivot_row = None
@@ -519,10 +514,7 @@ def _functional_sides(lat: Lattice, identity: str, f: Optional[Polynomial],
 def moment_slot(lhs: MomentFunctional, rhs: MomentFunctional,
                 horizon: int) -> Tuple[List, List]:
     """The moments 0..horizon of two functionals, as one report slot."""
-    if horizon < 0:
-        raise ValueError(f"the moment horizon must be >= 0, got {horizon}")
-    ms = range(horizon + 1)
-    return [lhs.moment(m) for m in ms], [rhs.moment(m) for m in ms]
+    return lhs.moments(horizon), rhs.moments(horizon)
 
 
 def verify_functional_identity(lat: Lattice, identity: str, f: Optional[Polynomial],

@@ -81,7 +81,8 @@ def _nodes(lat: Lattice, m: int) -> _NodeTable:
     """The lattice's node table, grown to hold at least m nodes.
 
     Like a fresh scan of `node_stream`, the search for m nodes gives up
-    after the first stream entry past s = 4m + 8.
+    after the first stream entry past s = 4m + 8.  Its skip over repeated
+    x(s) gives up after 4m + 8 in a row, so x(s) repeating forever raises.
     """
     table = _node_table(lat)
     budget = 4 * m + 8
@@ -89,6 +90,8 @@ def _nodes(lat: Lattice, m: int) -> _NodeTable:
         s = table.s + 1
         z = lat.x(s)
         while not all(z != w for w in table.seen):
+            if s - table.s > budget:
+                raise LatticeError(f"could not find {m} usable operator nodes on {lat!r}")
             s += 1
             z = lat.x(s)
         zp, zm = lat.x(s + HALF), lat.x(s - HALF)

@@ -137,6 +137,19 @@ class TestAskeyWilson:
             assert hahn.ttrr.b(m - 1) == aw.ttrr.b(m - 1)
             assert hahn.ttrr.c(m) == aw.ttrr.c(m)
 
+    def test_al_salam_is_cdq_hahn_at_c_zero(self, sym_lattice, exact):
+        """Al-Salam-Chihara is continuous dual q-Hahn at c = 0 (KLS 14.8, the
+        c = 0 case of 14.3): equal B_n and C_m through 12, value and type, on
+        the symmetric lattice and on an offset q = 1/4 lattice."""
+        offset = Lattice(exact, Fraction(1, 4), (2, Fraction(1, 2), Fraction(1, 5)))
+        a, b = Fraction(1, 3), Fraction(-1, 5)
+        for lat in (sym_lattice, offset):
+            al = make_family("al_salam", lat, (a, b)).ttrr
+            hahn = make_family("cdq_hahn", lat, (a, b, 0)).ttrr
+            for n in range(13):
+                for got, want in ((al.b(n), hahn.b(n)), (al.c(n), hahn.c(n))):
+                    assert got == want and type(got) is type(want), (lat, n)
+
     def test_restriction_scan_flags_bad_product(self, sym_lattice):
         # a1 a2 = q^(-n) collides with the orthogonality restrictions; no other
         # factor vanishes, so only 1 - a1 a2 q^n can report level n (the zero

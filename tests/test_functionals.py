@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -72,6 +73,28 @@ class TestMomentFunctional:
         assert repr(u) == "MomentFunctional([...])"
         u.moment(1)
         assert repr(u) == "MomentFunctional([0, 1, ...])"
+
+    def test_a_packed_extender_gives_the_moments_of_a_scalar_one(self, exact, big):
+        """An extender may return mu_k as a field scalar or as a packed scalar
+        (v, den) in lowest terms: the two give one row, and the same
+        moment(k), value and type, on exact (ints, Fractions and a QRational
+        joined over a denominator > 1) and the same mpc bits on bigfloat."""
+        q = exact(Fraction(1, 3), Fraction(-2, 7))
+        values = [3, Fraction(-5, 12), q, 0, Fraction(7, 9), -4, Fraction(1, 1024)]
+        packed = [(v, 1) if type(v) is not Fraction else (v.numerator, v.denominator)
+                  for v in values]
+        u = MomentFunctional(exact, extender=values.__getitem__)
+        v = MomentFunctional(exact, extender=packed.__getitem__)
+        assert v.row(6) == u.row(6)
+        for k, want in enumerate(values):
+            got = (u.moment(k), v.moment(k))
+            assert got == (want, want) and {type(m) for m in got} == {type(exact(want))}
+        assert type(v.moment(2)) is QRational and u.moments(6) == v.moments(6)
+        values = [big(Fraction(1, 3)), big(Fraction(-5, 12), Fraction(2, 3)), big(7), big(0)]
+        u = MomentFunctional(big, extender=values.__getitem__)
+        v = MomentFunctional(big, extender=lambda k: (values[k], 1))
+        for k, want in enumerate(values):
+            assert u.moment(k)._mpc_ == v.moment(k)._mpc_ == want._mpc_
 
     def test_apply_is_linear_in_the_polynomial(self, exact):
         u = MomentFunctional(exact, (2, -1, 5, 0, 3))
@@ -236,6 +259,20 @@ class TestPearsonMoments:
                     u.moments(12)
                 assert exc.value.n == 5
             assert len(u.moments(5)) == 6
+
+    def test_the_row_is_reduced_over_the_lcm_of_the_moments(self, exact):
+        """After moments(2N + 2) the functional's row, whose denominator is the
+        oracle's scale, is reduced over a positive denominator, the lcm of the
+        moments' denominators.  A recursion that returned its moments
+        unreduced would leave every value as it is and only grow the scale."""
+        n = 10
+        for spec in PEARSON_LATTICES:
+            u = readme_pair(Lattice.from_json(exact, spec)).moments()
+            mus = u.moments(2 * n + 2)
+            values, den = u.row(2 * n + 2)
+            assert len(values) == len(mus) == 2 * n + 3
+            assert den > 0 and math.gcd(den, *values) == 1, spec
+            assert den == math.lcm(*(m.denominator for m in mus)), spec
 
     def test_moments_do_not_take_their_values_from_d_n(self, exact, monkeypatch):
         """The d_n cross-check compares two routes: with 1 added to W's weight

@@ -361,6 +361,32 @@ def test_node_table_keeps_the_scan_budget(exact):
                 assert table_nodes(lat, m) == expected[m], (order, m)
 
 
+class ConstantLattice(Lattice):
+    """x(s) = 5 for every s, counting its evaluations; past 1000 it stops the
+    test, since a scan that never gives up would never return."""
+
+    def __init__(self, field):
+        super().__init__(field, 1, (0, 0, 5))
+        self.calls = 0
+
+    def x(self, s):
+        self.calls += 1
+        if self.calls > 1000:
+            raise AssertionError("the node scan does not give up on a constant lattice")
+        return super().x(s)
+
+
+def test_a_constant_lattice_raises_at_once(exact):
+    """x(s) repeats forever, so the skip over repeated values must keep the
+    4m + 8 scan budget: m = 3 gives up after x(0) and 21 repeats, with the
+    half-step values of the one scanned entry."""
+    lat = ConstantLattice(exact)
+    assert lat.is_constant
+    with pytest.raises(LatticeError, match="could not find 3 usable operator nodes"):
+        _nodes(lat, 3)
+    assert lat.calls == 1 + 2 + 21
+
+
 def test_interpolation_asks_for_as_many_nodes_as_the_degree_needs(exact):
     """dx_interp of degree m and sx_interp of degree m - 1 read m nodes, and
     the table grows only as far as asked: on the gapped lattice, with three
