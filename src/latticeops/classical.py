@@ -243,10 +243,7 @@ class PearsonPair:
         return pearson_moments(self)
 
     def to_json(self):
-        return {
-            "phi": self.phi.to_json(),
-            "psi": self.psi.to_json(),
-        }
+        return {"phi": self.phi.to_json(), "psi": self.psi.to_json()}
 
     @classmethod
     def from_json(cls, lattice: Lattice, obj) -> "PearsonPair":

@@ -8,7 +8,8 @@ Subcommands map onto the library layers:
 * ``family``        displayed recurrence data for the named family
 * ``characterize``  structure-relation checks and the raising construction;
   every relation prints its ``Report`` under ``"relation"``, and
-  ``system`` adds the fitted constants ``k1``, ``k2``
+  ``system`` adds the fitted constants ``k1``, ``k2``; ``--solve`` prints
+  the TTRR a relation forces from ``--b0``, ``--c1`` (exact only)
 * ``all``           the named checks of ``checks.CHECKS``, each at its acceptance size
 
 Exit codes: 0 all checks passed, 1 a check failed (an internal
@@ -40,6 +41,7 @@ from .characterize import (
     check_structure,
     check_system,
     solve_first_characterization,
+    solve_relation,
     system_constants,
 )
 from .classical import (
@@ -285,6 +287,8 @@ def cmd_characterize(args) -> int:
     relation = args.relation
     if relation is None:
         raise CliError("characterize needs --relation or --solve-c1")
+    if args.solve and relation not in ("sx_raise", "lower"):
+        raise CliError("--solve needs --relation sx_raise or lower")
     if relation == "counterexample":
         try:
             rep = check_structure(lat, None, "counterexample4term", args.n_max)
@@ -293,11 +297,20 @@ def cmd_characterize(args) -> int:
                 "the exact backend needs q to be a fourth power of a "
                 "rational (try q=1/16, or use --backend bigfloat)") from exc
         payload = {"lattice": lat.to_json()}
-    elif relation == "meixner":
+    elif relation == "meixner" or args.solve:
         b0 = field.from_json(args.b0)
         c1 = field.from_json(args.c1)
-        rep = check_meixner_linear(lat, b0, c1, args.n_max)
         payload = {"lattice": lat.to_json(), "b0": field.to_json(b0), "c1": field.to_json(c1)}
+        if relation == "meixner":
+            rep = check_meixner_linear(lat, b0, c1, args.n_max)
+        else:
+            sol = solve_relation(lat, relation, b0, c1, args.n_max)
+            payload["solution"] = {
+                "relation": relation, "first_fail": sol.first_fail,
+                "failing_degree": sol.failing_degree,
+                "residual": None if sol.residual is None else field.to_json(sol.residual),
+                "ttrr": sol.ttrr.to_json(args.n_max if sol.first_fail is None else sol.first_fail)}
+            return _emit(args, payload, sol.first_fail is None)
     else:
         if args.family is None:
             raise CliError(f"--relation {relation} needs --family")
@@ -376,9 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default="[]")
     p.add_argument("--lattice", default=None)
     p.add_argument("--b0", default="1/3",
-                   help="B_0 for --relation meixner (scalar spec)")
+                   help="B_0 for --relation meixner or --solve (scalar spec)")
     p.add_argument("--c1", default="2/5",
-                   help="C_1 for --relation meixner (scalar spec)")
+                   help="C_1 for --relation meixner or --solve (scalar spec)")
+    p.add_argument("--solve", action="store_true", help="solve the relation for the TTRR")
     p.add_argument("-N", "--n-max", type=int, default=12)
     p.add_argument("--solve-c1", default=None,
                    help="run the raising construction from this C_1 (rational)")

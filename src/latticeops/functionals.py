@@ -11,8 +11,9 @@ Pearson moments, the TTRR by the Chebyshev algorithm on the moments alone,
 Hankel determinants (a second, determinant route to the same TTRR), and
 moment-wise checks of the dual-side identities.
 
-A functional holds mu_0..mu_m as one packed row (format in `scalars`),
-built from its extender's values (`MomentFunctional.row`).  Every pairing
+A functional keeps mu_0..mu_m as field scalars for `moments` and as one
+packed row (format in `scalars`) for `pair` and the oracle, both built by
+`MomentFunctional.row`, which reduces each moment once.  Every pairing
 with a polynomial is one method, `MomentFunctional.pair`: one `mat_row`
 of that row against the polynomial's packed row.  `apply`, `left_mul` and
 the two duals, which read the monomial images straight from
@@ -22,8 +23,8 @@ G_n = phi D_x z^n + psi S_x z^n and H_n = phi S_x z^n + psi U2 D_x z^n,
 by the tables' product-rule step (`operators.product_rule_step`) seeded
 with (psi, phi), and reads mu_0..mu_n through the functional's row.  On
 the exact backend a step is that product-rule step on two rows, one
-integer dot product and one packed scalar in lowest terms for the new
-moment (plus one `Fraction` for the cross-check of d_n).
+integer dot product and one `Fraction` for the new moment (plus one for
+the cross-check of d_n).
 
 The moment oracle `ttrr_oracle` runs on the integer-scaled functional
 scale * u, scale the denominator of the functional's row.  B_n and
@@ -38,10 +39,10 @@ The unreduced entries hold about 1.3 times the bits of reduced ones, and
 cost less than a gcd per entry.  When the row's denominator grows by g,
 the numerators of the two kept anti-diagonals are multiplied by g, as
 `join_rows` rescales a packed row, so every entry is scale * sigma.
-Gaussian-rational and bigfloat values travel over 1 and combine as plain
-scalars, so on bigfloat the oracle makes the operations of the plain
-recurrence.  The oracle reads the row the functional builds from its
-extender's values; the recursion reads that row only through the
+Gaussian-rational and bigfloat values combine as plain scalars, and
+bigfloat rows are over 1, so on bigfloat the oracle makes the operations
+of the plain recurrence.  The oracle reads the row the functional builds
+from its extender's values; the recursion reads that row only through the
 functional and never the oracle's state, so the two routes stay apart.
 """
 
@@ -88,18 +89,20 @@ class AdmissibilityError(RuntimeError):
 
 
 class MomentFunctional:
-    """Moment sequence with optional lazy extension, held as one packed row.
+    """Moment sequence with optional lazy extension: its values and one packed row.
 
-    `row(n)` extends the row through n: a reduced packed row over a
-    positive denominator, on exact the lcm of the moments' denominators.
-    An extender returns mu_k as a field scalar, or as a packed scalar
-    (v, den) in lowest terms with den > 0, as `div_scalars` makes one.
+    `row(n)` extends both through n, reducing each new moment once.
+    `moment` and `moments` read the values; `pair` and the oracle read the
+    row, reduced over a positive denominator (on exact the lcm of the
+    moments' denominators).  An extender returns mu_k as a field scalar or
+    as a packed scalar (v, den) in lowest terms with den > 0.
     """
 
     def __init__(self, field: Field, moments: Sequence = (),
                  extender: Optional[Callable[[int], object]] = None):
         self.field = field
-        self._row = field.pack(moments)
+        self._values = [field(v) for v in moments]
+        self._row = field.pack(self._values)
         self._extender = extender
 
     @property
@@ -107,29 +110,30 @@ class MomentFunctional:
         """Largest guaranteed moment index, or None if extendable."""
         if self._extender is not None:
             return None
-        return len(self._row[0]) - 1
+        return len(self._values) - 1
 
     def row(self, n: int):
         """The packed row mu_0..mu_m, m >= n, extended through n if need be."""
-        while (k := len(self._row[0])) <= n:
+        while (k := len(self._values)) <= n:
             if self._extender is None:
                 raise HorizonError(f"moment {n} requested but only {k} are known")
             v = self._extender(k)
-            self._row = join_rows(
-                self._row, ([v[0]], v[1]) if type(v) is tuple else self.field.pack((v,)))
+            v = self.field.unpack(([v[0]], v[1]))[0] if type(v) is tuple else self.field(v)
+            self._values.append(v)
+            self._row = join_rows(self._row, self.field.pack((v,)))
         return self._row
 
     def moment(self, n: int):
         if n < 0:
             raise ValueError("moment index must be >= 0")
-        values, den = self.row(n)
-        return self.field.unpack(([values[n]], den))[0]
+        self.row(n)
+        return self._values[n]
 
     def moments(self, n: int) -> List:
         if n < 0:
             raise ValueError(f"the moment horizon must be >= 0, got {n}")
-        values, den = self.row(n)
-        return self.field.unpack((values[:n + 1], den))
+        self.row(n)
+        return self._values[:n + 1]
 
     def pair(self, row, shift: int = 0):
         """<u, z^shift g> for the polynomial g with packed row `row`.
@@ -158,9 +162,8 @@ class MomentFunctional:
         return MomentFunctional(self.field, extender=lambda k: s * self.moment(k))
 
     def __repr__(self):
-        values, den = self._row
-        shown = [self.field.to_str(m) for m in self.field.unpack((values[:4], den))]
-        if self._extender is not None or len(values) > 4:
+        shown = [self.field.to_str(m) for m in self._values[:4]]
+        if self._extender is not None or len(self._values) > 4:
             shown.append("...")
         return f"MomentFunctional([{', '.join(shown)}])"
 
@@ -209,7 +212,7 @@ def pearson_moments(pair) -> MomentFunctional:
     (psi, phi) and advances by `operators.product_rule_step`, the step that
     builds the monomial tables from (0, 1).  mu_(n+1) is G_n's values times
     the functional's row mu_0..mu_n (`scalars.mat_row`), returned as a
-    packed scalar in lowest terms; G_n's denominator cancels from it.
+    field scalar, reduced once; G_n's denominator cancels from it.
     """
     lat, phi, psi = pair.lattice, pair.phi, pair.psi
     field = lat.field
@@ -232,7 +235,7 @@ def pearson_moments(pair) -> MomentFunctional:
         (acc,), mden = mat_row((gs[:n + 1], 1), u.row(n))
         # kept only now, so a retry after AdmissibilityError rebuilds G_n
         rows = gh
-        return div_scalars((-acc, 1), (mden * lead, 1))
+        return field.unpack(([-acc], mden * lead))[0]
 
     u = MomentFunctional(field, [1], ext)
     return u
@@ -283,14 +286,8 @@ class TTRRCoeffs:
         return [(n, self.b(n), self.c(n)) for n in range(n_max + 1)]
 
     def to_json(self, n_max: int):
-        return [
-            {
-                "n": n,
-                "b": self.field.to_json(b),
-                "c": self.field.to_json(c),
-            }
-            for n, b, c in self.rows(n_max)
-        ]
+        to_json = self.field.to_json
+        return [{"n": n, "b": to_json(b), "c": to_json(c)} for n, b, c in self.rows(n_max)]
 
 
 class OPSequence:
@@ -339,15 +336,14 @@ def ttrr_oracle(u: MomentFunctional, n_max: int) -> TTRRCoeffs:
     B_n and C_(n+1), ratios of sigma entries, are unchanged.  When the
     row's denominator grows by g, the numerators of the two anti-diagonals
     kept are multiplied by g, so they hold the entries of the current
-    scale * u.  Bigfloat and Gaussian-rational rows are over 1 and run
-    unscaled.
+    scale * u.  Bigfloat rows are over 1 and run unscaled.
 
     Every table entry, B_k and C_k is a packed scalar, on exact an int pair
     (num, den).  An entry is one `sub_products` call and is not reduced;
     C_k and the ratios come from `div_scalars`, and B_k, the difference of
-    two ratios, is an unreduced `sub_products` call too.  Only the zero
-    verdicts and the returned B_n and C_(n+1) unpack to field scalars, and
-    that is where a value is reduced, once.
+    two ratios, is an unreduced `sub_products` call too.  Only results
+    unpack to field scalars, each once, which is where it is reduced: a B_n
+    for the return, a C_k for its zero test and the return.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -359,6 +355,7 @@ def ttrr_oracle(u: MomentFunctional, n_max: int) -> TTRRCoeffs:
     one = (1, 1)  # the packed scalar 1
     bs: List = []  # packed B_k
     cs: List = []  # packed C_k; cs[k-1] = C_k
+    c_values: List = []  # the C_k unpacked, for the zero tests and the return
     ratio_prev = (0, 1)  # sigma_(n-1,n)/h_(n-1); zero for n = 0
     older: List = []  # older[k] = scale * sigma_(k, m-2-k)
     old: List = []  # old[k] = scale * sigma_(k, m-1-k)
@@ -385,11 +382,12 @@ def ttrr_oracle(u: MomentFunctional, n_max: int) -> TTRRCoeffs:
         else:
             if n >= 1:
                 cs.append(div_scalars(diag[n], older[n - 1]))
-            if n <= n_max and field.is_zero(value(cs[-1] if n else diag[0])):
+                c_values.append(value(cs[-1]))
+            if n <= n_max and field.is_zero(c_values[-1] if n else value(diag[0])):
                 what = f"C_{n} = h_{n}/h_{n - 1}" if n else "h_0 = mu_0"
                 raise NotRegularError(n, f"{what} = 0: u is not regular at level {n}")
         older, old = old, diag
-    return TTRRCoeffs.from_lists(field, [value(b) for b in bs], [value(c) for c in cs])
+    return TTRRCoeffs.from_lists(field, [value(b) for b in bs], c_values)
 
 
 def hankel_det(u: MomentFunctional, n: int):

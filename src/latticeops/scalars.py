@@ -708,9 +708,10 @@ def sub_products(x, b, y, c=None, z=None) -> Tuple[object, int]:
     Int pairs give their difference over lcm(den_x, den_b*den_y,
     den_c*den_z): each product stays unreduced, and the cofactors of one gcd
     per product write the difference over the least common denominator, not
-    the product of the denominators.  The result is not reduced; a reduced
-    value is made once, where the pair is unpacked to a ``Fraction``.  Any
-    other values combine as scalars, as (x - b*y) - c*z.
+    the product of the denominators.  The large factor, y (or z), is
+    multiplied last, by b (or c) times the cofactor.  The result is not
+    reduced; a reduced value is made once, where the pair is unpacked to a
+    ``Fraction``.  Any other values combine as scalars, as (x - b*y) - c*z.
     """
     (t, den), (bn, bd), (yn, yd) = x, b, y
     ints = type(t) is int and type(bn) is int and type(yn) is int
@@ -722,12 +723,12 @@ def sub_products(x, b, y, c=None, z=None) -> Tuple[object, int]:
         return (s if c is None else s - _value(cn, cd) * _value(zn, zd)), 1
     pd = bd * yd
     g = gcd(den, pd)
-    t = t * (pd // g) - bn * yn * (den // g)
+    t = t * (pd // g) - yn * (bn * (den // g))
     den *= pd // g
     if c is not None:
         pd = cd * zd
         g = gcd(den, pd)
-        t = t * (pd // g) - cn * zn * (den // g)
+        t = t * (pd // g) - zn * (cn * (den // g))
         den *= pd // g
     return t, den
 

@@ -328,6 +328,49 @@ def test_characterize_meixner_vanishing_c2_on_both_backends(capsys, backend):
     assert err.startswith("error: C_2 = 0") and err.count("\n") == 1
 
 
+def test_characterize_solve_lower_reproduces_q_hermite(capsys):
+    """--solve on the default symmetric lattice from q-Hermite's B_0, C_1:
+    the relation holds through N and the forced TTRR is the family's."""
+    code, out, _ = run(capsys, "characterize", "--relation", "lower", "--solve",
+                       "--b0", "0", "--c1", "3/16", "-N", "12")
+    assert code == 0
+    sol = json.loads(out)["solution"]
+    assert (sol["relation"], sol["first_fail"], sol["failing_degree"], sol["residual"]) == (
+        "lower", None, None, None)
+    code, out, _ = run(capsys, "family", "--name", "q_hermite", "-N", "12")
+    assert code == 0 and sol["ttrr"] == json.loads(out)["ttrr"]
+
+
+@pytest.mark.parametrize("lattice, c3", [(None, "0"), (GEN_LATTICE, "1/5")])
+def test_characterize_solve_sx_raise_fails_on_q_quadratic_lattices(capsys, lattice, c3):
+    """Slot 4 fails at B_0 = c3 and slot 3 at B_0 = c3 + 1/3, in the lowest
+    coefficient; the forced TTRR runs through the failing slot."""
+    for b0, slot in ((c3, 4), (str(Fraction(c3) + Fraction(1, 3)), 3)):
+        argv = ["characterize", "--relation", "sx_raise", "--solve", "--b0", b0,
+                "--c1=-9/32", "-N", "10"] + (["--lattice", lattice] if lattice else [])
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        sol = json.loads(out)["solution"]
+        assert (sol["first_fail"], sol["failing_degree"]) == (slot, 0)
+        assert Fraction(sol["residual"]) != 0
+        assert [row["n"] for row in sol["ttrr"]] == list(range(slot + 1))
+
+
+@pytest.mark.parametrize("relation", ["sx_raise", "lower"])
+def test_characterize_solve_on_bigfloat_is_a_one_line_error(capsys, relation):
+    code, out, err = run(capsys, "--backend", "bigfloat", "characterize", "--relation",
+                         relation, "--solve", "-N", "4")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "exact backend" in err
+
+
+@pytest.mark.parametrize("relation", ["system", "meixner", "counterexample"])
+def test_characterize_solve_needs_a_slot_relation(capsys, relation):
+    code, out, err = run(capsys, "characterize", "--relation", relation, "--solve")
+    assert code == 2 and out == ""
+    assert err == "error: --solve needs --relation sx_raise or lower\n"
+
+
 def test_characterize_needs_relation_or_c1(capsys):
     code, _, err = run(capsys, "characterize", "-N", "4")
     assert code == 2

@@ -291,6 +291,51 @@ class TestPearsonMoments:
                                match=r"^leading Pearson coefficient disagrees with d_1 closed"):
                 u.moments(12)
 
+    def test_kept_moments_are_the_row_unpacked(self, exact, big):
+        """The values `moments` keeps are the row unpacked: value and type on
+        exact, through mu_42 on the six Pearson lattices and on a pair with
+        non-real coefficients, and the mpc bits on bigfloat at 128 bits."""
+        m = 42
+        lat = Lattice(exact, 4, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))
+        phi = Polynomial(exact, (exact(Fraction(1, 3), Fraction(1, 2)), Fraction(-1, 3),
+                                 Fraction(2, 7)))
+        psi = Polynomial(exact, (Fraction(1, 2), exact(Fraction(3, 4), Fraction(1, 5))))
+        pairs = [PearsonPair(lat, phi, psi)]
+        pairs += [readme_pair(Lattice.from_json(f, spec)) for f in (exact, big)
+                  for spec in PEARSON_LATTICES]
+        for pair in pairs:
+            u = pair.moments()
+            field = u.field
+            kept, unpacked = u.moments(m), field.unpack(u.row(m))
+            assert len(kept) == len(unpacked) == m + 1
+            if field is big:
+                assert [v._mpc_ for v in kept] == [v._mpc_ for v in unpacked]
+            else:
+                assert kept == unpacked
+                assert [type(v) for v in kept] == [type(v) for v in unpacked]
+        assert {type(v) for v in pairs[0].moments().moments(m)} == {Fraction, QRational}
+
+    def test_reading_built_moments_reduces_nothing(self, exact, monkeypatch):
+        """Once `row(m)` has built them, `moments(m)` and `moment(k)` read the
+        kept values: with ``scalars._quotient``, the one place a packed value
+        becomes a ``Fraction``, made to raise, both still return."""
+        from latticeops import scalars
+
+        m = 20
+        functionals = [readme_pair(Lattice.from_json(exact, spec)).moments()
+                       for spec in PEARSON_LATTICES]
+        packed = [(k + 1, 2 * k + 3) for k in range(m + 1)]
+        functionals.append(MomentFunctional(exact, extender=packed.__getitem__))
+        want = [u.field.unpack(u.row(m)) for u in functionals]
+
+        def forbidden(*args):
+            raise AssertionError("a built moment was reduced again")
+
+        monkeypatch.setattr(scalars, "_quotient", forbidden)
+        for u, values in zip(functionals, want):
+            assert u.moments(m) == values
+            assert [u.moment(k) for k in range(m + 1)] == values
+
     def test_a_pearson_job_builds_table_rows_through_degree_two(self, exact):
         """regularity, moments(2N+2), the closed TTRR and the oracle leave the
         lattice's D_x/S_x tables at their three rows: the moment recursion
