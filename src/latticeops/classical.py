@@ -167,8 +167,8 @@ class PearsonPair:
 
     def _pair_of(self, row: tuple) -> Tuple[Polynomial, Polynomial]:
         """(phi, psi) from a packed (c, b, a, e, d) row."""
-        c, b, a, e, d = self.field.unpack(row)
-        return Polynomial(self.field, (c, b, a)), Polynomial(self.field, (e, d))
+        values, den = row
+        return tuple(Polynomial.from_row(self.field, (v, den)) for v in (values[:3], values[3:]))
 
     def _closed_row(self, k: int) -> tuple:
         """(c, b, a, e, d)^[k] = M row(k), packed: the one read, through the check."""
@@ -273,7 +273,7 @@ def _recursion_map(lat: Lattice) -> tuple:
     and R(0, z^k) = (U1 S z^k + alpha U2 D z^k, alpha S z^k + U1 D z^k).
     """
     field = lat.field
-    u1, u2 = field.pack(lat.u1().coeffs), field.pack(lat.u2().coeffs)
+    u1, u2 = lat.u1().row, lat.u2().row
     alpha = field.pack((lat.constants.alpha,))
     rows = [monomial_rows(lat, k) for k in range(3)]
     images = [(s, d) for d, s in rows]

@@ -81,6 +81,9 @@ class CliError(ValueError):
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise ``CliError``, so ``main`` prints them as one line."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise CliError(message)
 

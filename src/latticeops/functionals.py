@@ -13,16 +13,16 @@ moment-wise checks of the dual-side identities.
 
 A functional keeps mu_0..mu_m as field scalars for `moments` and as one
 packed row (format in `scalars`) for `pair` and the oracle, both built by
-`MomentFunctional.row`, which reduces each moment once.  Every pairing
-with a polynomial is one method, `MomentFunctional.pair`: one `mat_row`
-of that row against the polynomial's packed row.  `apply`, `left_mul` and
-the two duals, which read the monomial images straight from
-`operators.monomial_rows`, go through it.  The Pearson moment recursion
-reads no table: it steps its own pair of packed rows,
+`MomentFunctional.row` from the field scalars its extender returns.
+Every pairing with a polynomial is one method, `MomentFunctional.pair`:
+one `mat_row` of that row against the polynomial's packed row `f.row`.
+`apply`, `left_mul` and the two duals, which read the monomial images
+straight from `operators.monomial_rows`, go through it.  The Pearson
+moment recursion reads no table: it steps its own pair of packed rows,
 G_n = phi D_x z^n + psi S_x z^n and H_n = phi S_x z^n + psi U2 D_x z^n,
 by the tables' product-rule step (`operators.product_rule_step`) seeded
-with (psi, phi), and reads mu_0..mu_n through the functional's row.  On
-the exact backend a step is that product-rule step on two rows, one
+with (psi.row, phi.row), and reads mu_0..mu_n through the functional's
+row.  On the exact backend a step is that product-rule step on two rows, one
 integer dot product and one `Fraction` for the new moment (plus one for
 the cross-check of d_n).
 
@@ -94,8 +94,7 @@ class MomentFunctional:
     `row(n)` extends both through n, reducing each new moment once.
     `moment` and `moments` read the values; `pair` and the oracle read the
     row, reduced over a positive denominator (on exact the lcm of the
-    moments' denominators).  An extender returns mu_k as a field scalar or
-    as a packed scalar (v, den) in lowest terms with den > 0.
+    moments' denominators).  An extender returns mu_k as a field scalar.
     """
 
     def __init__(self, field: Field, moments: Sequence = (),
@@ -117,8 +116,7 @@ class MomentFunctional:
         while (k := len(self._values)) <= n:
             if self._extender is None:
                 raise HorizonError(f"moment {n} requested but only {k} are known")
-            v = self._extender(k)
-            v = self.field.unpack(([v[0]], v[1]))[0] if type(v) is tuple else self.field(v)
+            v = self.field(self._extender(k))
             self._values.append(v)
             self._row = join_rows(self._row, self.field.pack((v,)))
         return self._row
@@ -149,7 +147,7 @@ class MomentFunctional:
 
     def apply(self, f: Polynomial):
         """<u, f>."""
-        return self.pair(self.field.pack(f.coeffs))
+        return self.pair(f.row)
 
     def __add__(self, other: "MomentFunctional") -> "MomentFunctional":
         return MomentFunctional(self.field, extender=lambda k: self.moment(k) + other.moment(k))
@@ -170,7 +168,7 @@ class MomentFunctional:
 
 def left_mul(u: MomentFunctional, f: Polynomial) -> MomentFunctional:
     """The functional f*u with <f*u, g> = <u, f*g>."""
-    row = u.field.pack(f.coeffs)
+    row = f.row
     return MomentFunctional(u.field, extender=lambda k: u.pair(row, k))
 
 
@@ -216,7 +214,7 @@ def pearson_moments(pair) -> MomentFunctional:
     """
     lat, phi, psi = pair.lattice, pair.phi, pair.psi
     field = lat.field
-    rows = field.pack(psi.coeffs), field.pack(phi.coeffs)
+    rows = psi.row, phi.row
 
     def ext(k: int):
         nonlocal rows

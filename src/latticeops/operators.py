@@ -20,20 +20,20 @@ function, `product_rule_step`: `monomial_rows` runs it from the seed
 (`functionals.pearson_moments`) runs it from (psi, phi) on rows of its
 own, so it reads no table.  `monomial_rows` hands the rows to the dual
 functionals and to the iterated-pair recursion map
-(`classical._recursion_map`, degrees 0 to 2); `dx` and `sx` sum f_k
-times row k of their table as packed rows and unpack the sum once.
-`dx_monomial` and `sx_monomial` unpack one row into a `Polynomial`,
-uncached; no library code calls them: only the benchmark's span wrappers
-(``perfbench/spans.py``, by name) and the operator tests read them.
+(`classical._recursion_map`, degrees 0 to 2); `dx` and `sx` sum row k
+of their table times the k-th numerator of `f.row` and divide by its
+denominator once.  `dx_monomial` and `sx_monomial` make one row a
+`Polynomial`, uncached; only the benchmark's span wrappers
+(``perfbench/spans.py``, by name) and the operator tests call them.
 
 A second, fully independent route (`dx_interp`, `sx_interp`) evaluates
 the argument at x(s +- 1/2) over interpolation nodes and interpolates
 the result back into the monomial basis; the test suite cross-checks
 both routes on exact rationals, alongside the printed top coefficients
 of D_x z^n and S_x z^n (`monomial_action`).  That route reads no image
-table.  It packs its argument once per call and evaluates it at every
-node through `scalars.eval_row`, the one Horner loop: on the exact
-backend the real argument is an int row, evaluated in ints at the
+table.  It reads its argument's packed row once per call and evaluates
+it at every node through `scalars.eval_row`, the one Horner loop: on the
+exact backend the real argument is an int row, evaluated in ints at the
 rational nodes.  Its lattice data is one node table per lattice
 (`_node_table`), grown on demand like the image tables: the usable nodes
 z_i of `Lattice.node_stream`, x(s_i +- 1/2) and their difference, and
@@ -119,7 +119,7 @@ def dx_interp(lat: Lattice, f: Polynomial) -> Polynomial:
     if lat.is_constant:
         return f.derivative()
     field, t = lat.field, _nodes(lat, f.degree)
-    row, zero = field.pack(f.coeffs), field.zero
+    row, zero = f.row, field.zero
     values = [(eval_row(row, zp, zero) - eval_row(row, zm, zero)) / h
               for zp, zm, h in t.ends[:f.degree]]
     return newton(field, t.zs, t.diffs, values)
@@ -129,7 +129,7 @@ def sx_interp(lat: Lattice, f: Polynomial) -> Polynomial:
     if f.degree <= 0 or lat.is_constant:
         return f
     field, t = lat.field, _nodes(lat, f.degree + 1)
-    row, zero = field.pack(f.coeffs), field.zero
+    row, zero = f.row, field.zero
     values = [(eval_row(row, zp, zero) + eval_row(row, zm, zero)) / 2
               for zp, zm, _ in t.ends[:f.degree + 1]]
     return newton(field, t.zs, t.diffs, values)
@@ -142,7 +142,7 @@ def _monomial_tables(lat: Lattice) -> tuple:
     field = lat.field
     con = lat.constants
     one, szrow = field.pack((field.one,)), field.pack((con.beta, con.alpha))
-    return [field.pack(()), one], [one, szrow], szrow, field.pack(lat.u2().coeffs)
+    return [field.pack(()), one], [one, szrow], szrow, lat.u2().row
 
 
 def product_rule_step(lat: Lattice, rows: tuple) -> tuple:
@@ -169,29 +169,29 @@ def monomial_rows(lat: Lattice, n: int) -> tuple:
 
 
 def dx_monomial(lat: Lattice, n: int) -> Polynomial:
-    """D_x z^n, unpacked from its row of the lattice's table."""
-    return Polynomial(lat.field, lat.field.unpack(monomial_rows(lat, n)[0]))
+    """D_x z^n, made from its row of the lattice's table."""
+    return Polynomial.from_row(lat.field, monomial_rows(lat, n)[0])
 
 
 def sx_monomial(lat: Lattice, n: int) -> Polynomial:
-    """S_x z^n, unpacked from its row of the lattice's table."""
-    return Polynomial(lat.field, lat.field.unpack(monomial_rows(lat, n)[1]))
+    """S_x z^n, made from its row of the lattice's table."""
+    return Polynomial.from_row(lat.field, monomial_rows(lat, n)[1])
 
 
 def _expand(lat: Lattice, f: Polynomial, kind: int) -> Polynomial:
     """The sum over k of f_k times row k of the D_x (kind 0) or S_x (kind 1) table.
 
-    Each term is image row times coefficient and the sum runs in
-    increasing k, the order of the plain-scalar sum, so bigfloat values
-    round alike; the sum is unpacked once.  A zero coefficient adds a row
-    of zeros, exactly, on both backends, so it is skipped.
+    Each term is image row times f's k-th numerator in `f.row` and the sum
+    runs in increasing k, the order of the plain-scalar sum, so bigfloat
+    values round alike; f's denominator divides the sum once.  A zero
+    numerator adds a row of zeros, exactly, on both backends, so it is skipped.
     """
-    field = lat.field
-    acc = field.pack(())
-    for k, c in enumerate(f.coeffs):
+    values, den = f.row
+    acc = ([], 1)
+    for k, c in enumerate(values):
         if c != 0:
-            acc = add_rows(acc, mul_rows(monomial_rows(lat, k)[kind], field.pack((c,))))
-    return Polynomial(field, field.unpack(acc))
+            acc = add_rows(acc, mul_rows(monomial_rows(lat, k)[kind], ([c], 1)))
+    return Polynomial.from_row(lat.field, (acc[0], acc[1] * den))
 
 
 def dx(lat: Lattice, f: Polynomial) -> Polynomial:

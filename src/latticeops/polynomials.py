@@ -2,16 +2,17 @@
 
 Coefficients are stored lowest degree first and trailing zeros are
 trimmed, so the zero polynomial has an empty coefficient tuple and
-degree -1.  The monomial basis in z is canonical everywhere.  A product
-is `scalars.mul_coeffs`, the kernel the packed rows of `scalars` share.
-Evaluation is `scalars.eval_row`, the one Horner loop, on the
-coefficients over 1: the plain-scalar loop on both backends.  The
-interpolation route of the lattice operators (`operators.dx_interp`)
-evaluates a packed argument through the same kernel and interpolates,
-so this module also holds the one Newton kernel, `newton`: it divides
-by differences of the nodes given to it and expands on a plain
-coefficient list.  The operators hand it the differences their
-per-lattice node table keeps; `interpolate` forms its own from its
+degree -1.  The monomial basis in z is canonical everywhere.  `p.row`
+packs the coefficients (`scalars`) and `Polynomial.from_row` unpacks a
+row: the one conversion between a polynomial and the packed rows the
+operators and functionals run on.  A product is `scalars.mul_coeffs`,
+the kernel the rows share; evaluation is `scalars.eval_row`, the one
+Horner loop, on the coefficients over 1.  The interpolation route of the
+operators (`operators.dx_interp`) evaluates `f.row` through that kernel
+and interpolates, so this module also holds the one Newton kernel,
+`newton`: it divides by differences of the nodes given to it and expands
+on a plain coefficient list.  The operators hand it the differences
+their per-lattice node table keeps; `interpolate` forms its own from its
 points and calls the same kernel.  Both are exact on the exact backend.
 """
 
@@ -61,6 +62,14 @@ class Polynomial:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return self.field.zero
+
+    @property
+    def row(self):
+        return self.field.pack(self.coeffs)
+
+    @classmethod
+    def from_row(cls, field: Field, row) -> "Polynomial":
+        return cls(field, field.unpack(row))
 
     @property
     def leading(self):

@@ -492,6 +492,19 @@ def test_help_still_prints_usage(capsys):
     assert capsys.readouterr().out.startswith("usage: latticeops family")
 
 
+@pytest.mark.parametrize("argv, unrecognized", [
+    (["--backend", "bigfloat", "--prec=64"] + CLASSIFY + ["-N", "2"], "--prec=64"),
+    (["characterize", "--rel", "system", "--fam", "q_hermite"], "--rel system --fam q_hermite"),
+    (CLASSIFY + ["-N", "2", "--rod", "3"], "--rod 3"),
+])
+def test_an_option_prefix_is_an_unrecognized_argument(capsys, argv, unrecognized):
+    """A unique prefix of an option's name is not that option, at the top
+    level or in a subcommand."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: unrecognized arguments: {unrecognized}\n"
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-99, 99)
     | st.floats(allow_nan=False, allow_infinity=False)

@@ -74,27 +74,21 @@ class TestMomentFunctional:
         u.moment(1)
         assert repr(u) == "MomentFunctional([0, 1, ...])"
 
-    def test_a_packed_extender_gives_the_moments_of_a_scalar_one(self, exact, big):
-        """An extender may return mu_k as a field scalar or as a packed scalar
-        (v, den) in lowest terms: the two give one row, and the same
-        moment(k), value and type, on exact (ints, Fractions and a QRational
-        joined over a denominator > 1) and the same mpc bits on bigfloat."""
+    def test_an_extender_gives_its_values_as_moments(self, exact, big):
+        """An extender's field scalars are the moments, value and type, on
+        exact (ints, Fractions and a QRational joined over a denominator > 1)
+        and bit for bit on bigfloat."""
         q = exact(Fraction(1, 3), Fraction(-2, 7))
         values = [3, Fraction(-5, 12), q, 0, Fraction(7, 9), -4, Fraction(1, 1024)]
-        packed = [(v, 1) if type(v) is not Fraction else (v.numerator, v.denominator)
-                  for v in values]
         u = MomentFunctional(exact, extender=values.__getitem__)
-        v = MomentFunctional(exact, extender=packed.__getitem__)
-        assert v.row(6) == u.row(6)
+        assert exact.unpack(u.row(6)) == values
         for k, want in enumerate(values):
-            got = (u.moment(k), v.moment(k))
-            assert got == (want, want) and {type(m) for m in got} == {type(exact(want))}
-        assert type(v.moment(2)) is QRational and u.moments(6) == v.moments(6)
+            assert u.moment(k) == want and type(u.moment(k)) is type(exact(want))
+        assert type(u.moment(2)) is QRational and u.moments(6) == [exact(v) for v in values]
         values = [big(Fraction(1, 3)), big(Fraction(-5, 12), Fraction(2, 3)), big(7), big(0)]
         u = MomentFunctional(big, extender=values.__getitem__)
-        v = MomentFunctional(big, extender=lambda k: (values[k], 1))
         for k, want in enumerate(values):
-            assert u.moment(k)._mpc_ == v.moment(k)._mpc_ == want._mpc_
+            assert u.moment(k)._mpc_ == want._mpc_
 
     def test_apply_is_linear_in_the_polynomial(self, exact):
         u = MomentFunctional(exact, (2, -1, 5, 0, 3))
@@ -324,8 +318,8 @@ class TestPearsonMoments:
         m = 20
         functionals = [readme_pair(Lattice.from_json(exact, spec)).moments()
                        for spec in PEARSON_LATTICES]
-        packed = [(k + 1, 2 * k + 3) for k in range(m + 1)]
-        functionals.append(MomentFunctional(exact, extender=packed.__getitem__))
+        mus = [Fraction(k + 1, 2 * k + 3) for k in range(m + 1)]
+        functionals.append(MomentFunctional(exact, extender=mus.__getitem__))
         want = [u.field.unpack(u.row(m)) for u in functionals]
 
         def forbidden(*args):

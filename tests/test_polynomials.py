@@ -91,6 +91,38 @@ def test_cross_backend_rejected(exact):
         p + q
 
 
+def test_row_and_from_row_are_pack_and_unpack(exact, big):
+    """``p.row`` is ``field.pack(p.coeffs)`` and ``Polynomial.from_row`` is
+    ``Polynomial`` of ``field.unpack``, in value, type and hash: on exact for
+    ints, Fractions, a QRational, the zero polynomial, a row with trailing
+    zeros and an unreduced row over a denominator > 1, and on bigfloat at
+    128 bits by the mpc bits."""
+    q = exact(Fraction(1, 3), Fraction(-2, 7))
+    polys = [(3, -4, 0, 7), (Fraction(1, 2), Fraction(-5, 12), 0, 7), (q, Fraction(1, 4)),
+             (), (0, Fraction(9, 1024))]
+    rows = [([3, -4, 0, 7], 1), ([6, -4, 0, 8], 12), ([1, 2, 0, 0], 5), ([], 1), ([0, 0], 3),
+            ([q, Fraction(1, 2)], 1), ([Fraction(1, 2), q, 0], 6)]
+    for coeffs in polys:
+        p = Polynomial(exact, coeffs)
+        (got, gden), (want, wden) = p.row, exact.pack(p.coeffs)
+        assert (got, gden) == (want, wden) and type(gden) is type(wden)
+        assert [type(v) for v in got] == [type(v) for v in want]
+        assert hash((*got, gden)) == hash((*want, wden))
+        assert Polynomial.from_row(exact, p.row) == p
+    for row in rows:
+        got, want = Polynomial.from_row(exact, row), Polynomial(exact, exact.unpack(row))
+        assert got == want and hash(got) == hash(want)
+        assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+    third = big(Fraction(1, 3))
+    p = Polynomial(big, (third, big(Fraction(-5, 12), Fraction(2, 3)), 0, 7))
+    got, want = p.row, big.pack(p.coeffs)
+    assert got[1] == want[1] == 1 and [v._mpc_ for v in got[0]] == [v._mpc_ for v in want[0]]
+    for row in (([third, big(2), big(0)], 1), ([big(1), third, big(7)], 3), ([], 1)):
+        got, want = Polynomial.from_row(big, row), Polynomial(big, big.unpack(row))
+        assert [c._mpc_ for c in got.coeffs] == [c._mpc_ for c in want.coeffs]
+        assert got == want and hash(got) == hash(want)
+
+
 def test_json_roundtrip(exact, big):
     for field in (exact, big):
         p = Polynomial(field, (Fraction(1, 3), 0, Fraction(-7, 2)))

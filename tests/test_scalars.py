@@ -705,6 +705,25 @@ def test_verdict_rules_live_in_scalars():
     assert not hasattr(ExactField, "compare")
 
 
+def test_polynomial_rows_are_made_in_polynomials():
+    """Only polynomials.py converts between a ``Polynomial`` and its packed row.
+
+    Elsewhere no line packs a ``.coeffs`` or wraps an ``unpack(`` in
+    ``Polynomial(``: ``p.row`` and ``Polynomial.from_row`` do both.
+    """
+    conversion = re.compile(r"\bpack\(.*\.coeffs\b|\bPolynomial\(.*\bunpack\(")
+    assert conversion.search("row = u.field.pack(f.coeffs)")
+    assert conversion.search("return Polynomial(field, field.unpack(acc))")
+    found = []
+    for path in sorted(Path(latticeops.__file__).parent.glob("*.py")):
+        if path.name == "polynomials.py":
+            continue
+        for line in path.read_text(encoding="utf-8").splitlines():
+            if conversion.search(line):
+                found.append((path.name, line.strip()))
+    assert found == []
+
+
 def test_lattice_q_powers_live_in_lattice():
     """Every power of a lattice's q or sqrt(q) goes through ``Lattice.t_pow``.
 

@@ -2,12 +2,15 @@
 (the mutation script only lists its mutants), and the output comparison finds
 no difference against its own tree and one planted change in a copy, in the
 section that reads it.  The tree is dumped once per session; each copy's
-dump is compared with it as ``same_outputs.py --base`` compares two trees."""
+dump is compared with it as ``same_outputs.py --base`` compares two trees.
+The A/B benchmark script summarises synthetic runs, and runs against a stub
+``perfbench/run.py`` in a throwaway git repository, never the benchmark."""
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import json
 import os
 import shutil
 import subprocess
@@ -152,3 +155,113 @@ def test_same_outputs_finds_a_changed_functional_product(script, tree_outputs, t
     keys = differ(script, tree_outputs, base)
     assert len(keys) == 13 * 2 * 8 * 3
     assert all(k.startswith("functional ") and " * mu_" in k for k in keys), keys
+
+
+@pytest.fixture(scope="session")
+def ab_bench():
+    """scripts/ab_bench.py as a module."""
+    path = ROOT / "scripts" / "ab_bench.py"
+    spec = importlib.util.spec_from_file_location("ab_bench", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bench_result(rss, p50=0.01):
+    """A result line of ``perfbench/run.py`` with these peak RSS and p50."""
+    values = {"verdict_s.p50": p50, "verdict_s.p90": 0.03, "verdicts_per_s": 50.0,
+              "peak_rss_mb": rss, "setup_s": 0.2}
+    return {"correct": True, "attempted": 100, "failed": 0,
+            "metrics": {k: {"value": v, "unit": ""} for k, v in values.items()}}
+
+
+def test_ab_bench_reports_a_peak_rss_rise_outside_its_bound(ab_bench):
+    """Synthetic pairs in which the change's peak RSS is 11% above the
+    parent's: that metric is outside its 10% bound, the unchanged ones are
+    inside it and tie in every pair, and p50 wins the pairs where it is lower."""
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    rss = [20.0, 21.0, 22.0, 23.0]
+    results = [(bench_result(r), bench_result(r * 1.11, p50=0.01 if i % 2 else 0.009))
+               for i, r in enumerate(rss)]
+    record = ab_bench.workload_record(results, [5, 6, 7, 8], metrics)
+    assert record["first_side"] == ["parent", "change", "parent", "change"]
+    parent = record["parent"]["peak_rss_mb"]
+    assert (parent["median"], parent["q1"], parent["q3"]) == (21.5, 20.75, 22.25)
+    comparison = record["comparison"]
+    assert comparison["peak_rss_mb"]["change_pct"] == 11.0
+    assert comparison["peak_rss_mb"]["inside_bound"] is False
+    assert comparison["peak_rss_mb"]["change_better_pairs"] == "0/4"
+    assert comparison["verdict_s.p50"]["change_better_pairs"] == "2/4"
+    assert comparison["verdict_s.p50"]["change_pct"] == -5.0
+    assert all(comparison[m]["inside_bound"] and comparison[m]["change_better_pairs"] == "0/4"
+               for m in ("verdict_s.p90", "verdicts_per_s", "setup_s"))
+    assert record["parent"]["jobs_failed"] == record["change"]["jobs_failed"] == [0] * 4
+
+
+STUB_RUN = """import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+values = {{"verdict_s.p50": 0.01, "verdict_s.p90": 0.03, "verdicts_per_s": 50.0,
+          "peak_rss_mb": {rss} + seed, "setup_s": 0.2}}
+print("== stub")
+print(json.dumps({{"correct": True, "attempted": 10, "failed": 0,
+                  "metrics": {{k: {{"value": v, "unit": ""}} for k, v in values.items()}}}}))
+sys.exit({code})
+"""
+
+
+def stub_repo(tmp_path):
+    """A git repository holding this ab_bench.py, BENCHMARK.json and a stub
+    perfbench/run.py (peak RSS 20 + seed MB) in its one commit."""
+    repo = tmp_path / "repo"
+    (repo / "scripts").mkdir(parents=True)
+    (repo / "perfbench").mkdir()
+    (repo / "src" / "latticeops").mkdir(parents=True)
+    (repo / "src" / "latticeops" / "__init__.py").write_text("")
+    shutil.copy(ROOT / "scripts" / "ab_bench.py", repo / "scripts")
+    shutil.copy(ROOT / "BENCHMARK.json", repo)
+    (repo / "perfbench" / "run.py").write_text(STUB_RUN.format(rss=20, code=0))
+    git = ["git", "-C", str(repo), "-c", "user.name=stub", "-c", "user.email=stub@stub"]
+    for argv in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "stub"]):
+        subprocess.run(git + argv, check=True, capture_output=True)
+    return repo
+
+
+def run_ab_bench(repo, out):
+    return subprocess.run([sys.executable, str(repo / "scripts" / "ab_bench.py"), "--base", "HEAD",
+                           "--workload", "w1", "w2", "--pairs", "2", "--seconds", "0.1",
+                           "--seed-base", "3", "--out", str(out)],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_ab_bench_smoke_run_on_a_stub_benchmark(tmp_path):
+    """Against a stub run.py whose working-tree copy reports 25% more peak
+    RSS, two pairs per workload read the seeds 3..6 on both sides and put
+    only peak RSS outside its bound; neither tree gains a file."""
+    repo = stub_repo(tmp_path)
+    (repo / "perfbench" / "run.py").write_text(STUB_RUN.format(rss=25, code=0))
+    proc = run_ab_bench(repo, tmp_path / "ab.json")
+    assert proc.returncode == 0, proc.stderr
+    body = json.loads((tmp_path / "ab.json").read_text())
+    assert list(body["end_to_end"]) == ["w1", "w2"] and body["pairs"] == 2
+    w2 = body["end_to_end"]["w2"]
+    assert w2["seeds"] == [5, 6]
+    assert w2["parent"]["peak_rss_mb"]["runs"] == [25.0, 26.0]
+    assert w2["change"]["peak_rss_mb"]["runs"] == [30.0, 31.0]
+    assert [m for m, c in w2["comparison"].items() if not c["inside_bound"]] == ["peak_rss_mb"]
+    status = subprocess.run(["git", "-C", str(repo), "status", "--porcelain"],
+                            capture_output=True, text=True, check=True)
+    assert status.stdout.split() == ["M", "perfbench/run.py"]
+
+
+@pytest.mark.parametrize("stub, message", [
+    (STUB_RUN.format(rss=20, code=3), "exited 3"),
+    ("print('== no result')\n", "printed no result line"),
+])
+def test_ab_bench_stops_on_a_failed_run(tmp_path, stub, message):
+    """A run that exits non-zero or prints no result line stops the script
+    with exit 1 and no output file."""
+    repo = stub_repo(tmp_path)
+    (repo / "perfbench" / "run.py").write_text(stub)
+    proc = run_ab_bench(repo, tmp_path / "ab.json")
+    assert proc.returncode == 1
+    assert message in proc.stderr and not (tmp_path / "ab.json").exists()
